@@ -4,7 +4,11 @@ A matrix is stored as a dict of diagonals keyed by offset ``k``
 (``k > 0`` super-diagonal, ``k < 0`` sub-diagonal).  Diagonal arrays are
 row-aligned and padded to full length ``n``::
 
-    diags[k][i] == A[i, i + k]      (slots outside the band hold 0.0)
+    diags[k][..., i] == A[..., i, i + k]      (slots outside the band hold 0.0)
+
+A diagonal may carry a leading batch axis, so one object holds a whole
+sweep of same-size matrices and the algebra and the Cholesky log-det
+run once per batch instead of once per matrix.
 
 Everything here is O(bandwidth * n) in time and memory.  Factorizations
 are delegated to LAPACK through scipy's banded drivers; dense conversion
@@ -17,17 +21,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dpbtrf as _pbtrf
 
 _LN2 = float(np.log(2.0))
 
 
+class NotPositiveDefinite(np.linalg.LinAlgError):
+    """A banded Cholesky factorization met a pivot that is not positive.
+
+    ``index`` is the position of the failing matrix in the flattened
+    batch (0 for a single matrix).
+    """
+
+    def __init__(self, index: int, order: int) -> None:
+        super().__init__(f"leading minor of order {order} of matrix {index} "
+                         "not positive definite")
+        self.index = index
+
+
 @dataclass(frozen=True)
 class BandedMatrix:
-    """Square banded matrix with row-aligned diagonal storage."""
+    """Square banded matrix, or a batch of them, in row-aligned storage.
+
+    A diagonal has shape ``(n,)`` or ``(B, n)``; the two may mix in one
+    matrix, and broadcast as numpy arrays do, so every operation below
+    acts on each matrix of a batch exactly as on a single matrix.
+    """
 
     n: int
     diags: dict[int, np.ndarray] = field(default_factory=dict)
-    kind: str = "generic"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -36,15 +58,15 @@ class BandedMatrix:
         for k, v in self.diags.items():
             if abs(k) >= self.n:
                 continue
-            arr = np.asarray(v, dtype=float)
-            if arr.shape != (self.n,):
-                raise ValueError(f"diagonal {k} must have length {self.n}")
+            arr = np.array(v, dtype=float)
+            if arr.ndim not in (1, 2) or arr.shape[-1] != self.n:
+                raise ValueError(
+                    f"diagonal {k} must have shape ({self.n},) or (B, {self.n})")
             # zero the slots that fall outside the matrix
-            arr = arr.copy()
             if k > 0:
-                arr[self.n - k:] = 0.0
+                arr[..., self.n - k:] = 0.0
             elif k < 0:
-                arr[:-k] = 0.0
+                arr[..., :-k] = 0.0
             clean[k] = arr
         object.__setattr__(self, "diags", clean)
 
@@ -56,18 +78,24 @@ class BandedMatrix:
     def upper(self) -> int:
         return max((k for k in self.diags if k > 0), default=0)
 
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """``()`` for a single matrix, ``(B,)`` for a batch of B."""
+        return max((v.shape[:-1] for v in self.diags.values()), key=len,
+                   default=())
+
     def diag(self, k: int) -> np.ndarray:
         """Row-aligned diagonal at offset k (zeros if absent)."""
         if k in self.diags:
             return self.diags[k].copy()
-        return np.zeros(self.n)
+        return np.zeros(self.batch_shape + (self.n,))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
+        a = np.zeros(self.batch_shape + (self.n, self.n))
         for k, v in self.diags.items():
             i0, i1 = max(0, -k), min(self.n, self.n - k)
             rows = np.arange(i0, i1)
-            a[rows, rows + k] = v[i0:i1]
+            a[..., rows, rows + k] = v[..., i0:i1]
         return a
 
     @property
@@ -75,11 +103,11 @@ class BandedMatrix:
         out: dict[int, np.ndarray] = {}
         for k, v in self.diags.items():
             # A^T[i, i - k] = A[i - k + k, ...]; row-align by shifting
-            w = np.zeros(self.n)
+            w = np.zeros(v.shape)
             i0, i1 = max(0, -k), min(self.n, self.n - k)
-            w[i0 + k: i1 + k] = v[i0:i1]
+            w[..., i0 + k: i1 + k] = v[..., i0:i1]
             out[-k] = w
-        return BandedMatrix(self.n, out, kind=self.kind)
+        return BandedMatrix(self.n, out)
 
     def _combine(self, other: "BandedMatrix", sign: float) -> "BandedMatrix":
         if other.n != self.n:
@@ -98,9 +126,10 @@ class BandedMatrix:
     def __sub__(self, other: "BandedMatrix") -> "BandedMatrix":
         return self._combine(other, -1.0)
 
-    def scaled(self, c: float) -> "BandedMatrix":
-        return BandedMatrix(self.n, {k: c * v for k, v in self.diags.items()},
-                            kind=self.kind)
+    def scaled(self, c) -> "BandedMatrix":
+        """c * A; an array c of shape (B,) scales matrix b of a batch by c[b]."""
+        c = np.asarray(c, dtype=float)[..., None]
+        return BandedMatrix(self.n, {k: c * v for k, v in self.diags.items()})
 
     def row_scaled(self, d: np.ndarray) -> "BandedMatrix":
         """diag(d) @ A."""
@@ -110,18 +139,20 @@ class BandedMatrix:
         """A @ diag(d): entry (i, i+k) picks up d[i+k]."""
         out = {}
         for k, v in self.diags.items():
-            w = v.copy()
+            # d shifted onto row alignment; out-of-band slots of v are 0
+            dk = np.zeros(d.shape)
             i0, i1 = max(0, -k), min(self.n, self.n - k)
-            w[i0:i1] *= d[i0 + k: i1 + k]
-            out[k] = w
+            dk[..., i0:i1] = d[..., i0 + k: i1 + k]
+            out[k] = v * dk
         return BandedMatrix(self.n, out)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        y = np.zeros(self.n, dtype=np.result_type(x.dtype, float))
+        y = np.zeros(max(self.batch_shape, x.shape[:-1], key=len) + (self.n,),
+                     dtype=np.result_type(x.dtype, float))
         for k, v in self.diags.items():
             i0, i1 = max(0, -k), min(self.n, self.n - k)
-            y[i0:i1] += v[i0:i1] * x[i0 + k: i1 + k]
+            y[..., i0:i1] += v[..., i0:i1] * x[..., i0 + k: i1 + k]
         return y
 
     def matmul(self, other: "BandedMatrix") -> "BandedMatrix":
@@ -129,6 +160,7 @@ class BandedMatrix:
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         n = self.n
+        shape = max(self.batch_shape, other.batch_shape, key=len) + (n,)
         out: dict[int, np.ndarray] = {}
         for ka, va in self.diags.items():
             for kb, vb in other.diags.items():
@@ -140,8 +172,8 @@ class BandedMatrix:
                 i1 = min(n, n - ka, n - kc)
                 if i1 <= i0:
                     continue
-                acc = out.setdefault(kc, np.zeros(n))
-                acc[i0:i1] += va[i0:i1] * vb[i0 + ka: i1 + ka]
+                acc = out.setdefault(kc, np.zeros(shape))
+                acc[..., i0:i1] += va[..., i0:i1] * vb[..., i0 + ka: i1 + ka]
         return BandedMatrix(n, out)
 
 
@@ -149,7 +181,7 @@ def identity(n: int) -> BandedMatrix:
     return BandedMatrix(n, {0: np.ones(n)})
 
 
-def from_dense(a: np.ndarray, kind: str = "generic") -> BandedMatrix:
+def from_dense(a: np.ndarray) -> BandedMatrix:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     diags = {}
@@ -160,17 +192,16 @@ def from_dense(a: np.ndarray, kind: str = "generic") -> BandedMatrix:
             i0 = max(0, -k)
             w[i0: i0 + len(v)] = v
             diags[k] = w
-    return BandedMatrix(n, diags, kind=kind)
+    return BandedMatrix(n, diags)
 
 
 def _upper_ab(a: BandedMatrix) -> np.ndarray:
-    """Symmetric upper band storage as scipy's solveh_banded expects."""
+    """Symmetric upper band storage as LAPACK expects, per batch entry."""
     u, n = a.upper, a.n
-    ab = np.zeros((u + 1, n))
+    ab = np.zeros(a.batch_shape + (u + 1, n))
     for k in range(u + 1):
-        v = a.diag(k)
-        i1 = n - k
-        ab[u - k, k:] = v[0:i1]
+        if k in a.diags:
+            ab[..., u - k, k:] = a.diags[k][..., 0: n - k]
     return ab
 
 
@@ -187,14 +218,35 @@ def _general_ab(a: BandedMatrix) -> tuple[tuple[int, int], np.ndarray]:
 
 
 def cholesky_upper(a: BandedMatrix) -> np.ndarray:
-    """Banded Cholesky factor (upper form); raises LinAlgError if not PD."""
-    return sla.cholesky_banded(_upper_ab(a), lower=False)
+    """Banded Cholesky factor in LAPACK upper storage, ``(u+1, n)``.
+
+    A batch of B matrices gives ``(B, u+1, n)`` from one LAPACK ``pbtrf``
+    call: the B bands lie end to end along the diagonal of one
+    ``(u+1, B*n)`` band whose couplings between blocks are exactly zero,
+    so each block's factor is bit for bit that of its matrix alone.
+    Raises NotPositiveDefinite, naming the first failing matrix.
+    """
+    ab = _upper_ab(a)
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    u1, n = ab.shape[-2:]
+    stacked = ab.reshape(-1, u1, n).transpose(1, 0, 2).reshape(u1, -1)
+    factor, info = _pbtrf(stacked, lower=0)
+    if info > 0:
+        raise NotPositiveDefinite((info - 1) // n, (info - 1) % n + 1)
+    if info < 0:
+        raise ValueError(f"pbtrf: illegal value in argument {-info}")
+    return factor.reshape(u1, -1, n).transpose(1, 0, 2).reshape(ab.shape)
 
 
-def logdet2_sym_pd(a: BandedMatrix) -> float:
-    """log2 det(A) for symmetric positive definite banded A."""
+def logdet2_sym_pd(a: BandedMatrix) -> float | np.ndarray:
+    """log2 det(A) for symmetric positive definite banded A.
+
+    A float for one matrix; an array of the batch shape for a batch.
+    """
     c = cholesky_upper(a)
-    return 2.0 * float(np.sum(np.log(c[-1]))) / _LN2
+    ld = 2.0 * np.sum(np.log(c[..., -1, :]), axis=-1) / _LN2
+    return float(ld) if ld.ndim == 0 else ld
 
 
 def solve_sym_pd(a: BandedMatrix, b: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line front end: figure sweeps to CSV, validation suites, queries.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
-Sweep grids are evaluated on a thread pool sized by ANOMA_THREADS
-(default: machine parallelism); rows are always written in axis order,
-so output is deterministic for a fixed spec and seed.
+Sweep grids are evaluated and written in axis order, so the output is
+byte-for-byte deterministic for a fixed spec.  The timing-error figures
+evaluate their whole grid in one batched call.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,28 +36,6 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return str(int(v))
     return format(float(v), ".12g")
-
-
-def _worker_count() -> int:
-    env = os.environ.get("ANOMA_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"ANOMA_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise UsageError("ANOMA_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items: list) -> list:
-    items = list(items)
-    workers = min(_worker_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
@@ -108,7 +84,7 @@ def _fig_rate_vs_gain(p: dict):
                     throughput_noma(link.mu1, link.mu2)]
         return out
 
-    return header, _pmap(row, [float(v) for v in h1_grid])
+    return header, [row(float(v)) for v in h1_grid]
 
 
 def _fig_rate_vs_n(p: dict):
@@ -131,7 +107,7 @@ def _fig_rate_vs_n(p: dict):
         out += [throughput_asymptotic(link.mu1, link.mu2, t) for t in taus]
         return out
 
-    return header, _pmap(row, [int(v) for v in ns])
+    return header, [row(int(v)) for v in ns]
 
 
 def _fig_power_surface(p: dict):
@@ -140,13 +116,11 @@ def _fig_power_surface(p: dict):
     h1, h2 = math.sqrt(p["h1_sq"]), math.sqrt(p["h2_sq"])
     header = ["p1", "p2", "throughput"]
 
-    def row(pair):
-        p1, p2 = pair
+    def row(p1: float, p2: float):
         link = LinkConfig(p1=p1, p2=p2, h1=h1, h2=h2)
         return [p1, p2, throughput_closed(link, frame)]
 
-    pairs = [(float(a), float(b)) for a in pg for b in pg]
-    return header, _pmap(row, pairs)
+    return header, [row(float(a), float(b)) for a in pg for b in pg]
 
 
 def _fig_tau_star_vs_n(p: dict):
@@ -167,7 +141,7 @@ def _fig_tau_star_vs_n(p: dict):
             out.append(r.tau_star)
         return out
 
-    return header, _pmap(row, n_values)
+    return header, [row(n) for n in n_values]
 
 
 def _fig_loss_heatmap(p: dict):
@@ -175,14 +149,16 @@ def _fig_loss_heatmap(p: dict):
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     frame = FrameConfig(int(p["n"]), p["tau"])
     header = ["eps1", "eps2", "gamma"]
+    e1, e2 = (v.ravel() for v in np.meshgrid(eps, eps, indexing="ij"))
+    gamma = timing.loss_ratio(link, frame, TimingError(e1, e2))
+    return header, [list(r) for r in zip(e1, e2, gamma)]
 
-    def row(pair):
-        e1, e2 = pair
-        g = timing.loss_ratio(link, frame, TimingError(e1, e2))
-        return [e1, e2, g]
 
-    pairs = [(float(a), float(b)) for a in eps for b in eps]
-    return header, _pmap(row, pairs)
+def _slices(eps: np.ndarray) -> TimingError:
+    """The sync-error slice (eps, 0), then the coordination slice (0, eps),
+    as one batch."""
+    zeros = np.zeros_like(eps)
+    return TimingError(np.concatenate([eps, zeros]), np.concatenate([zeros, eps]))
 
 
 def _fig_loss_slices(p: dict):
@@ -195,14 +171,12 @@ def _fig_loss_slices(p: dict):
               for b in (1, -1)}
     header = ["eps", "gamma_sync_exact", "gamma_sync_linear",
               "gamma_coord_exact", "gamma_coord_linear"]
-
-    def row(e: float):
+    gamma = timing.loss_ratio(link, frame, _slices(eps))
+    rows = []
+    for e, gs, gc in zip(eps, gamma[:len(eps)], gamma[len(eps):]):
         c1, c2 = slopes[1 if e >= 0 else -1]
-        gs = timing.loss_ratio(link, frame, TimingError(e, 0.0))
-        gc = timing.loss_ratio(link, frame, TimingError(0.0, e))
-        return [e, gs, e * c1 / base, gc, e * c2 / base]
-
-    return header, _pmap(row, [float(v) for v in eps])
+        rows.append([e, gs, e * c1 / base, gc, e * c2 / base])
+    return header, rows
 
 
 def _fig_scheme_comparison(p: dict):
@@ -212,45 +186,41 @@ def _fig_scheme_comparison(p: dict):
     noma = throughput_noma(link.mu1, link.mu2)
     oma = throughput_oma(link.mu1, link.mu2)
     header = ["eps", "anoma_sync_error", "anoma_coord_error", "noma", "oma"]
-
-    def row(e: float):
-        sync = timing.throughput_with_error(link, frame, TimingError(e, 0.0))
-        coord = timing.throughput_with_error(link, frame, TimingError(0.0, e))
-        return [e, sync, coord, noma, oma]
-
-    return header, _pmap(row, [float(v) for v in eps])
+    rate = timing.throughput_with_error(link, frame, _slices(eps))
+    return header, [[e, sync, coord, noma, oma] for e, sync, coord
+                    in zip(eps, rate[:len(eps)], rate[len(eps):])]
 
 
 FIGURES = {
     "rate_vs_gain": (_fig_rate_vs_gain, {
         "p1": 1.0, "p2": 1.0, "tau": 0.5, "n": 10,
         "h1_sq_min": 0.1, "h1_sq_max": 2.0, "h1_sq_step": 0.1,
-        "h2_sq_values": [0.5, 1.0], "seed": 0,
+        "h2_sq_values": [0.5, 1.0],
     }),
     "rate_vs_n": (_fig_rate_vs_n, {
         "mu1": 1.0, "mu2": 0.5, "tau_values": [0.5, 0.1],
-        "n_min": 1, "n_max": 200, "n_points": 25, "seed": 0,
+        "n_min": 1, "n_max": 200, "n_points": 25,
     }),
     "power_surface": (_fig_power_surface, {
         "h1_sq": 1.0, "h2_sq": 0.5, "p_min": 0.1, "p_max": 1.0,
-        "p_step": 0.1, "tau": 0.5, "n": 10, "seed": 0,
+        "p_step": 0.1, "tau": 0.5, "n": 10,
     }),
     "tau_star_vs_n": (_fig_tau_star_vs_n, {
         "gains": [[1.0, 0.5], [1.0, 1.0], [2.0, 1.0]],
         "n_values": [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000],
-        "grid_resolution": 1e-3, "seed": 0,
+        "grid_resolution": 1e-3,
     }),
     "loss_heatmap": (_fig_loss_heatmap, {
         "mu1": 1.0, "mu2": 0.5, "tau": 0.5, "n": 10,
-        "eps_min": -0.1, "eps_max": 0.1, "eps_step": 0.005, "seed": 0,
+        "eps_min": -0.1, "eps_max": 0.1, "eps_step": 0.005,
     }),
     "loss_slices": (_fig_loss_slices, {
         "mu1": 1.0, "mu2": 0.5, "tau": 0.5, "n": 10,
-        "eps_min": -0.1, "eps_max": 0.1, "eps_step": 0.005, "seed": 0,
+        "eps_min": -0.1, "eps_max": 0.1, "eps_step": 0.005,
     }),
     "scheme_comparison": (_fig_scheme_comparison, {
         "mu1": 1.0, "mu2": 0.5, "tau": 0.5, "n": 10,
-        "eps_min": -0.4, "eps_max": 0.4, "eps_step": 0.05, "seed": 0,
+        "eps_min": -0.4, "eps_max": 0.4, "eps_step": 0.05,
     }),
 }
 

@@ -56,6 +56,10 @@ class LinkConfig:
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
+        for name in ("h1", "h2"):
+            h = complex(getattr(self, name))
+            if not cmath.isfinite(h):
+                raise DomainError(f"{name} must be finite, got {h}")
         if self.p1 > self.p1_max or self.p2 > self.p2_max:
             raise DomainError("transmit power exceeds its ceiling")
 
@@ -87,7 +91,8 @@ class FrameConfig:
     tau: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
+                or self.n < 1):
             raise DomainError(f"frame length must be a positive int, got {self.n}")
         if not (0.0 <= self.tau < 1.0):
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
@@ -97,30 +102,54 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class TimingError:
-    """Normalized synchronization (eps1) and coordination (eps2) offsets."""
+    """Normalized synchronization (eps1) and coordination (eps2) offsets.
 
-    eps1: float = 0.0
-    eps2: float = 0.0
+    One point, or a batch of points when eps1 and eps2 are arrays (they
+    broadcast against each other).  The timing-error functions evaluate
+    a batch in one call and return an array of its shape.
+    """
+
+    eps1: float | np.ndarray = 0.0
+    eps2: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("eps1", "eps2"):
-            if not math.isfinite(float(getattr(self, name))):
+        for name, v in zip(("eps1", "eps2"), self.arrays()):
+            if not np.isfinite(v).all():
                 raise DomainError(f"{name} must be finite")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.eps1 == 0.0 and self.eps2 == 0.0
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """eps1 and eps2 as float arrays of the common batch shape."""
+        e1 = np.asarray(self.eps1, dtype=float)
+        e2 = np.asarray(self.eps2, dtype=float)
+        if e1.shape != e2.shape:
+            e1, e2 = np.broadcast_arrays(e1, e2)
+        return e1, e2
+
+    def point(self, index: int) -> str:
+        """Coordinates of one point of the flattened batch, for messages."""
+        e1, e2 = self.arrays()
+        return (f"(eps1, eps2) = ({float(e1.flat[index])}, "
+                f"{float(e2.flat[index])})")
 
     def check_admissible(self, frame: FrameConfig) -> None:
-        """Both sampling banks must stay within one symbol of their target."""
+        """Both sampling banks must stay within one symbol of their target.
+
+        Every point of a batch is checked; the error names the first one
+        that fails.
+        """
         tau = frame.tau
-        if not (tau - 1.0 <= self.eps1 <= tau):
-            raise DomainError(
-                f"eps1={self.eps1} outside [tau-1, tau] for tau={tau}")
-        s = self.eps1 + self.eps2
-        if not (-tau <= s <= 1.0 - tau):
-            raise DomainError(
-                f"eps1+eps2={s} outside [-tau, 1-tau] for tau={tau}")
+        e1, e2 = self.arrays()
+        s = e1 + e2
+        bad_sync = (e1 < tau - 1.0) | (e1 > tau)
+        bad = bad_sync | (s < -tau) | (s > 1.0 - tau)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        if bad_sync.flat[i]:
+            what = f"eps1={float(e1.flat[i])} outside [tau-1, tau]"
+        else:
+            what = f"eps1+eps2={float(s.flat[i])} outside [-tau, 1-tau]"
+        raise DomainError(f"{what} for tau={tau} at {self.point(i)}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +166,6 @@ class GainMatrix:
 
     n: int
     entries: np.ndarray
-    kind: str = "gain"
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.entries)
@@ -147,10 +175,12 @@ class GainMatrix:
         return np.abs(self.entries) ** 2
 
 
-def _alt(n2: int, even_val: float, odd_val: float) -> np.ndarray:
-    v = np.empty(n2)
-    v[0::2] = even_val
-    v[1::2] = odd_val
+def _alt(n2: int, even_val, odd_val) -> np.ndarray:
+    """Length-n2 row alternating even_val, odd_val; one row per batch
+    entry when the values are equal-shape arrays."""
+    v = np.empty(np.shape(even_val) + (n2,))
+    v[..., 0::2] = np.asarray(even_val)[..., None]
+    v[..., 1::2] = np.asarray(odd_val)[..., None]
     return v
 
 
@@ -166,8 +196,7 @@ def build_correlation(frame: FrameConfig) -> BandedMatrix:
     sub = _alt(n2, 0.0, 1.0 - tau)
     if n2 > 2:
         sub[2::2] = tau
-    return BandedMatrix(n2, {0: np.ones(n2), 1: sup, -1: sub},
-                        kind="correlation")
+    return BandedMatrix(n2, {0: np.ones(n2), 1: sup, -1: sub})
 
 
 def build_gain(link: LinkConfig, n: int) -> GainMatrix:
@@ -189,8 +218,7 @@ def pattern_sync(n: int) -> BandedMatrix:
     return BandedMatrix(
         n2,
         {0: np.full(n2, -1.0), 1: np.ones(n2),
-         -1: np.full(n2, -1.0), 2: np.ones(n2)},
-        kind="pattern")
+         -1: np.full(n2, -1.0), 2: np.ones(n2)})
 
 
 def pattern_sync_negative(n: int) -> BandedMatrix:
@@ -201,8 +229,7 @@ def pattern_sync_negative(n: int) -> BandedMatrix:
     return BandedMatrix(
         n2,
         {0: np.ones(n2), 1: np.ones(n2),
-         -1: np.full(n2, -1.0), -2: np.full(n2, -1.0)},
-        kind="pattern")
+         -1: np.full(n2, -1.0), -2: np.full(n2, -1.0)})
 
 
 def pattern_coord(n: int) -> BandedMatrix:
@@ -218,8 +245,7 @@ def pattern_coord(n: int) -> BandedMatrix:
     sub1[1::2] = -1.0
     sup2 = np.zeros(n2)
     sup2[1::2] = 1.0
-    return BandedMatrix(n2, {0: main, 1: sup1, -1: sub1, 2: sup2},
-                        kind="pattern")
+    return BandedMatrix(n2, {0: main, 1: sup1, -1: sub1, 2: sup2})
 
 
 def pattern_coord_negative(n: int) -> BandedMatrix:
@@ -233,8 +259,7 @@ def pattern_coord_negative(n: int) -> BandedMatrix:
     sub1[1::2] = -1.0
     sub2 = np.zeros(n2)
     sub2[1::2] = -1.0
-    return BandedMatrix(n2, {0: main, 1: sup1, -1: sub1, -2: sub2},
-                        kind="pattern")
+    return BandedMatrix(n2, {0: main, 1: sup1, -1: sub1, -2: sub2})
 
 
 def pattern_noise(n: int) -> BandedMatrix:
@@ -246,7 +271,7 @@ def pattern_noise(n: int) -> BandedMatrix:
     sub = _alt(n2, 0.0, -1.0)
     if n2 > 2:
         sub[2::2] = 1.0
-    return BandedMatrix(n2, {1: sup, -1: sub}, kind="pattern")
+    return BandedMatrix(n2, {1: sup, -1: sub})
 
 
 def build_error_matrices(
@@ -258,28 +283,31 @@ def build_error_matrices(
     RhatN = R + E2 (noise covariance).  E1 follows the general unit-step
     stencil, valid for every sign of eps1 and eps1 + eps2; for positive
     signs it coincides with eps1 * pattern_sync + eps2 * pattern_coord.
+    A batched err gives batched matrices, one per point of the flattened
+    batch; every point is checked for admissibility first.
     """
     err.check_admissible(frame)
     n2 = 2 * frame.n
-    e1 = err.eps1
-    s = err.eps1 + err.eps2
+    e1, e2 = err.arrays()
+    if e1.ndim > 1:
+        e1, e2 = e1.ravel(), e2.ravel()
+    s = e1 + e2
 
     # stream-1 rows (even) are driven by eps1, stream-2 rows (odd) by
     # eps1 + eps2; both span offsets -2..+2, with the unit-step terms
     # landing on the +-2 slots.
-    main = _alt(n2, -abs(e1), -abs(s))
+    main = _alt(n2, -np.abs(e1), -np.abs(s))
     sup1 = _alt(n2, e1, s)
     sub1 = _alt(n2, -e1, -s)
-    sup2 = _alt(n2, max(e1, 0.0), max(s, 0.0))
-    sub2 = np.zeros(n2)
-    sub2[2::2] = max(-e1, 0.0)
+    sup2 = _alt(n2, np.maximum(e1, 0.0), np.maximum(s, 0.0))
+    sub2 = np.zeros(e1.shape + (n2,))
+    sub2[..., 2::2] = np.maximum(-e1, 0.0)[..., None]
     if n2 > 3:
-        sub2[3::2] = max(-s, 0.0)
+        sub2[..., 3::2] = np.maximum(-s, 0.0)[..., None]
     e1_mat = BandedMatrix(
-        n2, {0: main, 1: sup1, -1: sub1, 2: sup2, -2: sub2},
-        kind="perturbation")
+        n2, {0: main, 1: sup1, -1: sub1, 2: sup2, -2: sub2})
 
-    e2_mat = pattern_noise(frame.n).scaled(err.eps2)
+    e2_mat = pattern_noise(frame.n).scaled(e2)
     r = build_correlation(frame)
     rhat = r + e1_mat
     rhat_n = r + e2_mat

@@ -29,6 +29,10 @@ from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
 from .throughput import throughput_matrix
 
 _LN2 = math.log(2.0)
+# a batch of mistimed points is factored in blocks of about this many
+# band entries per diagonal, so peak memory stays flat however large
+# the sweep
+_BLOCK_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -49,28 +53,50 @@ def _hh(link: LinkConfig, n: int) -> np.ndarray:
 
 
 def throughput_with_error(link: LinkConfig, frame: FrameConfig,
-                          err: TimingError) -> float:
+                          err: TimingError) -> float | np.ndarray:
     """Rate of the mistimed frame, bits per symbol interval.
 
-    Reduces to throughput_matrix bit-exactly at zero error (identical
-    code path).  Raises DomainError when the perturbed noise covariance
-    is not positive definite, which happens once tau + eps2 leaves the
-    window where neighboring integration windows overlap correctly.
+    A float for one point; for a batched err, an array of its shape,
+    evaluated block by block with one stacked banded Cholesky per block.
+    Where both errors are zero the rate is throughput_matrix itself, bit
+    for bit.  Raises DomainError, naming the point, when a point is
+    inadmissible or its perturbed noise covariance is not positive
+    definite, which happens once tau + eps2 leaves the window where
+    neighboring integration windows overlap correctly.
     """
     link.require_positive_gains()
-    if err.is_zero:
-        err.check_admissible(frame)
-        return throughput_matrix(link, frame)
-    _, _, rhat, rhat_n = build_error_matrices(frame, err)
+    e1, e2 = err.arrays()
+    out = np.empty(e1.shape)
+    flat = out.reshape(-1)
+    e1, e2 = e1.ravel(), e2.ravel()
+    zero = (e1 == 0.0) & (e2 == 0.0)
+    if zero.any():
+        flat[zero] = throughput_matrix(link, frame)
     d = _hh(link, frame.n)
+    moving = np.flatnonzero(~zero)
+    step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
+    for start in range(0, moving.size, step):
+        idx = moving[start:start + step]
+        block = TimingError(e1[idx], e2[idx])
+        flat[idx] = _rate_block(frame, d, block)
+    return float(out) if out.ndim == 0 else out
+
+
+def _rate_block(frame: FrameConfig, d: np.ndarray,
+                err: TimingError) -> np.ndarray:
+    """R_e at a 1-D batch of points, by two batched banded log-dets."""
+    _, _, rhat, rhat_n = build_error_matrices(frame, err)
     signal = rhat.col_scaled(d).matmul(rhat.T)
     try:
         ld_n = _bands.logdet2_sym_pd(rhat_n)
-    except np.linalg.LinAlgError:
-        raise DomainError(
-            f"noise covariance singular at tau={frame.tau}, eps2={err.eps2}"
-        ) from None
-    ld = _bands.logdet2_sym_pd(rhat_n + signal)
+    except _bands.NotPositiveDefinite as exc:
+        raise DomainError(f"noise covariance singular at tau={frame.tau}, "
+                          f"{err.point(exc.index)}") from None
+    try:
+        ld = _bands.logdet2_sym_pd(rhat_n + signal)
+    except _bands.NotPositiveDefinite as exc:
+        raise DomainError(f"mistimed covariance not positive definite at "
+                          f"tau={frame.tau}, {err.point(exc.index)}") from None
     return (ld - ld_n) / (frame.n + frame.tau)
 
 
@@ -172,8 +198,13 @@ def loss_linear_coord(link: LinkConfig, frame: FrameConfig,
     return eps2 * c2, c2
 
 
-def loss_ratio(link: LinkConfig, frame: FrameConfig, err: TimingError) -> float:
-    """gamma = Delta / R, the fractional throughput loss."""
+def loss_ratio(link: LinkConfig, frame: FrameConfig,
+               err: TimingError) -> float | np.ndarray:
+    """gamma = Delta / R, the fractional throughput loss.
+
+    A float for one point, an array for a batched err; exactly 0.0 where
+    both errors are zero.
+    """
     base = throughput_matrix(link, frame)
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")

@@ -193,11 +193,8 @@ def _gamma_grid(res: float = 0.005, span: float = 0.1):
     # integer-scaled so the origin is exactly 0.0
     k = round(span / res)
     eps = res * np.arange(-k, k + 1)
-    grid = np.empty((len(eps), len(eps)))
-    for i, e1 in enumerate(eps):
-        for j, e2 in enumerate(eps):
-            grid[i, j] = timing.loss_ratio(DEFAULT_LINK, DEFAULT_FRAME,
-                                           TimingError(float(e1), float(e2)))
+    e1, e2 = np.meshgrid(eps, eps, indexing="ij")
+    grid = timing.loss_ratio(DEFAULT_LINK, DEFAULT_FRAME, TimingError(e1, e2))
     return eps, grid
 
 

@@ -67,6 +67,51 @@ def test_spd_logdet_and_solves(rng):
                            np.linalg.solve(a.to_dense(), b))
 
 
+def random_spd_batch(rng, batch, n):
+    a = _bands.BandedMatrix(n, {k: rng.normal(size=(batch, n))
+                                for k in (-1, 0, 1, 2)})
+    return a.matmul(a.T) + _bands.identity(n).scaled(n)
+
+
+def test_batched_algebra_matches_dense(rng):
+    n, batch = 7, 4
+    a = _bands.BandedMatrix(n, {k: rng.normal(size=(batch, n))
+                                for k in (-2, 0, 1)})
+    b = random_banded(rng, n, 1, 2)
+    ad, bd = a.to_dense(), b.to_dense()
+    assert ad.shape == (batch, n, n)
+    assert np.allclose((a + b).to_dense(), ad + bd)
+    assert np.allclose(a.matmul(b).to_dense(), ad @ bd)
+    assert np.allclose(b.matmul(a).to_dense(), bd @ ad)
+    assert np.allclose(a.T.to_dense(), np.swapaxes(ad, 1, 2))
+    d = rng.normal(size=(batch, n))
+    assert np.allclose(a.col_scaled(d).to_dense(), ad * d[:, None, :])
+    assert np.allclose(b.col_scaled(d).to_dense(), bd * d[:, None, :])
+    c = rng.normal(size=batch)
+    assert np.allclose(b.scaled(c).to_dense(), c[:, None, None] * bd)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_batched_logdet_is_per_matrix_logdet(rng, n):
+    s = random_spd_batch(rng, 5, n)
+    got = _bands.logdet2_sym_pd(s)
+    assert got.shape == (5,)
+    for b in range(5):
+        one = _bands.BandedMatrix(n, {k: v[b] for k, v in s.diags.items()})
+        assert got[b] == _bands.logdet2_sym_pd(one)
+        assert np.isclose(got[b], np.linalg.slogdet(s.to_dense()[b])[1] / np.log(2))
+
+
+def test_batched_cholesky_names_failing_matrix(rng):
+    s = random_spd_batch(rng, 5, 6)
+    diags = dict(s.diags)
+    diags[0] = diags[0].copy()
+    diags[0][3, 2] = -1.0
+    with pytest.raises(_bands.NotPositiveDefinite) as info:
+        _bands.cholesky_upper(_bands.BandedMatrix(6, diags))
+    assert info.value.index == 3
+
+
 def test_logdet_rejects_indefinite():
     n = 4
     m = _bands.BandedMatrix(n, {0: -np.ones(n)})

@@ -55,12 +55,6 @@ def test_byte_determinism(tmp_path, figure):
     assert a == b
 
 
-def test_single_thread_output_identical(tmp_path, monkeypatch):
-    base = run_sweep(tmp_path, "rate_vs_n")
-    monkeypatch.setenv("ANOMA_THREADS", "1")
-    assert run_sweep(tmp_path, "rate_vs_n") == base
-
-
 def test_rate_vs_n_converges_toward_asymptote(tmp_path):
     text = run_sweep(
         tmp_path, "rate_vs_n", ["--set", "n_max=400", "--set", "n_points=9"])
@@ -86,6 +80,16 @@ def test_loss_heatmap_minimum_at_origin(tmp_path):
         gammas[(e1, e2)] = g
     assert gammas[(0.0, 0.0)] == 0.0
     assert all(g >= 0.0 for g in gammas.values())
+
+
+def test_inadmissible_sweep_point_is_named(tmp_path, capsys):
+    # at tau = 0.1 the corner eps1 = eps2 = -0.1 puts eps1 + eps2 below -tau
+    code = main(["sweep", "loss_heatmap", "--set", "tau=0.1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "outside [-tau, 1-tau] for tau=0.1" in err
+    assert "at (eps1, eps2) = (-0.1, -0.1)" in err
 
 
 def test_config_file_applies_and_flags_win(tmp_path):

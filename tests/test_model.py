@@ -62,6 +62,13 @@ class TestLinkConfig:
         with pytest.raises(M.DomainError):
             M.LinkConfig(p1=0.0, p2=1.0).require_positive_gains()
 
+    @pytest.mark.parametrize("channels", [{"h1": float("nan")},
+                                          {"h2": float("inf")},
+                                          {"h1": complex(1.0, float("nan"))}])
+    def test_non_finite_channel_rejected(self, channels):
+        with pytest.raises(M.DomainError, match="must be finite"):
+            M.LinkConfig(p1=1.0, p2=1.0, **channels)
+
 
 class TestFrameConfig:
     @pytest.mark.parametrize("n,tau", [(0, 0.5), (3, 1.0), (3, -0.1)])
@@ -72,6 +79,11 @@ class TestFrameConfig:
     def test_tau_zero_is_legal(self):
         assert M.FrameConfig(1, 0.0).tau == 0.0
 
+    @pytest.mark.parametrize("n", [True, False, 2.0])
+    def test_non_int_length_rejected(self, n):
+        with pytest.raises(M.DomainError):
+            M.FrameConfig(n, 0.5)
+
 
 class TestTimingError:
     def test_admissible_ranges(self):
@@ -81,6 +93,18 @@ class TestTimingError:
             M.TimingError(0.6, 0.0).check_admissible(frame)
         with pytest.raises(M.DomainError):
             M.TimingError(0.2, 0.4).check_admissible(frame)  # sum 0.6 > 1 - tau
+
+    def test_batch_names_first_inadmissible_point(self):
+        frame = M.FrameConfig(4, 0.5)
+        err = M.TimingError(np.array([0.1, 0.2, 0.6, 0.2]),
+                            np.array([0.0, 0.4, 0.0, 0.0]))
+        with pytest.raises(M.DomainError,
+                           match=r"at \(eps1, eps2\) = \(0\.2, 0\.4\)"):
+            err.check_admissible(frame)
+
+    def test_batch_must_be_finite(self):
+        with pytest.raises(M.DomainError, match="eps2"):
+            M.TimingError(np.zeros(3), np.array([0.0, np.nan, 0.0]))
 
 
 class TestCorrelation:
@@ -189,6 +213,20 @@ class TestErrorMatrices:
             assert rn[i, i + 1] == expect
         assert np.allclose(rn - M.build_correlation(frame).to_dense(),
                            e2m.to_dense(), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_batch_matches_points(self, n):
+        tau = 0.4
+        eps1 = np.array([0.05, -0.05, 0.02, -0.03, 0.0])
+        eps2 = np.array([0.03, 0.08, -0.06, -0.02, 0.1])
+        frame = M.FrameConfig(n, tau)
+        batch = M.build_error_matrices(frame, M.TimingError(eps1, eps2))
+        for b, (e1, e2) in enumerate(zip(eps1, eps2)):
+            point = M.build_error_matrices(frame, M.TimingError(e1, e2))
+            for got, ref in zip(batch, point):
+                assert np.array_equal(got.to_dense()[b], ref.to_dense())
+            assert np.array_equal(batch[2].to_dense()[b],
+                                  rhat_from_display(n, tau, e1, e2))
 
     def test_inadmissible_error_raises(self):
         with pytest.raises(M.DomainError):

@@ -55,6 +55,54 @@ class TestThroughputWithError:
             TM.throughput_with_error(LINK, FRAME, M.TimingError(0.6, 0.0))
 
 
+class TestBatchedRate:
+    # one point per sign branch of (eps1, eps1 + eps2), plus a point on
+    # each kink line
+    EPS1 = np.array([0.05, 0.05, -0.05, -0.05, 0.0, 0.03])
+    EPS2 = np.array([0.03, -0.08, 0.08, -0.02, 0.04, -0.03])
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 33])
+    def test_matches_dense_oracle_all_sign_branches(self, n):
+        frame = M.FrameConfig(n, 0.5)
+        got = TM.throughput_with_error(
+            LINK, frame, M.TimingError(self.EPS1, self.EPS2))
+        assert got.shape == self.EPS1.shape
+        for r_e, e1, e2 in zip(got, self.EPS1, self.EPS2):
+            assert math.isclose(r_e, re_dense_oracle(LINK, frame, e1, e2),
+                                rel_tol=1e-12)
+
+    def test_ragged_grid_equals_point_calls_bitwise(self):
+        frame = M.FrameConfig(100, 0.45)
+        eps = 0.02 * np.arange(-4, 5)
+        e1, e2 = np.meshgrid(eps, eps, indexing="ij")
+        block = TM._BLOCK_ENTRIES // (2 * frame.n)
+        assert e1.size > block and e1.size % block != 0
+        got = TM.loss_ratio(LINK, frame, M.TimingError(e1, e2))
+        assert got.shape == e1.shape
+        for i in range(len(eps)):
+            for j in range(len(eps)):
+                ref = TM.loss_ratio(LINK, frame,
+                                    M.TimingError(float(eps[i]), float(eps[j])))
+                assert got[i, j] == ref
+
+    def test_gamma_exactly_zero_at_origin_of_a_batch(self):
+        err = M.TimingError(np.array([0.01, 0.0, -0.01]), 0.0)
+        gamma = TM.loss_ratio(LINK, FRAME, err)
+        assert gamma[1] == 0.0
+        assert gamma[0] > 0.0 and gamma[2] > 0.0
+
+    def test_singular_noise_covariance_names_the_point(self):
+        err = M.TimingError(0.0, np.array([0.1, 0.2, 0.5, 0.3]))
+        with pytest.raises(M.DomainError,
+                           match=r"singular .* \(eps1, eps2\) = \(0\.0, 0\.5\)"):
+            TM.throughput_with_error(LINK, FRAME, err)
+
+    def test_inadmissible_point_is_named(self):
+        err = M.TimingError(np.array([0.1, 0.6]), 0.0)
+        with pytest.raises(M.DomainError, match=r"\(eps1, eps2\) = \(0\.6, 0\.0\)"):
+            TM.throughput_with_error(LINK, FRAME, err)
+
+
 class TestLoss:
     def test_zero_at_zero(self):
         assert TM.throughput_loss(LINK, FRAME, M.TimingError(0.0, 0.0)) == 0.0
