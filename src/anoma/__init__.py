@@ -8,7 +8,7 @@ the algebraic model.
 
 from ._bands import BandedMatrix
 from .design import PowerSweepReport, TauSearchResult, optimal_tau, verify_full_power
-from .model import (DomainError, FrameConfig, GainMatrix, LinkConfig,
+from .model import (DomainError, FrameConfig, LinkConfig,
                     RootPair, TimingError, build_correlation,
                     build_error_matrices, build_gain, pattern_coord,
                     pattern_coord_negative, pattern_noise, pattern_sync,
@@ -29,7 +29,7 @@ from .waveform import (NoiseCovarianceReport, SampleVectors, SymbolFrame,
                        noise_covariance_mc)
 
 __all__ = [
-    "BandedMatrix", "DomainError", "FrameConfig", "GainMatrix", "LinkConfig",
+    "BandedMatrix", "DomainError", "FrameConfig", "LinkConfig",
     "LossBreakdown", "NoiseCovarianceReport", "PowerSweepReport", "RootPair",
     "SampleVectors", "SymbolFrame", "TauSearchResult", "ThroughputReport",
     "TimingError", "build_correlation", "build_error_matrices", "build_gain",

@@ -11,8 +11,14 @@ sweep of same-size matrices and the algebra and the Cholesky log-det
 run once per batch instead of once per matrix.
 
 Everything here is O(bandwidth * n) in time and memory.  Factorizations
-are delegated to LAPACK through scipy's banded drivers; dense conversion
-exists only as a fallback/oracle path.
+are delegated to LAPACK's banded drivers: Cholesky (``pbtrf``) for the
+symmetric positive definite log-dets, LU (``gbtrf``) for the log-det of
+a general banded matrix, and the Takahashi, Fagan & Chin (1973)
+recurrence on a bidiagonal Cholesky factor for the band of a
+tridiagonal inverse.  ``to_dense`` and the banded solves
+``solve_sym_pd``/``solve_general``, which return dense arrays for dense
+right-hand sides, serve the test oracles and the waveform simulator's
+dense reference; the rate and loss kernels never call them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dgbtrf as _gbtrf
 from scipy.linalg.lapack import dpbtrf as _pbtrf
+from scipy.linalg.lapack import dtbtrs as _tbtrs
 
 _LN2 = float(np.log(2.0))
 
@@ -155,8 +163,14 @@ class BandedMatrix:
             y[..., i0:i1] += v[..., i0:i1] * x[..., i0 + k: i1 + k]
         return y
 
-    def matmul(self, other: "BandedMatrix") -> "BandedMatrix":
-        """Banded product; result bandwidths add."""
+    def matmul(self, other: "BandedMatrix",
+               upper_only: bool = False) -> "BandedMatrix":
+        """Banded product; result bandwidths add.
+
+        With upper_only, only the diagonals k >= 0 are formed, each in
+        the same order as in the full product: for a product known to be
+        symmetric that is all a Cholesky reads.
+        """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         n = self.n
@@ -165,7 +179,7 @@ class BandedMatrix:
         for ka, va in self.diags.items():
             for kb, vb in other.diags.items():
                 kc = ka + kb
-                if abs(kc) >= n:
+                if abs(kc) >= n or (upper_only and kc < 0):
                     continue
                 # C[i, i+kc] += A[i, i+ka] * B[i+ka, i+ka+kb]
                 i0 = max(0, -ka, -kc)
@@ -247,6 +261,68 @@ def logdet2_sym_pd(a: BandedMatrix) -> float | np.ndarray:
     c = cholesky_upper(a)
     ld = 2.0 * np.sum(np.log(c[..., -1, :]), axis=-1) / _LN2
     return float(ld) if ld.ndim == 0 else ld
+
+
+def slogdet2_general(a: BandedMatrix) -> tuple[float, float]:
+    """(sign, log2 |det A|) of one general banded A, by banded LU.
+
+    The sign combines the signs of U's pivots with the parity of the
+    row swaps.  As numpy's slogdet, a singular A (an exactly zero
+    pivot) gives (0.0, -inf).
+    """
+    (l, u), ab = _general_ab(a)
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    # gbtrf needs l extra rows on top for the fill-in of row swaps
+    work = np.zeros((2 * l + u + 1, a.n))
+    work[l:] = ab
+    lu, piv, info = _gbtrf(work, l, u)
+    if info < 0:
+        raise ValueError(f"gbtrf: illegal value in argument {-info}")
+    if info > 0:
+        return 0.0, -np.inf
+    pivots = lu[l + u]
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    negative = np.count_nonzero(pivots < 0.0)
+    sign = -1.0 if (swaps + negative) % 2 else 1.0
+    return sign, float(np.sum(np.log(np.abs(pivots)))) / _LN2
+
+
+def inverse_bands_tridiagonal(a: BandedMatrix, width: int) -> np.ndarray:
+    """Diagonals 0..width of the inverse of one SPD tridiagonal A.
+
+    Returns ``(width + 1, n)``: row k holds ``inv(A)[i, i + k]`` at slot
+    i, zero past the matrix; the inverse is symmetric, so these give its
+    whole band.  With A = U^T U and U upper bidiagonal (diagonal u_i,
+    super-diagonal v_i), U inv(A) = U^-T is lower triangular with
+    diagonal 1/u_i, which gives the Takahashi, Fagan & Chin (1973)
+    recurrences, with r_i = v_i / u_i:
+
+        inv(A)[i, i]     = 1/u_i^2 + r_i^2 inv(A)[i+1, i+1]
+        inv(A)[i, i + k] = -r_i inv(A)[i+1, i + k]          (k >= 1)
+
+    The first is an upper bidiagonal solve.  O(width * n) time and
+    memory; the inverse itself is never formed.
+    """
+    if a.lower > 1 or a.upper > 1 or a.batch_shape:
+        raise ValueError("expected one tridiagonal matrix")
+    n = a.n
+    c = cholesky_upper(a)
+    diag = c[-1]
+    ratio = np.zeros(n)
+    if n > 1:
+        ratio[:-1] = c[0, 1:] / diag[:-1]
+    # unit upper bidiagonal system: x_i - r_i^2 x_{i+1} = 1/u_i^2
+    ab = np.zeros((2, n))
+    ab[0, 1:] = -ratio[:-1] ** 2
+    ab[1] = 1.0
+    out = np.zeros((width + 1, n))
+    out[0], info = _tbtrs(ab, 1.0 / diag ** 2, uplo="U", diag="U")
+    if info < 0:
+        raise ValueError(f"tbtrs: illegal value in argument {-info}")
+    for k in range(1, min(width, n - 1) + 1):
+        out[k, :n - k] = -ratio[:n - k] * out[k - 1, 1:n - k + 1]
+    return out
 
 
 def solve_sym_pd(a: BandedMatrix, b: np.ndarray) -> np.ndarray:

@@ -266,10 +266,19 @@ def _merge_params(defaults: dict, config_path: str | None,
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Header, then one line per row, each cell as _fmt writes it.
+
+    A column's format follows the type of its cell in the first row
+    (every figure keeps one type per column), so a whole row is
+    formatted by one %-operation.
+    """
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        if rows:
+            line = ",".join("%d" if isinstance(v, (int, np.integer))
+                            and not isinstance(v, bool) else "%.12g"
+                            for v in rows[0]) + "\n"
+            f.write("".join(line % tuple(row) for row in rows))
 
 
 def _cmd_sweep(args) -> int:

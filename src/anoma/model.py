@@ -160,21 +160,6 @@ class RootPair:
     r2: float
 
 
-@dataclass(frozen=True)
-class GainMatrix:
-    """Diagonal complex gain: odd slots h1*sqrt(p1), even slots h2*sqrt(p2)."""
-
-    n: int
-    entries: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.entries)
-
-    def hh_diag(self) -> np.ndarray:
-        """Real diagonal of H H^H: alternating mu1, mu2."""
-        return np.abs(self.entries) ** 2
-
-
 def _alt(n2: int, even_val, odd_val) -> np.ndarray:
     """Length-n2 row alternating even_val, odd_val; one row per batch
     entry when the values are equal-shape arrays."""
@@ -199,7 +184,9 @@ def build_correlation(frame: FrameConfig) -> BandedMatrix:
     return BandedMatrix(n2, {0: np.ones(n2), 1: sup, -1: sub})
 
 
-def build_gain(link: LinkConfig, n: int) -> GainMatrix:
+def build_gain(link: LinkConfig, n: int) -> np.ndarray:
+    """Diagonal of the complex gain H, length 2n: even slots
+    h1*sqrt(p1) (stream 1), odd slots h2*sqrt(p2) (stream 2)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     g1 = link.h1 * cmath.sqrt(link.p1)
@@ -207,7 +194,7 @@ def build_gain(link: LinkConfig, n: int) -> GainMatrix:
     entries = np.empty(2 * n, dtype=complex)
     entries[0::2] = g1
     entries[1::2] = g2
-    return GainMatrix(2 * n, entries)
+    return entries
 
 
 def pattern_sync(n: int) -> BandedMatrix:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, RootPair,
-                    build_correlation, build_gain)
+                    build_correlation)
 
 _LN2 = math.log(2.0)
 

@@ -7,10 +7,11 @@ RhatN, so the achievable rate is
 
 evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
 banded Cholesky factorizations (D = H H^H).  The loss Delta is computed
-from the definition R - R_e; a literal implementation of the rearranged
-log-det expression for Delta is kept alongside as a cross-check, and the
-first-order trace models give the sensitivity slopes c1 (sync) and c2
-(coordination).  Exact losses are always the primary quantity; the
+from the definition R - R_e; the rearranged log-det expression for
+Delta, assembled from its own banded terms, is kept alongside as a
+cross-check, and the first-order trace models give the sensitivity
+slopes c1 (sync) and c2 (coordination).  Every kernel here is O(n) in
+the frame length.  Exact losses are always the primary quantity; the
 linear models are diagnostics only.
 """
 
@@ -49,7 +50,8 @@ class LossBreakdown:
 
 
 def _hh(link: LinkConfig, n: int) -> np.ndarray:
-    return build_gain(link, n).hh_diag()
+    """Real diagonal of D = H H^H: alternating mu1, mu2."""
+    return np.abs(build_gain(link, n)) ** 2
 
 
 def throughput_with_error(link: LinkConfig, frame: FrameConfig,
@@ -86,7 +88,8 @@ def _rate_block(frame: FrameConfig, d: np.ndarray,
                 err: TimingError) -> np.ndarray:
     """R_e at a 1-D batch of points, by two batched banded log-dets."""
     _, _, rhat, rhat_n = build_error_matrices(frame, err)
-    signal = rhat.col_scaled(d).matmul(rhat.T)
+    # symmetric: the Cholesky reads only the upper band
+    signal = rhat.col_scaled(d).matmul(rhat.T, upper_only=True)
     try:
         ld_n = _bands.logdet2_sym_pd(rhat_n)
     except _bands.NotPositiveDefinite as exc:
@@ -113,31 +116,38 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
         Delta = -log2 det{ I + (I + D R)^-1 [ D E1^T
                  + (R + E2)^-1 (E1 - E2) D (R + E1^T) ] } / (n + tau)
 
-    Independent assembly path used to cross-check throughput_loss;
-    inverses are applied as factored banded solves, never formed.
+    Independent assembly path used to cross-check throughput_loss.
+    Multiplying out the two inverses turns the determinant into
+
+        det M / (det RhatN det(I + D R)),
+        M = RhatN + RhatN D R + RhatN D E1^T + (E1 - E2) D (R + E1^T),
+
+    where every factor is banded (M has bandwidth 4), so each log-det
+    is one banded factorization: Cholesky for RhatN, LU for M and
+    I + D R.  O(n) time and memory.
     """
     link.require_positive_gains()
     err.check_admissible(frame)
-    n, tau, n2 = frame.n, frame.tau, 2 * frame.n
+    n, tau = frame.n, frame.tau
     e1m, e2m, _, rhat_n = build_error_matrices(frame, err)
     r = build_correlation(frame)
     d = _hh(link, n)
 
-    inner = (e1m - e2m).col_scaled(d).matmul(r + e1m.T)
     try:
-        mid = _bands.solve_sym_pd(rhat_n, inner.to_dense())
-    except np.linalg.LinAlgError:
+        ld_n = _bands.logdet2_sym_pd(rhat_n)
+    except _bands.NotPositiveDefinite:
         raise DomainError(
             f"noise covariance singular at tau={tau}, eps2={err.eps2}"
         ) from None
-    rhs = e1m.T.row_scaled(d).to_dense() + mid
-
-    a = _bands.identity(n2) + r.row_scaled(d)
-    v = _bands.solve_general(a, rhs)
-    sign, ld = np.linalg.slogdet(np.eye(n2) + v)
-    if sign <= 0.0:
+    rhat_n_d = rhat_n.col_scaled(d)
+    m = (rhat_n + rhat_n_d.matmul(r) + rhat_n_d.matmul(e1m.T)
+         + (e1m - e2m).col_scaled(d).matmul(r + e1m.T))
+    sign_m, ld_m = _bands.slogdet2_general(m)
+    sign_a, ld_a = _bands.slogdet2_general(
+        _bands.identity(2 * n) + r.row_scaled(d))
+    if sign_m <= 0.0 or sign_a <= 0.0:
         raise DomainError("loss determinant left the positive cone")
-    return -ld / _LN2 / (n + tau)
+    return -(ld_m - ld_n - ld_a) / (n + tau)
 
 
 def _trace_coefficient(link: LinkConfig, frame: FrameConfig,
@@ -148,20 +158,25 @@ def _trace_coefficient(link: LinkConfig, frame: FrameConfig,
     z_noise is None for the sync coefficient (noise covariance does not
     respond to eps1).  The 1/ln2 converts the nat-valued trace expansion
     to the bit-valued rates used everywhere else.
+
+    With A = D^-1 + R, symmetric positive definite and tridiagonal,
+    (I + D R)^-1 D = A^-1 and (I + D R)^-1 R^-1 M D R has the trace of
+    A^-1 M, so the trace is Tr[A^-1 B] with B = Z^T + Z - Z3.  B is
+    symmetric with bandwidth 2, so only the diagonals 0..2 of A^-1 are
+    needed, and R^-1 never is.  O(n) time and memory.
     """
     link.require_positive_gains()
-    n, tau, n2 = frame.n, frame.tau, 2 * frame.n
+    n, tau = frame.n, frame.tau
     if tau == 0.0:
         raise DomainError("sensitivity slopes need tau in (0, 1)")
-    r = build_correlation(frame)
-    d = _hh(link, n)
-    mixing = z_signal if z_noise is None else z_signal - z_noise
-    inner = mixing.col_scaled(d).matmul(r)
-    solved = _bands.solve_sym_pd(r, inner.to_dense())
-    rhs = z_signal.T.row_scaled(d).to_dense() + solved
-    a = _bands.identity(n2) + r.row_scaled(d)
-    f = _bands.solve_general(a, rhs)
-    return -float(np.trace(f)) / ((n + tau) * _LN2)
+    a = build_correlation(frame) + _bands.BandedMatrix(
+        2 * n, {0: 1.0 / _hh(link, n)})
+    b = z_signal.T + (z_signal if z_noise is None else z_signal - z_noise)
+    inv = _bands.inverse_bands_tridiagonal(a, 2)
+    # both factors symmetric: each off-diagonal k > 0 counts twice
+    trace = sum((1.0 if k == 0 else 2.0) * float(np.dot(inv[k], b.diag(k)))
+                for k in range(3))
+    return -trace / ((n + tau) * _LN2)
 
 
 def sync_loss_slope(link: LinkConfig, frame: FrameConfig,

@@ -172,7 +172,7 @@ def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
     x = np.empty(2 * frame.n, dtype=complex)
     x[0::2] = symbols.s1
     x[1::2] = symbols.s2
-    hx = build_gain(link, frame.n).entries * x
+    hx = build_gain(link, frame.n) * x
     return rhat.to_dense() @ hx
 
 

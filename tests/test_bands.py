@@ -132,3 +132,59 @@ def test_colored_factor_reproduces_covariance(rng):
             dense_u[i, j] = factor[u + i - j, j]
     assert np.allclose(dense_u.T @ dense_u, s.to_dense())
     assert np.allclose(_bands.colored_factor_apply(factor, w), dense_u.T @ w)
+
+
+def test_upper_only_product_is_upper_band_of_full_product(rng):
+    # a batch and a single matrix, as in R_hat D R_hat^T
+    a = _bands.BandedMatrix(9, {k: rng.normal(size=(3, 9))
+                                for k in (-2, -1, 0, 1, 2)})
+    b = a.T.row_scaled(rng.normal(size=9))
+    full = a.matmul(b)
+    upper = a.matmul(b, upper_only=True)
+    assert sorted(upper.diags) == [k for k in sorted(full.diags) if k >= 0]
+    for k, v in upper.diags.items():
+        assert np.array_equal(v, full.diags[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_general_slogdet_matches_dense(rng, n):
+    for _ in range(10):
+        lower, upper = rng.integers(0, min(n, 5), size=2)
+        a = random_banded(rng, n, int(lower), int(upper))
+        sign, ld = _bands.slogdet2_general(a)
+        ref_sign, ref_ld = np.linalg.slogdet(a.to_dense())
+        assert sign == ref_sign
+        assert np.isclose(ld, ref_ld / np.log(2), rtol=1e-12, atol=1e-12)
+
+
+def test_general_slogdet_sign_from_swaps_and_pivots():
+    # an odd permutation: det = -1, found only through a row swap
+    swap = _bands.BandedMatrix(2, {1: np.ones(2), -1: np.ones(2)})
+    assert _bands.slogdet2_general(swap) == (-1.0, 0.0)
+    neg = _bands.BandedMatrix(3, {0: np.array([2.0, -1.0, 4.0])})
+    assert _bands.slogdet2_general(neg) == (-1.0, 3.0)
+    singular = _bands.BandedMatrix(3, {0: np.array([1.0, 0.0, 1.0])})
+    assert _bands.slogdet2_general(singular) == (0.0, -np.inf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_tridiagonal_inverse_bands_match_dense_inverse(rng, n):
+    off = rng.uniform(-1.0, 1.0, size=n)
+    a = _bands.BandedMatrix(n, {0: 2.5 + rng.uniform(size=n), 1: off,
+                                -1: np.roll(off, 1)})
+    got = _bands.inverse_bands_tridiagonal(a, 3)
+    inv = np.linalg.inv(a.to_dense())
+    assert got.shape == (4, n)
+    for k in range(4):
+        ref = np.zeros(n)
+        ref[:max(n - k, 0)] = np.diagonal(inv, offset=k)
+        assert np.allclose(got[k], ref, rtol=1e-13, atol=1e-15)
+
+
+def test_tridiagonal_inverse_rejects_wider_band_and_indefinite():
+    with pytest.raises(ValueError):
+        _bands.inverse_bands_tridiagonal(
+            _bands.BandedMatrix(4, {0: np.ones(4), 2: np.ones(4)}), 1)
+    with pytest.raises(_bands.NotPositiveDefinite):
+        _bands.inverse_bands_tridiagonal(
+            _bands.BandedMatrix(4, {0: -np.ones(4)}), 1)

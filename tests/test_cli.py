@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from anoma import cli
 from anoma.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 GOLDEN_HEADERS = {
@@ -53,6 +55,20 @@ def test_byte_determinism(tmp_path, figure):
     a = run_sweep(tmp_path, figure)
     b = run_sweep(tmp_path, figure)
     assert a == b
+
+
+def test_csv_rows_are_formatted_as_fmt_formats_each_cell(tmp_path):
+    rows = [[1, 0.1, np.float64(-0.0), 2.0 / 3.0, 1e-300, np.int64(7)],
+            [1000, -0.30000000000000004, 1e300, 12345678901234.0,
+             float("nan"), np.int64(-3)],
+            [2, 5e-324, float("inf"), -1.5, 0.0, np.int64(0)]]
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["a", "b", "c", "d", "e", "f"], rows)
+    want = "a,b,c,d,e,f\n" + "".join(
+        ",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert out.read_text(encoding="utf-8") == want
+    cli._write_csv(str(out), ["a"], [])
+    assert out.read_text(encoding="utf-8") == "a\n"
 
 
 def test_rate_vs_n_converges_toward_asymptote(tmp_path):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from anoma import _bands
+from anoma import cli
 from anoma import model as M
 from anoma import timing as TM
 from anoma import throughput as T
@@ -25,6 +27,38 @@ def re_dense_oracle(link, frame, e1, e2):
     sign, ld = np.linalg.slogdet(a)
     assert sign > 0
     return ld / math.log(2.0) / (n + frame.tau)
+
+
+def trace_coefficient_dense_oracle(link, frame, z_signal, z_noise):
+    """The slope by its defining formula, with dense right-hand sides:
+    -Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n + tau) ln 2)."""
+    n, tau, n2 = frame.n, frame.tau, 2 * frame.n
+    r = M.build_correlation(frame)
+    d = np.abs(M.build_gain(link, n)) ** 2
+    mixing = z_signal if z_noise is None else z_signal - z_noise
+    inner = mixing.col_scaled(d).matmul(r)
+    solved = _bands.solve_sym_pd(r, inner.to_dense())
+    rhs = z_signal.T.row_scaled(d).to_dense() + solved
+    a = _bands.identity(n2) + r.row_scaled(d)
+    f = _bands.solve_general(a, rhs)
+    return -float(np.trace(f)) / ((n + tau) * math.log(2.0))
+
+
+def display_dense_oracle(link, frame, err):
+    """The rearranged loss expression as written, with dense solves and
+    a dense log-det."""
+    n, tau, n2 = frame.n, frame.tau, 2 * frame.n
+    e1m, e2m, _, rhat_n = M.build_error_matrices(frame, err)
+    r = M.build_correlation(frame)
+    d = np.abs(M.build_gain(link, n)) ** 2
+    inner = (e1m - e2m).col_scaled(d).matmul(r + e1m.T)
+    mid = _bands.solve_sym_pd(rhat_n, inner.to_dense())
+    rhs = e1m.T.row_scaled(d).to_dense() + mid
+    a = _bands.identity(n2) + r.row_scaled(d)
+    v = _bands.solve_general(a, rhs)
+    sign, ld = np.linalg.slogdet(np.eye(n2) + v)
+    assert sign > 0.0
+    return -ld / math.log(2.0) / (n + tau)
 
 
 class TestThroughputWithError:
@@ -126,6 +160,62 @@ class TestLoss:
         assert math.isclose(TM.throughput_loss(LINK, frame, err),
                             TM.throughput_loss_display(LINK, frame, err),
                             rel_tol=1e-9)
+
+
+class TestBandedKernelsAgainstDenseOracles:
+    PATTERNS = [
+        (M.pattern_sync, None),
+        (M.pattern_sync_negative, None),
+        (M.pattern_coord, M.pattern_noise),
+        (M.pattern_coord_negative, M.pattern_noise),
+    ]
+    # one point per sign branch of (eps1, eps1 + eps2)
+    BRANCHES = [(0.05, 0.03), (0.05, -0.08), (-0.05, 0.08), (-0.05, -0.02)]
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    @pytest.mark.parametrize("pattern", range(4))
+    def test_slopes_match_dense_oracle(self, n, pattern):
+        z_of, noise_of = self.PATTERNS[pattern]
+        for link, tau in ((LINK, 0.5), (M.LinkConfig.from_gains(20.0, 0.05), 0.13)):
+            frame = M.FrameConfig(n, tau)
+            z, z3 = z_of(n), None if noise_of is None else noise_of(n)
+            got = TM._trace_coefficient(link, frame, z, z3)
+            ref = trace_coefficient_dense_oracle(link, frame, z, z3)
+            assert math.isclose(got, ref, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    @pytest.mark.parametrize("e1,e2", BRANCHES)
+    def test_display_matches_dense_oracle(self, n, e1, e2):
+        frame = M.FrameConfig(n, 0.5)
+        err = M.TimingError(e1, e2)
+        got = TM.throughput_loss_display(LINK, frame, err)
+        assert math.isclose(got, display_dense_oracle(LINK, frame, err),
+                            rel_tol=1e-10)
+
+    def test_display_singular_noise_covariance_reported(self):
+        # tau + eps2 = 1 duplicates the second sample stream exactly
+        with pytest.raises(M.DomainError, match="eps2"):
+            TM.throughput_loss_display(LINK, FRAME, M.TimingError(0.0, 0.5))
+
+    def test_long_frame_never_forms_a_dense_matrix(self, monkeypatch, capsys):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense path called")
+
+        monkeypatch.setattr(_bands.BandedMatrix, "to_dense", dense)
+        monkeypatch.setattr(_bands, "solve_sym_pd", dense)
+        monkeypatch.setattr(_bands, "solve_general", dense)
+        frame = M.FrameConfig(100_000, 0.5)
+        for branch in (1, -1):
+            assert math.isfinite(TM.sync_loss_slope(LINK, frame, branch))
+            assert math.isfinite(TM.coord_loss_slope(LINK, frame, branch))
+        err = M.TimingError(0.03, -0.05)
+        display = TM.throughput_loss_display(LINK, frame, err)
+        assert math.isclose(display, TM.throughput_loss(LINK, frame, err),
+                            rel_tol=1e-9)
+        assert cli.main(["query", "--set", "n=100000", "--set", "eps1=0.03",
+                         "--set", "eps2=-0.05"]) == cli.EXIT_OK
+        fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+        assert all(math.isfinite(float(v)) for v in fields.values())
 
 
 class TestLinearModels:
