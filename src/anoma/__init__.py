@@ -10,9 +10,7 @@ from ._bands import BandedMatrix
 from .design import PowerSweepReport, TauSearchResult, optimal_tau, verify_full_power
 from .model import (DomainError, FrameConfig, LinkConfig,
                     RootPair, TimingError, build_correlation,
-                    build_error_matrices, build_gain, pattern_coord,
-                    pattern_coord_negative, pattern_noise, pattern_sync,
-                    pattern_sync_negative)
+                    build_error_matrices, build_gain)
 from .throughput import (ThroughputReport, determinant_recursion,
                          determinant_recursion_log2, log2_det_no_error, roots,
                          throughput_asymptotic, throughput_closed,
@@ -37,10 +35,8 @@ __all__ = [
     "draw_colored_noise", "generate_symbols", "log2_det_no_error",
     "loss_breakdown", "loss_linear_coord", "loss_linear_sync", "loss_ratio",
     "matched_filter_outputs", "model_outputs", "noise_covariance_mc",
-    "optimal_tau", "pattern_coord", "pattern_coord_negative", "pattern_noise",
-    "pattern_sync", "pattern_sync_negative", "roots",
-    "sync_loss_slope", "throughput_asymptotic", "throughput_closed",
-    "throughput_existing_definition", "throughput_loss",
+    "optimal_tau", "roots", "sync_loss_slope", "throughput_asymptotic",
+    "throughput_closed", "throughput_existing_definition", "throughput_loss",
     "throughput_loss_display", "throughput_matrix", "throughput_n_plus_1",
     "throughput_noma", "throughput_oma", "throughput_recursion",
     "throughput_report", "throughput_with_error", "verify_full_power",

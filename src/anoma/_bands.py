@@ -154,15 +154,6 @@ class BandedMatrix:
             out[k] = v * dk
         return BandedMatrix(self.n, out)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        y = np.zeros(max(self.batch_shape, x.shape[:-1], key=len) + (self.n,),
-                     dtype=np.result_type(x.dtype, float))
-        for k, v in self.diags.items():
-            i0, i1 = max(0, -k), min(self.n, self.n - k)
-            y[..., i0:i1] += v[..., i0:i1] * x[..., i0 + k: i1 + k]
-        return y
-
     def matmul(self, other: "BandedMatrix",
                upper_only: bool = False) -> "BandedMatrix":
         """Banded product; result bandwidths add.
@@ -193,20 +184,6 @@ class BandedMatrix:
 
 def identity(n: int) -> BandedMatrix:
     return BandedMatrix(n, {0: np.ones(n)})
-
-
-def from_dense(a: np.ndarray) -> BandedMatrix:
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    diags = {}
-    for k in range(-(n - 1), n):
-        v = np.diagonal(a, offset=k)
-        if np.any(v != 0.0):
-            w = np.zeros(n)
-            i0 = max(0, -k)
-            w[i0: i0 + len(v)] = v
-            diags[k] = w
-    return BandedMatrix(n, diags)
 
 
 def _upper_ab(a: BandedMatrix) -> np.ndarray:

@@ -20,6 +20,8 @@ from .model import DomainError, FrameConfig, LinkConfig
 from .throughput import throughput_asymptotic, throughput_closed
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section refinement stops once its bracket is this narrow
+_REFINE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def optimal_tau(link: LinkConfig, n: int, grid_resolution: float = 1e-3,
-                refine_tol: float = 1e-6,
                 use_asymptotic: bool = False) -> TauSearchResult:
     """Best normalized mismatch for a fixed frame length.
 
@@ -92,10 +93,10 @@ def optimal_tau(link: LinkConfig, n: int, grid_resolution: float = 1e-3,
     tau_star, achieved = float(taus[best]), float(values[best])
 
     lo = max(0.0, tau_star - grid_resolution)
-    hi = min(1.0 - refine_tol, tau_star + grid_resolution)
+    hi = min(1.0 - _REFINE_TOL, tau_star + grid_resolution)
     refined = False
     if hi > lo:
-        x, fx = _golden_max(objective, lo, hi, refine_tol)
+        x, fx = _golden_max(objective, lo, hi, _REFINE_TOL)
         if fx > achieved:
             tau_star, achieved, refined = x, fx, True
     return TauSearchResult(tau_star, achieved, grid_resolution, refined)

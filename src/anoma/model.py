@@ -44,15 +44,9 @@ class LinkConfig:
     p2: float
     h1: complex = 1.0 + 0.0j
     h2: complex = 1.0 + 0.0j
-    p1_max: float | None = None
-    p2_max: float | None = None
 
     def __post_init__(self) -> None:
-        p1_max = self.p1 if self.p1_max is None else self.p1_max
-        p2_max = self.p2 if self.p2_max is None else self.p2_max
-        object.__setattr__(self, "p1_max", float(p1_max))
-        object.__setattr__(self, "p2_max", float(p2_max))
-        for name in ("p1", "p2", "p1_max", "p2_max"):
+        for name in ("p1", "p2"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
@@ -60,8 +54,6 @@ class LinkConfig:
             h = complex(getattr(self, name))
             if not cmath.isfinite(h):
                 raise DomainError(f"{name} must be finite, got {h}")
-        if self.p1 > self.p1_max or self.p2 > self.p2_max:
-            raise DomainError("transmit power exceeds its ceiling")
 
     @classmethod
     def from_gains(cls, mu1: float, mu2: float) -> "LinkConfig":
@@ -77,10 +69,13 @@ class LinkConfig:
         return self.p2 * abs(self.h2) ** 2
 
     def require_positive_gains(self) -> None:
-        if not (self.mu1 > 0.0 and self.mu2 > 0.0
-                and math.isfinite(self.mu1) and math.isfinite(self.mu2)):
-            raise DomainError(
-                f"throughput needs mu1, mu2 > 0 (got {self.mu1}, {self.mu2})")
+        """The rate routes invert each gain, so each gain and its
+        reciprocal must be positive and finite: below about 5.6e-309 the
+        reciprocal overflows."""
+        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
+            if not (mu > 0.0 and math.isfinite(mu) and math.isfinite(1.0 / mu)):
+                raise DomainError(f"throughput needs {name} > 0 with a finite "
+                                  f"1/{name}, got {name}={mu}")
 
 
 @dataclass(frozen=True)
@@ -169,19 +164,24 @@ def _alt(n2: int, even_val, odd_val) -> np.ndarray:
     return v
 
 
+def _symmetric_alternating(n2: int, main, even, odd) -> BandedMatrix:
+    """Symmetric tridiagonal matrix with constant diagonal main (none if
+    None) whose super-diagonal alternates even, odd from (row 0, col 1).
+    Row-aligned, the sub-diagonal is the super-diagonal shifted by one:
+    it alternates odd, even (slot 0 lies outside the matrix).
+    """
+    diags = {} if main is None else {0: np.full(n2, main)}
+    diags.update({1: _alt(n2, even, odd), -1: _alt(n2, odd, even)})
+    return BandedMatrix(n2, diags)
+
+
 def build_correlation(frame: FrameConfig) -> BandedMatrix:
     """Sampled-pulse correlation matrix (doubles as the noise covariance).
 
     Unit diagonal; the first super-diagonal alternates 1-tau, tau starting
     from (row 0, col 1); symmetric.
     """
-    n2 = 2 * frame.n
-    tau = frame.tau
-    sup = _alt(n2, 1.0 - tau, tau)
-    sub = _alt(n2, 0.0, 1.0 - tau)
-    if n2 > 2:
-        sub[2::2] = tau
-    return BandedMatrix(n2, {0: np.ones(n2), 1: sup, -1: sub})
+    return _symmetric_alternating(2 * frame.n, 1.0, 1.0 - frame.tau, frame.tau)
 
 
 def build_gain(link: LinkConfig, n: int) -> np.ndarray:
@@ -197,68 +197,22 @@ def build_gain(link: LinkConfig, n: int) -> np.ndarray:
     return entries
 
 
-def pattern_sync(n: int) -> BandedMatrix:
-    """Sensitivity of the signal mixing matrix to eps1 (valid for eps1 > 0,
-    eps1 + eps2 > 0): every row reads [-1 -1 | 1 1] over offsets -1..+2.
+def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
+    """The mistimed-sampling stencil: E1 when stream-1 rows (even) are
+    offset by a_even = eps1 and stream-2 rows (odd) by a_odd = eps1 + eps2.
+
+    Every row spans offsets -2..+2, with the unit-step terms landing on
+    the +-2 slots.  E1 is linear in the offsets on each sign branch, so
+    the stencil at unit offsets is also its derivative there.  Equal-shape
+    array offsets give one matrix per batch entry.
     """
-    n2 = 2 * n
-    return BandedMatrix(
-        n2,
-        {0: np.full(n2, -1.0), 1: np.ones(n2),
-         -1: np.full(n2, -1.0), 2: np.ones(n2)})
-
-
-def pattern_sync_negative(n: int) -> BandedMatrix:
-    """eps1-sensitivity on the negative branch (eps1 < 0, eps1 + eps2 < 0):
-    the unit-step terms move the stencil to offsets -2..+1.
-    """
-    n2 = 2 * n
-    return BandedMatrix(
-        n2,
-        {0: np.ones(n2), 1: np.ones(n2),
-         -1: np.full(n2, -1.0), -2: np.full(n2, -1.0)})
-
-
-def pattern_coord(n: int) -> BandedMatrix:
-    """Sensitivity of the signal mixing matrix to eps2 (same sign case):
-    only stream-2 rows respond, with the same [-1 -1 | 1 1] stencil.
-    """
-    n2 = 2 * n
-    main = np.zeros(n2)
-    main[1::2] = -1.0
-    sup1 = np.zeros(n2)
-    sup1[1::2] = 1.0
-    sub1 = np.zeros(n2)
-    sub1[1::2] = -1.0
-    sup2 = np.zeros(n2)
-    sup2[1::2] = 1.0
-    return BandedMatrix(n2, {0: main, 1: sup1, -1: sub1, 2: sup2})
-
-
-def pattern_coord_negative(n: int) -> BandedMatrix:
-    """eps2-sensitivity on the negative branch (eps1 + eps2 < 0)."""
-    n2 = 2 * n
-    main = np.zeros(n2)
-    main[1::2] = 1.0
-    sup1 = np.zeros(n2)
-    sup1[1::2] = 1.0
-    sub1 = np.zeros(n2)
-    sub1[1::2] = -1.0
-    sub2 = np.zeros(n2)
-    sub2[1::2] = -1.0
-    return BandedMatrix(n2, {0: main, 1: sup1, -1: sub1, -2: sub2})
-
-
-def pattern_noise(n: int) -> BandedMatrix:
-    """Sensitivity of the noise covariance to eps2: symmetric, alternating
-    -1, +1 on the first off-diagonals, zero elsewhere.
-    """
-    n2 = 2 * n
-    sup = _alt(n2, -1.0, 1.0)
-    sub = _alt(n2, 0.0, -1.0)
-    if n2 > 2:
-        sub[2::2] = 1.0
-    return BandedMatrix(n2, {1: sup, -1: sub})
+    return BandedMatrix(n2, {
+        0: _alt(n2, -np.abs(a_even), -np.abs(a_odd)),
+        1: _alt(n2, a_even, a_odd),
+        -1: _alt(n2, -a_even, -a_odd),
+        2: _alt(n2, np.maximum(a_even, 0.0), np.maximum(a_odd, 0.0)),
+        -2: _alt(n2, np.maximum(-a_even, 0.0), np.maximum(-a_odd, 0.0)),
+    })
 
 
 def build_error_matrices(
@@ -268,8 +222,8 @@ def build_error_matrices(
 
     Returns (E1, E2, Rhat, RhatN) with Rhat = R + E1 (signal mixing) and
     RhatN = R + E2 (noise covariance).  E1 follows the general unit-step
-    stencil, valid for every sign of eps1 and eps1 + eps2; for positive
-    signs it coincides with eps1 * pattern_sync + eps2 * pattern_coord.
+    stencil, valid for every sign of eps1 and eps1 + eps2; E2 is the
+    symmetric alternating -1, +1 pattern scaled by eps2.
     A batched err gives batched matrices, one per point of the flattened
     batch; every point is checked for admissibility first.
     """
@@ -278,23 +232,8 @@ def build_error_matrices(
     e1, e2 = err.arrays()
     if e1.ndim > 1:
         e1, e2 = e1.ravel(), e2.ravel()
-    s = e1 + e2
-
-    # stream-1 rows (even) are driven by eps1, stream-2 rows (odd) by
-    # eps1 + eps2; both span offsets -2..+2, with the unit-step terms
-    # landing on the +-2 slots.
-    main = _alt(n2, -np.abs(e1), -np.abs(s))
-    sup1 = _alt(n2, e1, s)
-    sub1 = _alt(n2, -e1, -s)
-    sup2 = _alt(n2, np.maximum(e1, 0.0), np.maximum(s, 0.0))
-    sub2 = np.zeros(e1.shape + (n2,))
-    sub2[..., 2::2] = np.maximum(-e1, 0.0)[..., None]
-    if n2 > 3:
-        sub2[..., 3::2] = np.maximum(-s, 0.0)[..., None]
-    e1_mat = BandedMatrix(
-        n2, {0: main, 1: sup1, -1: sub1, 2: sup2, -2: sub2})
-
-    e2_mat = pattern_noise(frame.n).scaled(e2)
+    e1_mat = _unit_step(n2, e1, e1 + e2)
+    e2_mat = _symmetric_alternating(n2, None, -1.0, 1.0).scaled(e2)
     r = build_correlation(frame)
     rhat = r + e1_mat
     rhat_n = r + e2_mat

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    build_correlation, build_error_matrices, build_gain,
-                    pattern_coord, pattern_coord_negative, pattern_noise,
-                    pattern_sync, pattern_sync_negative)
+                    _symmetric_alternating, _unit_step, build_correlation,
+                    build_error_matrices, build_gain)
 from .throughput import throughput_matrix
 
 _LN2 = math.log(2.0)
@@ -127,7 +126,6 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     I + D R.  O(n) time and memory.
     """
     link.require_positive_gains()
-    err.check_admissible(frame)
     n, tau = frame.n, frame.tau
     e1m, e2m, _, rhat_n = build_error_matrices(frame, err)
     r = build_correlation(frame)
@@ -186,17 +184,28 @@ def sync_loss_slope(link: LinkConfig, frame: FrameConfig,
     The mixing-matrix perturbation switches stencil with the sign of
     eps1, so the loss is kinked at zero: branch >= 0 gives the slope for
     eps1 > 0 (the headline c1, positive at sane configs), branch < 0 the
-    slope for eps1 < 0 (negative: the loss rises as eps1 falls).
+    slope for eps1 < 0 (negative: the loss rises as eps1 falls).  Z is
+    the derivative of E1 along eps1 on that branch: the E1 stencil at
+    unit offsets sign * (1, 1), times sign.
     """
-    z = pattern_sync(frame.n) if branch >= 0 else pattern_sync_negative(frame.n)
+    sign = 1.0 if branch >= 0 else -1.0
+    z = _unit_step(2 * frame.n, sign, sign).scaled(sign)
     return _trace_coefficient(link, frame, z, None)
 
 
 def coord_loss_slope(link: LinkConfig, frame: FrameConfig,
                      branch: int = 1) -> float:
-    """First-order sensitivity c2 of the loss to eps2 (bits/interval)."""
-    z = pattern_coord(frame.n) if branch >= 0 else pattern_coord_negative(frame.n)
-    return _trace_coefficient(link, frame, z, pattern_noise(frame.n))
+    """First-order sensitivity c2 of the loss to eps2 (bits/interval).
+
+    eps2 moves only the stream-2 rows of E1, so Z is the stencil at unit
+    offsets (0, sign), times sign; the noise covariance responds with the
+    E2 pattern, whatever the branch.
+    """
+    sign = 1.0 if branch >= 0 else -1.0
+    n2 = 2 * frame.n
+    z = _unit_step(n2, 0.0, sign).scaled(sign)
+    return _trace_coefficient(link, frame, z,
+                              _symmetric_alternating(n2, None, -1.0, 1.0))
 
 
 def loss_linear_sync(link: LinkConfig, frame: FrameConfig,
@@ -234,14 +243,17 @@ def loss_breakdown(link: LinkConfig, frame: FrameConfig,
     delta = base - r_e
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
-    lin_sync, _ = loss_linear_sync(link, frame, err.eps1)
-    lin_coord, _ = loss_linear_coord(link, frame, err.eps2)
+    # each slope branch once: the headline slopes are the positive ones
+    c1 = sync_loss_slope(link, frame)
+    c2 = coord_loss_slope(link, frame)
+    c1_err = c1 if err.eps1 >= 0.0 else sync_loss_slope(link, frame, branch=-1)
+    c2_err = c2 if err.eps2 >= 0.0 else coord_loss_slope(link, frame, branch=-1)
     return LossBreakdown(
         exact_throughput_with_error=r_e,
         delta=delta,
-        delta_lin_sync=lin_sync,
-        delta_lin_coord=lin_coord,
-        c1=sync_loss_slope(link, frame),
-        c2=coord_loss_slope(link, frame),
+        delta_lin_sync=err.eps1 * c1_err,
+        delta_lin_coord=err.eps2 * c2_err,
+        c1=c1,
+        c2=c2,
         gamma=delta / base,
     )

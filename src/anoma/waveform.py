@@ -38,7 +38,6 @@ class SymbolFrame:
 
     s1: np.ndarray
     s2: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         s1 = np.asarray(self.s1, dtype=complex)
@@ -76,7 +75,6 @@ class NoiseCovarianceReport:
     max_abs_deviation: float
     trials: int
     stat_bound: float
-    warning: bool
 
 
 def generate_symbols(n: int, constellation: str = "gaussian",
@@ -94,7 +92,7 @@ def generate_symbols(n: int, constellation: str = "gaussian",
         s2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     else:
         raise DomainError(f"unknown constellation {constellation!r}")
-    return SymbolFrame(s1, s2, seed=seed)
+    return SymbolFrame(s1, s2)
 
 
 def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
@@ -178,8 +176,7 @@ def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
 
 def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
                         trials: int = 10_000, seed: int | None = None,
-                        subsamples: int = 64,
-                        tolerance: float = 0.01) -> NoiseCovarianceReport:
+                        subsamples: int = 64) -> NoiseCovarianceReport:
     """Monte Carlo validation of the colored-noise covariance.
 
     White noise is approximated on a sub-grid of ``subsamples`` points
@@ -230,5 +227,4 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     return NoiseCovarianceReport(
         empirical=cov, expected=expected, max_abs_deviation=dev,
         trials=trials, stat_bound=stat_bound,
-        warning=stat_bound > tolerance,
     )

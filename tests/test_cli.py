@@ -189,5 +189,10 @@ def test_query_linear_loss_agrees_at_small_offset(capsys):
     assert abs(lin - delta) / delta <= 0.1
 
 
+def test_query_subnormal_gain_is_usage_error(capsys):
+    assert main(["query", "--set", "mu1=1e-310"]) == EXIT_USAGE
+    assert "mu1" in capsys.readouterr().err
+
+
 def test_query_invalid_point_is_usage_error(capsys):
     assert main(["query", "--set", "tau=1.5"]) == EXIT_USAGE

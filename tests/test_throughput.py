@@ -75,6 +75,13 @@ class TestMatrixRoute:
         with pytest.raises(M.DomainError):
             T.throughput_matrix(M.LinkConfig(p1=0.0, p2=1.0), M.FrameConfig(1, 0.5))
 
+    @pytest.mark.parametrize("route", [T.throughput_matrix, T.throughput_closed,
+                                       T.throughput_recursion])
+    def test_subnormal_gain_rejected_by_every_route(self, route):
+        link = M.LinkConfig.from_gains(1e-310, 1.0)
+        with pytest.raises(M.DomainError, match="mu1"):
+            route(link, M.FrameConfig(4, 0.5))
+
 
 class TestClosedForm:
     def test_tau0_is_noma_bitwise(self):

@@ -44,6 +44,20 @@ def trace_coefficient_dense_oracle(link, frame, z_signal, z_noise):
     return -float(np.trace(f)) / ((n + tau) * math.log(2.0))
 
 
+def slope_patterns(slope, n, branch):
+    """The (Z, Z3) pair that a slope function hands to the trace kernel."""
+    seen = []
+
+    def spy(link, frame, z_signal, z_noise):
+        seen.append((z_signal, z_noise))
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TM, "_trace_coefficient", spy)
+        slope(LINK, M.FrameConfig(n, 0.5), branch)
+    return seen[0]
+
+
 def display_dense_oracle(link, frame, err):
     """The rearranged loss expression as written, with dense solves and
     a dense log-det."""
@@ -162,12 +176,40 @@ class TestLoss:
                             rel_tol=1e-9)
 
 
+class TestSlopePatterns:
+    """A slope's Z is the derivative of E1 along its error on its sign
+    branch, and Z3 that of the noise covariance; E1 and E2 are linear on
+    a branch, so a difference quotient with a power-of-two step is exact.
+    """
+    STEP = 2.0 ** -6
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("slope,unit", [
+        (TM.sync_loss_slope, (1.0, 0.0)), (TM.coord_loss_slope, (0.0, 1.0))])
+    def test_pattern_is_exact_difference_quotient(self, n, branch, slope, unit):
+        frame = M.FrameConfig(n, 0.5)
+        t = branch * self.STEP
+        moved = M.build_error_matrices(
+            frame, M.TimingError(t * unit[0], t * unit[1]))
+        still = M.build_error_matrices(frame, M.TimingError())
+        d_e1, d_e2 = ((a.to_dense() - b.to_dense()) / t
+                      for a, b in zip(moved[:2], still[:2]))
+        z, z3 = slope_patterns(slope, n, branch)
+        assert np.array_equal(d_e1, z.to_dense())
+        if z3 is None:
+            assert not d_e2.any()
+        else:
+            assert np.array_equal(d_e2, z3.to_dense())
+            assert np.array_equal(d_e2, d_e2.T)
+
+
 class TestBandedKernelsAgainstDenseOracles:
     PATTERNS = [
-        (M.pattern_sync, None),
-        (M.pattern_sync_negative, None),
-        (M.pattern_coord, M.pattern_noise),
-        (M.pattern_coord_negative, M.pattern_noise),
+        (TM.sync_loss_slope, 1),
+        (TM.sync_loss_slope, -1),
+        (TM.coord_loss_slope, 1),
+        (TM.coord_loss_slope, -1),
     ]
     # one point per sign branch of (eps1, eps1 + eps2)
     BRANCHES = [(0.05, 0.03), (0.05, -0.08), (-0.05, 0.08), (-0.05, -0.02)]
@@ -175,11 +217,11 @@ class TestBandedKernelsAgainstDenseOracles:
     @pytest.mark.parametrize("n", [1, 2, 10, 50])
     @pytest.mark.parametrize("pattern", range(4))
     def test_slopes_match_dense_oracle(self, n, pattern):
-        z_of, noise_of = self.PATTERNS[pattern]
+        slope, branch = self.PATTERNS[pattern]
+        z, z3 = slope_patterns(slope, n, branch)
         for link, tau in ((LINK, 0.5), (M.LinkConfig.from_gains(20.0, 0.05), 0.13)):
             frame = M.FrameConfig(n, tau)
-            z, z3 = z_of(n), None if noise_of is None else noise_of(n)
-            got = TM._trace_coefficient(link, frame, z, z3)
+            got = slope(link, frame, branch)
             ref = trace_coefficient_dense_oracle(link, frame, z, z3)
             assert math.isclose(got, ref, rel_tol=1e-12)
 
@@ -308,3 +350,12 @@ class TestBreakdown:
         # negative eps2 rides the negative branch, not -0.01 * c2
         neg_c2 = TM.coord_loss_slope(LINK, FRAME, branch=-1)
         assert math.isclose(b.delta_lin_coord, -0.01 * neg_c2, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("e1,e2", [(0.02, 0.01), (0.02, -0.01),
+                                       (-0.02, 0.01), (-0.02, -0.01)])
+    def test_linear_terms_equal_linear_models_on_every_branch(self, e1, e2):
+        b = TM.loss_breakdown(LINK, FRAME, M.TimingError(e1, e2))
+        assert b.delta_lin_sync == TM.loss_linear_sync(LINK, FRAME, e1)[0]
+        assert b.delta_lin_coord == TM.loss_linear_coord(LINK, FRAME, e2)[0]
+        assert b.c1 == TM.sync_loss_slope(LINK, FRAME)
+        assert b.c2 == TM.coord_loss_slope(LINK, FRAME)

@@ -118,10 +118,9 @@ class TestNoiseCovariance:
         with pytest.raises(M.DomainError):
             W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=100)
 
-    def test_warning_when_tolerance_unreachable(self):
+    def test_stat_bound_is_three_sigma(self):
         rep = W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=10_000,
-                                    seed=6, tolerance=0.001)
-        assert rep.warning
+                                    seed=6)
         assert rep.stat_bound == 3.0 / math.sqrt(10_000)
 
     def test_invalid_total_offset_rejected(self):
