@@ -11,7 +11,7 @@ from .design import PowerSweepReport, TauSearchResult, optimal_tau, verify_full_
 from .model import (DomainError, FrameConfig, LinkConfig,
                     RootPair, TimingError, build_correlation,
                     build_error_matrices, build_gain)
-from .throughput import (ThroughputReport, determinant_recursion,
+from .throughput import (ThroughputReport, closed_rate, determinant_recursion,
                          determinant_recursion_log2, log2_det_no_error, roots,
                          throughput_asymptotic, throughput_closed,
                          throughput_existing_definition, throughput_matrix,
@@ -31,7 +31,7 @@ __all__ = [
     "LossBreakdown", "NoiseCovarianceReport", "PowerSweepReport", "RootPair",
     "SampleVectors", "SymbolFrame", "TauSearchResult", "ThroughputReport",
     "TimingError", "build_correlation", "build_error_matrices", "build_gain",
-    "coord_loss_slope", "determinant_recursion", "determinant_recursion_log2",
+    "closed_rate", "coord_loss_slope", "determinant_recursion", "determinant_recursion_log2",
     "draw_colored_noise", "generate_symbols", "log2_det_no_error",
     "loss_breakdown", "loss_linear_coord", "loss_linear_sync", "loss_ratio",
     "matched_filter_outputs", "model_outputs", "noise_covariance_mc",

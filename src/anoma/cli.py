@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
 Sweep grids are evaluated and written in axis order, so the output is
 byte-for-byte deterministic for a fixed spec.  The timing-error figures
-evaluate their whole grid in one batched call.
+evaluate their whole grid in one batched call, and the closed-form
+figures (power_surface, rate_vs_gain, tau_star_vs_n) one closed_rate
+evaluation per grid or gain pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import design, timing, validate
 from .model import DomainError, FrameConfig, LinkConfig, TimingError
-from .throughput import (throughput_asymptotic, throughput_closed,
+from .throughput import (closed_rate, throughput_asymptotic,
                          throughput_matrix, throughput_noma, throughput_oma,
                          throughput_report)
 
@@ -74,17 +77,22 @@ def _fig_rate_vs_gain(p: dict):
         header += [f"anoma_matrix_h2sq{tag}", f"anoma_closed_h2sq{tag}",
                    f"noma_h2sq{tag}"]
 
-    def row(h1_sq: float):
-        out = [h1_sq]
-        for h2_sq in h2_list:
-            link = LinkConfig(p1=p["p1"], p2=p["p2"],
-                              h1=math.sqrt(h1_sq), h2=math.sqrt(h2_sq))
-            out += [throughput_matrix(link, frame),
-                    throughput_closed(link, frame),
-                    throughput_noma(link.mu1, link.mu2)]
-        return out
-
-    return header, [row(float(v)) for v in h1_grid]
+    links = [[LinkConfig(p1=p["p1"], p2=p["p2"], h1=math.sqrt(h1_sq),
+                         h2=math.sqrt(h2_sq)) for h2_sq in h2_list]
+             for h1_sq in h1_grid]
+    # the log-det route checks every gain before the closed form runs
+    matrix = [[throughput_matrix(link, frame) for link in row] for row in links]
+    # one gain per h1 row and one per h2 column, as LinkConfig computes them
+    mu1 = np.array([row[0].mu1 for row in links])
+    mu2 = np.array([link.mu2 for link in links[0]])
+    closed = closed_rate(mu1[:, None], mu2, frame.n, frame.tau)
+    rows = []
+    for h1_sq, row, row_matrix, row_closed in zip(h1_grid, links, matrix, closed):
+        out = [float(h1_sq)]
+        for link, rm, rc in zip(row, row_matrix, row_closed):
+            out += [rm, rc, throughput_noma(link.mu1, link.mu2)]
+        rows.append(out)
+    return header, rows
 
 
 def _fig_rate_vs_n(p: dict):
@@ -113,14 +121,11 @@ def _fig_rate_vs_n(p: dict):
 def _fig_power_surface(p: dict):
     pg = _axis(p, "p_min", "p_max", "p_step")
     frame = FrameConfig(int(p["n"]), p["tau"])
-    h1, h2 = math.sqrt(p["h1_sq"]), math.sqrt(p["h2_sq"])
+    rate = design.verify_full_power(pg, pg, p["h1_sq"], p["h2_sq"],
+                                    frame).throughput
     header = ["p1", "p2", "throughput"]
-
-    def row(p1: float, p2: float):
-        link = LinkConfig(p1=p1, p2=p2, h1=h1, h2=h2)
-        return [p1, p2, throughput_closed(link, frame)]
-
-    return header, [row(float(a), float(b)) for a in pg for b in pg]
+    return header, [[float(a), float(b), rate[i, j]]
+                    for i, a in enumerate(pg) for j, b in enumerate(pg)]
 
 
 def _fig_tau_star_vs_n(p: dict):
@@ -133,15 +138,10 @@ def _fig_tau_star_vs_n(p: dict):
     res = p["grid_resolution"]
     header = ["N"] + [f"tau_star_mu{_fmt(a)}_{_fmt(b)}" for a, b in gains]
 
-    def row(n: int):
-        out = [n]
-        for mu1, mu2 in gains:
-            r = design.optimal_tau(LinkConfig.from_gains(mu1, mu2), n,
-                                   grid_resolution=res)
-            out.append(r.tau_star)
-        return out
-
-    return header, [row(n) for n in n_values]
+    stars = [design.optimal_tau(LinkConfig.from_gains(mu1, mu2), n_values,
+                                grid_resolution=res).tau_star
+             for mu1, mu2 in gains]
+    return header, [[n, *col] for n, col in zip(n_values, zip(*stars))]
 
 
 def _fig_loss_heatmap(p: dict):
@@ -268,10 +268,19 @@ def _merge_params(defaults: dict, config_path: str | None,
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     """Header, then one line per row, each cell as _fmt writes it.
 
-    A column's format follows the type of its cell in the first row
-    (every figure keeps one type per column), so a whole row is
-    formatted by one %-operation.
+    A non-finite cell raises DomainError naming its row and column
+    before the file is opened, so no partial CSV is left.  A column's
+    format follows the type of its cell in the first row (every figure
+    keeps one type per column), so a whole row is formatted by one
+    %-operation.
     """
+    cells = np.fromiter(itertools.chain.from_iterable(rows), float,
+                        len(rows) * len(header)).reshape(len(rows), len(header))
+    bad = np.argwhere(~np.isfinite(cells))
+    if len(bad):
+        i, j = bad[0]
+        raise DomainError(f"not writing {path}: row {i + 1}, column "
+                          f"{header[j]!r} is {cells[i, j]}")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
         if rows:

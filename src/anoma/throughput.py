@@ -41,29 +41,48 @@ class ThroughputReport:
     asymptotic: float
 
 
-def _char_roots(mu1: float, mu2: float, tau: float) -> tuple[float, float, float]:
+def _sync_rate(mu1, mu2):
+    """log2(1 + mu1 + mu2): the synchronous rate, which every rate limit
+    returns exactly at tau = 0."""
+    return np.log2(1.0 + mu1 + mu2)
+
+
+def _char_roots(mu1, mu2, tau):
     """(r1, r2, r1 - r2) of x^2 - S x + tau^2 (1-tau)^2 with
-    S = 1/mu1 + 1/mu2 + 1/(mu1 mu2) + 2 tau (1 - tau).
+    S = 1/mu1 + 1/mu2 + 1/(mu1 mu2) + 2 tau (1 - tau), elementwise.
 
     The gap r1 - r2 equals sqrt(S^2 - 4P); the radicand is evaluated in
     the cancellation-free product form s0 * (s0 + 4 tau (1 - tau)), and
-    r2 as P / r1, so high-SNR inputs lose no precision.
+    r2 as P / r1, so high-SNR inputs lose no precision.  The gains must
+    be numpy values: a product that underflows to 0 gives inf, not
+    ZeroDivisionError.
     """
     s0 = 1.0 / mu1 + 1.0 / mu2 + 1.0 / (mu1 * mu2)
     g = 2.0 * tau * (1.0 - tau)
-    gap = math.sqrt(s0 * (s0 + 2.0 * g))
+    gap = np.sqrt(s0 * (s0 + 2.0 * g))
     r1 = 0.5 * ((s0 + g) + gap)
-    p = (tau * (1.0 - tau)) ** 2
-    r2 = p / r1 if tau > 0.0 else 0.0
+    r2 = (tau * (1.0 - tau)) ** 2 / r1
     return r1, r2, gap
+
+
+def _require_finite(value, what: str, **point) -> None:
+    """DomainError naming the first point at which value is not finite;
+    point holds the inputs value was broadcast from."""
+    bad = ~np.isfinite(value)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        coords = ", ".join(f"{k}={np.broadcast_to(v, bad.shape)[at].item()!r}"
+                           for k, v in point.items())
+        raise DomainError(f"{what} is not finite at {coords}")
 
 
 def roots(mu1: float, mu2: float, tau: float) -> RootPair:
     """Characteristic roots of the determinant recursion."""
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise DomainError("roots need mu1, mu2 > 0")
-    r1, r2, _ = _char_roots(mu1, mu2, tau)
-    return RootPair(r1, r2)
+    with np.errstate(all="ignore"):
+        r1, r2, _ = _char_roots(np.float64(mu1), np.float64(mu2), tau)
+    return RootPair(float(r1), float(r2))
 
 
 def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
@@ -99,25 +118,35 @@ def throughput_n_plus_1(link: LinkConfig, frame: FrameConfig) -> float:
     return log2_det_no_error(link, frame) / (frame.n + 1)
 
 
-def throughput_closed(link: LinkConfig, frame: FrameConfig) -> float:
-    """Closed-form route via the characteristic roots.
+def closed_rate(mu1, mu2, n, tau):
+    """Closed-form rate at every point of the broadcast of mu1, mu2, n, tau.
 
     Evaluates n log2(mu1 mu2 r1) plus a bounded correction, all in the
     log domain; r1^n never materializes, so large frames cannot
     overflow.  tau = 0 reduces analytically to the synchronous rate
-    log2(1 + mu1 + mu2) (r2 = 0 branch) and is returned exactly.
+    log2(1 + mu1 + mu2) (r2 = 0 branch), which is returned exactly there.
+    The gains are the caller's to check (LinkConfig.require_positive_gains);
+    a point whose rate is not finite raises DomainError naming it.
+    Returns a float for one point, else an array of the broadcast shape.
     """
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is fast
+    mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
+    n = np.asarray(n)[()]
+    with np.errstate(all="ignore"):
+        r1, r2, gap = _char_roots(mu1, mu2, tau)
+        qn = (r2 / r1) ** n
+        corr = np.log2((r1 - r2 * qn + tau * tau * (1.0 - qn)) / gap)
+        lead = n * (np.log2(mu1) + np.log2(mu2) + np.log2(r1))
+        rate = np.where(tau == 0.0, _sync_rate(mu1, mu2),
+                        (lead + corr) / (n + tau))
+    _require_finite(rate, "closed-form rate", mu1=mu1, mu2=mu2, n=n, tau=tau)
+    return rate[()]
+
+
+def throughput_closed(link: LinkConfig, frame: FrameConfig) -> float:
+    """Closed-form route: closed_rate at one point."""
     link.require_positive_gains()
-    mu1, mu2 = link.mu1, link.mu2
-    n, tau = frame.n, frame.tau
-    if tau == 0.0:
-        return math.log2(1.0 + mu1 + mu2)
-    r1, r2, gap = _char_roots(mu1, mu2, tau)
-    q = r2 / r1
-    qn = q ** n
-    corr = math.log2((r1 - r2 * qn + tau * tau * (1.0 - qn)) / gap)
-    lead = n * (math.log2(mu1) + math.log2(mu2) + math.log2(r1))
-    return (lead + corr) / (n + tau)
+    return float(closed_rate(link.mu1, link.mu2, frame.n, frame.tau))
 
 
 def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> float:
@@ -175,31 +204,37 @@ def throughput_recursion(link: LinkConfig, frame: FrameConfig) -> float:
     return (n * (math.log2(link.mu1) + math.log2(link.mu2)) + ld) / (n + tau)
 
 
-def throughput_asymptotic(mu1: float, mu2: float, tau: float) -> float:
+def throughput_asymptotic(mu1, mu2, tau):
     """Infinite-frame limit log2(mu1 mu2 r1), in the expanded form
 
         (s + m g)/2 + sqrt(s^2 + 2 s m g)/2,
         s = 1 + mu1 + mu2,  m = mu1 mu2,  g = 2 tau (1 - tau),
 
-    which is cancellation-free and manifestly >= s.
+    which is cancellation-free and manifestly >= s.  Elementwise over the
+    broadcast of mu1, mu2 and tau: a float for one point, else an array;
+    a point whose limit is not finite raises DomainError naming it.
     """
-    if not (mu1 > 0.0 and mu2 > 0.0):
+    mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
+    if not ((mu1 > 0.0) & (mu2 > 0.0)).all():
         raise DomainError("asymptotic rate needs mu1, mu2 > 0")
-    if not (0.0 <= tau < 1.0):
-        raise DomainError(f"tau must lie in [0, 1), got {tau}")
-    s = 1.0 + mu1 + mu2
-    if tau == 0.0:
-        return math.log2(s)
-    mg = mu1 * mu2 * 2.0 * tau * (1.0 - tau)
-    val = 0.5 * (s + mg) + 0.5 * math.sqrt(s * s + 2.0 * s * mg)
-    return math.log2(val)
+    inside = (0.0 <= tau) & (tau < 1.0)
+    if not inside.all():
+        raise DomainError("tau must lie in [0, 1), got "
+                          f"{np.extract(~inside, tau)[0]}")
+    with np.errstate(all="ignore"):
+        s = 1.0 + mu1 + mu2
+        mg = mu1 * mu2 * 2.0 * tau * (1.0 - tau)
+        val = 0.5 * (s + mg) + 0.5 * np.sqrt(s * s + 2.0 * s * mg)
+        rate = np.where(tau == 0.0, _sync_rate(mu1, mu2), np.log2(val))
+    _require_finite(rate, "asymptotic rate", mu1=mu1, mu2=mu2, tau=tau)
+    return rate[()]
 
 
 def throughput_noma(mu1: float, mu2: float) -> float:
     """Synchronous baseline with ideal interference cancellation."""
     if mu1 < 0.0 or mu2 < 0.0:
         raise DomainError("noma needs mu1, mu2 >= 0")
-    return math.log2(1.0 + mu1 + mu2)
+    return float(_sync_rate(mu1, mu2))
 
 
 def throughput_oma(mu1: float, mu2: float) -> float:

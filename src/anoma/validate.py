@@ -142,12 +142,11 @@ def check_tau_star() -> list[CheckResult]:
         for mu2 in (0.5, 1.0, 2.0):
             res = design.optimal_tau(LinkConfig.from_gains(mu1, mu2), 1000)
             worst = max(worst, abs(res.tau_star - 0.5))
-    small = design.optimal_tau(DEFAULT_LINK, 1).tau_star
-    stars = [design.optimal_tau(DEFAULT_LINK, n).tau_star
-             for n in (1, 2, 5, 10, 50, 200, 1000)]
+    stars = design.optimal_tau(DEFAULT_LINK,
+                               np.array([1, 2, 5, 10, 50, 200, 1000])).tau_star
+    small = float(stars[0])
     res_grid = 1e-3
-    slip = max((stars[i] - stars[i + 1] for i in range(len(stars) - 1)),
-               default=0.0)
+    slip = float(np.max(stars[:-1] - stars[1:]))
     return [
         CheckResult("theorems.tau_star_n1000", worst, 0.01, worst <= 0.01),
         CheckResult("theorems.tau_star_n1", small, 0.1, small <= 0.1),

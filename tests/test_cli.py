@@ -8,6 +8,13 @@ import pytest
 
 from anoma import cli
 from anoma.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from anoma.model import DomainError, FrameConfig, LinkConfig
+from anoma.throughput import throughput_closed
+
+# the gain pairs of each extreme class whose closed form is not finite
+# somewhere on the tau grid: a gain at 1e-300, or both gains at 1e300
+NON_FINITE_GAINS = [(1e-300, 0.7), (3.0, 1e-300), (1e-300, 1e-300),
+                    (1e300, 1e300), (1e-300, 1e300), (1e300, 1e-300)]
 
 GOLDEN_HEADERS = {
     "rate_vs_gain": ("h1_sq,anoma_matrix_h2sq0.5,anoma_closed_h2sq0.5,"
@@ -60,8 +67,8 @@ def test_byte_determinism(tmp_path, figure):
 def test_csv_rows_are_formatted_as_fmt_formats_each_cell(tmp_path):
     rows = [[1, 0.1, np.float64(-0.0), 2.0 / 3.0, 1e-300, np.int64(7)],
             [1000, -0.30000000000000004, 1e300, 12345678901234.0,
-             float("nan"), np.int64(-3)],
-            [2, 5e-324, float("inf"), -1.5, 0.0, np.int64(0)]]
+             -1e-300, np.int64(-3)],
+            [2, 5e-324, 1.7976931348623157e308, -1.5, 0.0, np.int64(0)]]
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), ["a", "b", "c", "d", "e", "f"], rows)
     want = "a,b,c,d,e,f\n" + "".join(
@@ -69,6 +76,52 @@ def test_csv_rows_are_formatted_as_fmt_formats_each_cell(tmp_path):
     assert out.read_text(encoding="utf-8") == want
     cli._write_csv(str(out), ["a"], [])
     assert out.read_text(encoding="utf-8") == "a\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+def test_csv_writer_refuses_non_finite_cell_before_opening(tmp_path, bad):
+    rows = [[1, 0.5, 2.0], [2, 0.25, bad], [3, bad, 1.0]]
+    fresh = tmp_path / "fresh.csv"
+    with pytest.raises(DomainError, match=r"row 2, column 'c'"):
+        cli._write_csv(str(fresh), ["n", "b", "c"], rows)
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n", encoding="utf-8")
+    with pytest.raises(DomainError):
+        cli._write_csv(str(kept), ["n", "b", "c"], rows)
+    assert kept.read_text(encoding="utf-8") == "old\n"
+
+
+def test_power_surface_equals_one_point_closed_route(tmp_path):
+    text = run_sweep(tmp_path, "power_surface", ["--set", "p_step=0.3"])
+    frame = FrameConfig(10, 0.5)
+    for line in text.splitlines()[1:]:
+        p1, p2, rate = line.split(",")
+        link = LinkConfig(p1=float(p1), p2=float(p2), h1=1.0, h2=math.sqrt(0.5))
+        assert rate == cli._fmt(throughput_closed(link, frame))
+
+
+def test_rate_vs_gain_closed_columns_equal_one_point_route(tmp_path):
+    text = run_sweep(tmp_path, "rate_vs_gain")
+    frame = FrameConfig(10, 0.5)
+    for line in text.splitlines()[1:]:
+        cells = line.split(",")
+        for h2_sq, closed in ((0.5, cells[2]), (1.0, cells[5])):
+            link = LinkConfig(p1=1.0, p2=1.0, h1=math.sqrt(float(cells[0])),
+                              h2=math.sqrt(h2_sq))
+            assert closed == cli._fmt(throughput_closed(link, frame))
+
+
+@pytest.mark.parametrize("mu1,mu2", NON_FINITE_GAINS)
+def test_tau_star_at_non_finite_gains_is_usage_error(tmp_path, capsys, mu1, mu2):
+    out = tmp_path / "tau.csv"
+    code = main(["sweep", "tau_star_vs_n", "--set", f"gains=[[{mu1!r}, {mu2!r}]]",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "closed-form rate is not finite at" in err
+    assert all(f"{k}=" in err for k in ("mu1", "mu2", "n", "tau"))
+    assert not out.exists()
 
 
 def test_rate_vs_n_converges_toward_asymptote(tmp_path):

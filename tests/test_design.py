@@ -1,13 +1,59 @@
 """Design searches: best mismatch and full-power verification."""
 
+import math
+
 import numpy as np
 import pytest
 
+from anoma import cli
 from anoma import design as D
 from anoma import model as M
-from anoma.throughput import throughput_closed
+from anoma.throughput import closed_rate, throughput_closed
 
 LINK = M.LinkConfig.from_gains(1.0, 0.5)
+DEFAULT_SPEC = cli.FIGURES["tau_star_vs_n"][1]
+N_LADDER = np.array(DEFAULT_SPEC["n_values"])
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_TOL = 1e-6
+
+
+def golden_max_oracle(f, lo, hi, tol):
+    """One-row golden-section search, step for step as the search ran
+    before it was batched."""
+    a, b = lo, hi
+    c = b - (b - a) * INV_PHI
+    d = a + (b - a) * INV_PHI
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * INV_PHI
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * INV_PHI
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def optimal_tau_oracle(mu1, mu2, n, res):
+    """The search one point at a time: a grid scan, first maximum wins,
+    then a golden pass one cell around it, kept only if it is higher."""
+    def f(tau):
+        return closed_rate(mu1, mu2, n, float(tau))
+
+    taus = np.arange(0.0, 1.0, res)
+    values = [f(t) for t in taus]
+    best = int(np.argmax(values))
+    tau_star, achieved = float(taus[best]), values[best]
+    lo = max(0.0, tau_star - res)
+    hi = min(1.0 - REFINE_TOL, tau_star + res)
+    if hi > lo:
+        x, fx = golden_max_oracle(f, lo, hi, REFINE_TOL)
+        if fx > achieved:
+            tau_star, achieved = x, fx
+    return tau_star, achieved
 
 
 class TestOptimalTau:
@@ -49,7 +95,116 @@ class TestOptimalTau:
     def test_result_fields(self):
         res = D.optimal_tau(LINK, 10, grid_resolution=1e-3)
         assert 0.0 <= res.tau_star < 1.0
-        assert res.grid_resolution == 1e-3
+        assert isinstance(res.tau_star, float)
+        assert isinstance(res.achieved_throughput, float)
+
+
+def _gain_pairs():
+    rng = np.random.default_rng(20240605)
+    ordinary = 10.0 ** rng.uniform(-2.0, 2.0, size=(20, 2))
+    return ([tuple(g) for g in DEFAULT_SPEC["gains"]]
+            + [(float(a), float(b)) for a, b in ordinary])
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("mu1,mu2", _gain_pairs())
+    def test_ladder_equals_per_n_calls(self, mu1, mu2):
+        link = M.LinkConfig.from_gains(mu1, mu2)
+        batch = D.optimal_tau(link, N_LADDER)
+        assert batch.tau_star.shape == batch.achieved_throughput.shape == (10,)
+        for i, n in enumerate(N_LADDER):
+            one = D.optimal_tau(link, int(n))
+            assert batch.tau_star[i] == one.tau_star
+            assert batch.achieved_throughput[i] == one.achieved_throughput
+
+    @pytest.mark.parametrize("mu1,mu2", [(1.0, 0.5), (0.02, 30.0), (80.0, 60.0)])
+    def test_equals_one_point_oracle(self, mu1, mu2):
+        n_values = np.array([1, 2, 3, 7, 40])
+        res = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), n_values,
+                            grid_resolution=5e-3)
+        for i, n in enumerate(n_values):
+            tau_star, achieved = optimal_tau_oracle(mu1, mu2, int(n), 5e-3)
+            assert res.tau_star[i] == tau_star
+            assert res.achieved_throughput[i] == achieved
+
+    @pytest.mark.parametrize("entries", [1, 7, 333])
+    @pytest.mark.parametrize("use_asymptotic", [False, True])
+    def test_blocked_scan_equals_one_block(self, monkeypatch, entries,
+                                           use_asymptotic):
+        whole = D.optimal_tau(LINK, N_LADDER, use_asymptotic=use_asymptotic)
+        monkeypatch.setattr(D, "_GRID_ENTRIES", entries)
+        blocked = D.optimal_tau(LINK, N_LADDER, use_asymptotic=use_asymptotic)
+        assert np.array_equal(blocked.tau_star, whole.tau_star)
+        assert np.array_equal(blocked.achieved_throughput,
+                              whole.achieved_throughput)
+
+    @pytest.mark.parametrize("entries", [1, 7, 1 << 16])
+    def test_plateau_keeps_the_smallest_tau(self, monkeypatch, entries):
+        def flat(mu1, mu2, n, tau):
+            return np.ones(np.broadcast_shapes(np.shape(n), np.shape(tau)))
+
+        monkeypatch.setattr(D, "closed_rate", flat)
+        monkeypatch.setattr(D, "_GRID_ENTRIES", entries)
+        res = D.optimal_tau(LINK, N_LADDER)
+        assert np.all(res.tau_star == 0.0)
+        assert np.all(res.achieved_throughput == 1.0)
+
+    def test_asymptotic_rows_agree(self):
+        res = D.optimal_tau(LINK, np.array([1, 10, 100]), use_asymptotic=True)
+        assert np.all(res.tau_star == res.tau_star[0])
+        assert abs(res.tau_star[0] - 0.5) <= 1e-6
+        assert res.tau_star[0] == D.optimal_tau(LINK, 7, use_asymptotic=True).tau_star
+
+    def test_bad_frame_lengths_rejected(self):
+        with pytest.raises(M.DomainError):
+            D.optimal_tau(LINK, np.array([[1, 2]]))
+        with pytest.raises(M.DomainError):
+            D.optimal_tau(LINK, np.array([4, 0]))
+
+    @pytest.mark.parametrize("mu1,mu2", [
+        (1e-300, 0.7), (3.0, 1e-300), (1e-300, 1e-300), (1e300, 1e300),
+        (1e-300, 1e300), (1e300, 1e-300)])
+    def test_non_finite_gains_raise_by_name(self, mu1, mu2):
+        link = M.LinkConfig.from_gains(mu1, mu2)
+        for n in (10, N_LADDER):
+            with pytest.raises(M.DomainError,
+                               match=r"mu1=.*, mu2=.*, n=\d+, tau="):
+                D.optimal_tau(link, n)
+
+    @pytest.mark.parametrize("mu1,mu2", [(1e300, 0.03), (50.0, 1e300)])
+    def test_one_huge_gain_stays_finite(self, mu1, mu2):
+        res = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), N_LADDER)
+        assert np.all(np.isfinite(res.achieved_throughput))
+        assert np.all((0.0 <= res.tau_star) & (res.tau_star < 1.0))
+
+
+class TestLockstepGolden:
+    # brackets as the search builds them, two clipped at 0 and two at
+    # 1 - 1e-6, plus an empty-width one that never opens
+    LO = np.array([0.0, 0.0, 0.399, 0.123, 0.998, 0.9989, 0.5])
+    HI = np.array([0.002, 0.001, 0.401, 0.125, 1.0 - 1e-6, 1.0 - 1e-6, 0.5])
+
+    @pytest.mark.parametrize("shape", ["closed", "rising", "falling", "flat"])
+    def test_rows_follow_the_one_row_search(self, shape):
+        ns = np.array([1, 3, 20, 500, 2, 1000, 7])
+        mu1, mu2 = 1.3, 0.4
+
+        def one(i, tau):
+            if shape == "closed":
+                return closed_rate(mu1, mu2, ns[i], tau)
+            return {"rising": tau, "falling": -tau, "flat": 0.0}[shape]
+
+        def rows(idx, tau):
+            if shape == "closed":
+                return closed_rate(mu1, mu2, ns[idx], tau)
+            return {"rising": tau.copy(), "falling": -tau,
+                    "flat": np.zeros_like(tau)}[shape]
+
+        x, fx = D._golden_max(rows, self.LO, self.HI, REFINE_TOL)
+        for i in range(len(ns)):
+            want = golden_max_oracle(lambda t: one(i, t), self.LO[i],
+                                     self.HI[i], REFINE_TOL)
+            assert (x[i], fx[i]) == want
 
 
 class TestFullPower:
@@ -95,3 +250,14 @@ class TestFullPower:
         rep = D.verify_full_power([0.5, 1.0], [0.25, 0.5, 1.0], 1.0, 1.0,
                                   M.FrameConfig(3, 0.25))
         assert rep.throughput.shape == (2, 3)
+
+    def test_bracket_exactly_tol_wide_stays_closed(self):
+        lo, hi = np.array([0.25, 0.0]), np.array([0.5, 0.75])
+
+        def f(tau):
+            return -abs(tau - 0.3)
+
+        x, fx = D._golden_max(lambda rows, tau: -np.abs(tau - 0.3), lo, hi, 0.25)
+        for i in range(2):
+            assert (x[i], fx[i]) == golden_max_oracle(f, lo[i], hi[i], 0.25)
+        assert x[0] == 0.375

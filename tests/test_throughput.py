@@ -114,6 +114,113 @@ class TestClosedForm:
         assert abs(val - T.throughput_asymptotic(1.0, 0.5, 0.5)) < 1e-3
 
 
+def closed_math_oracle(mu1, mu2, n, tau):
+    """The closed form one point at a time in math-module floats, as it
+    was computed before the kernel went to numpy.  Returns the rate and
+    the largest magnitude among the terms it adds up."""
+    if tau == 0.0:
+        rate = math.log2(1.0 + mu1 + mu2)
+        return rate, abs(rate)
+    s0 = 1.0 / mu1 + 1.0 / mu2 + 1.0 / (mu1 * mu2)
+    g = 2.0 * tau * (1.0 - tau)
+    gap = math.sqrt(s0 * (s0 + 2.0 * g))
+    r1 = 0.5 * ((s0 + g) + gap)
+    r2 = (tau * (1.0 - tau)) ** 2 / r1
+    qn = (r2 / r1) ** n
+    corr = math.log2((r1 - r2 * qn + tau * tau * (1.0 - qn)) / gap)
+    logs = (math.log2(mu1), math.log2(mu2), math.log2(r1))
+    rate = (n * (logs[0] + logs[1] + logs[2]) + corr) / (n + tau)
+    return rate, max(abs(v) for v in (*logs, corr, rate))
+
+
+# one gain pair per extreme class whose closed form is not finite on the
+# tau grid; a single gain at 1e300 with an ordinary partner stays finite
+NON_FINITE_GAINS = [(1e-300, 0.7), (3.0, 1e-300), (1e-300, 1e-300),
+                    (1e300, 1e300), (1e-300, 1e300), (1e300, 1e-300)]
+
+
+class TestClosedKernel:
+    def test_within_4_ulp_of_math_oracle(self):
+        # numpy's log2 and pow may round differently from libm's in the
+        # last place; where the logs cancel, an ulp of the largest term is
+        # many ulps of the result, so that term sets the yardstick
+        rng = np.random.default_rng(11)
+        size = 20000
+        mu1 = 10.0 ** rng.uniform(-2.0, 2.0, size)
+        mu2 = 10.0 ** rng.uniform(-2.0, 2.0, size)
+        n = rng.integers(1, 3000, size)
+        tau = rng.uniform(0.0, 1.0, size)
+        tau[::50] = 0.0
+        got = T.closed_rate(mu1, mu2, n, tau)
+        want = [closed_math_oracle(*p) for p in
+                zip(mu1.tolist(), mu2.tolist(), n.tolist(), tau.tolist())]
+        rate = np.array([w[0] for w in want])
+        scale = np.array([w[1] for w in want])
+        assert np.all(np.abs(got - rate) <= 4.0 * np.spacing(scale))
+
+    def test_tau0_exact_inside_a_batch(self):
+        mu = np.array([1e-300, 0.1, 1.0, 10.0, 1e300])
+        n = np.array([1, 2, 1000])
+        got = T.closed_rate(mu[:, None, None], mu[None, :, None], n, 0.0)
+        for i, a in enumerate(mu):
+            for j, b in enumerate(mu):
+                noma = T.throughput_noma(a, b)
+                assert np.all(got[i, j] == noma)
+                assert T.throughput_asymptotic(a, b, 0.0) == noma
+        asym = T.throughput_asymptotic(mu[:, None], mu[None, :], 0.0)
+        assert np.array_equal(asym, got[:, :, 0])
+
+    def test_batch_equals_one_point_calls(self):
+        rng = np.random.default_rng(3)
+        mu1 = 10.0 ** rng.uniform(-2.0, 2.0, 300)
+        mu2 = 10.0 ** rng.uniform(-2.0, 2.0, 300)
+        n = rng.integers(1, 500, 300)
+        tau = rng.uniform(0.0, 1.0, 300)
+        got = T.closed_rate(mu1, mu2, n, tau)
+        asym = T.throughput_asymptotic(mu1, mu2, tau)
+        for i in range(300):
+            link = M.LinkConfig.from_gains(float(mu1[i]), float(mu2[i]))
+            frame = M.FrameConfig(int(n[i]), float(tau[i]))
+            assert got[i] == T.throughput_closed(link, frame)
+            assert asym[i] == T.throughput_asymptotic(float(mu1[i]), float(mu2[i]),
+                                                      float(tau[i]))
+
+    def test_broadcast_shape_and_one_point_type(self):
+        got = T.closed_rate(np.ones((3, 1, 1)), np.ones((1, 4, 1)),
+                            np.array([1, 5]), 0.25)
+        assert got.shape == (3, 4, 2)
+        assert isinstance(T.throughput_closed(LINK, M.FrameConfig(3, 0.2)), float)
+        assert isinstance(T.throughput_asymptotic(1.0, 0.5, 0.2), float)
+
+    @pytest.mark.parametrize("mu1,mu2", NON_FINITE_GAINS)
+    def test_non_finite_gains_raise_by_name(self, mu1, mu2):
+        link = M.LinkConfig.from_gains(mu1, mu2)
+        for n, tau in ((1, 0.001), (10, 0.5), (1000, 0.5)):
+            with pytest.raises(M.DomainError) as info:
+                T.throughput_closed(link, M.FrameConfig(n, tau))
+            assert (f"closed-form rate is not finite at mu1={mu1!r}, "
+                    f"mu2={mu2!r}, n={n}, tau={tau!r}") == str(info.value)
+
+    def test_batch_names_first_non_finite_point(self):
+        mu1 = np.array([1.0, 2.0, 1e-300])
+        with pytest.raises(M.DomainError,
+                           match=r"at mu1=1e-300, mu2=0.5, n=7, tau=0.25$"):
+            T.closed_rate(mu1[:, None], 0.5, 7, np.array([0.0, 0.25]))
+
+    @pytest.mark.parametrize("mu1,mu2", [(1e300, 1.0), (0.01, 1e300)])
+    def test_one_huge_gain_stays_finite(self, mu1, mu2):
+        link = M.LinkConfig.from_gains(mu1, mu2)
+        for n, tau in ((1, 0.001), (10, 0.5), (1000, 0.5)):
+            assert math.isfinite(T.throughput_closed(link, M.FrameConfig(n, tau)))
+
+    def test_asymptote_non_finite_is_named(self):
+        with pytest.raises(M.DomainError,
+                           match=r"asymptotic rate is not finite at mu1=1e\+300"):
+            T.throughput_asymptotic(1e300, 1e300, 0.5)
+        with pytest.raises(M.DomainError, match=r"got 1.5"):
+            T.throughput_asymptotic(1.0, 1.0, np.array([0.5, 1.5]))
+
+
 class TestRoots:
     def test_tau0_collapses_root(self):
         rp = T.roots(1.0, 0.5, 0.0)
