@@ -10,7 +10,7 @@ from ._bands import BandedMatrix
 from .design import PowerSweepReport, TauSearchResult, optimal_tau, verify_full_power
 from .model import (DomainError, FrameConfig, LinkConfig,
                     RootPair, TimingError, build_correlation,
-                    build_error_matrices, build_gain)
+                    build_error_matrices, build_gain, build_noise_covariance)
 from .throughput import (ThroughputReport, closed_rate, determinant_recursion,
                          determinant_recursion_log2, log2_det_no_error, roots,
                          throughput_asymptotic, throughput_closed,
@@ -31,7 +31,8 @@ __all__ = [
     "LossBreakdown", "NoiseCovarianceReport", "PowerSweepReport", "RootPair",
     "SampleVectors", "SymbolFrame", "TauSearchResult", "ThroughputReport",
     "TimingError", "build_correlation", "build_error_matrices", "build_gain",
-    "closed_rate", "coord_loss_slope", "determinant_recursion", "determinant_recursion_log2",
+    "build_noise_covariance", "closed_rate", "coord_loss_slope",
+    "determinant_recursion", "determinant_recursion_log2",
     "draw_colored_noise", "generate_symbols", "log2_det_no_error",
     "loss_breakdown", "loss_linear_coord", "loss_linear_sync", "loss_ratio",
     "matched_filter_outputs", "model_outputs", "noise_covariance_mc",

@@ -17,8 +17,8 @@ a general banded matrix, and the Takahashi, Fagan & Chin (1973)
 recurrence on a bidiagonal Cholesky factor for the band of a
 tridiagonal inverse.  ``to_dense`` and the banded solves
 ``solve_sym_pd``/``solve_general``, which return dense arrays for dense
-right-hand sides, serve the test oracles and the waveform simulator's
-dense reference; the rate and loss kernels never call them.
+right-hand sides, serve the test oracles and the noise Monte Carlo's
+dense expected covariance; the rate and loss kernels never call them.
 """
 
 from __future__ import annotations

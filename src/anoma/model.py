@@ -215,15 +215,30 @@ def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
     })
 
 
+def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
+    """RhatN = R + E2, the noise covariance when the stream-2 bank is
+    offset by eps2 relative to stream 1.
+
+    The noise sees only the relative offset of the two banks, so eps1
+    plays no part and E1 is never formed.  The super-diagonal alternates
+    (1 - tau) - eps2, tau + eps2: bit for bit R's plus E2's, without
+    forming either.  Admissibility is left to the caller; a 1-D array
+    eps2 gives one matrix per entry.
+    """
+    tau, e2 = frame.tau, np.asarray(eps2, dtype=float)
+    return _symmetric_alternating(2 * frame.n, 1.0, (1.0 - tau) - e2, tau + e2)
+
+
 def build_error_matrices(
     frame: FrameConfig, err: TimingError
 ) -> tuple[BandedMatrix, BandedMatrix, BandedMatrix, BandedMatrix]:
     """Perturbation and perturbed matrices for a mistimed frame.
 
     Returns (E1, E2, Rhat, RhatN) with Rhat = R + E1 (signal mixing) and
-    RhatN = R + E2 (noise covariance).  E1 follows the general unit-step
-    stencil, valid for every sign of eps1 and eps1 + eps2; E2 is the
-    symmetric alternating -1, +1 pattern scaled by eps2.
+    RhatN = R + E2 (noise covariance, from build_noise_covariance).  E1
+    follows the general unit-step stencil, valid for every sign of eps1
+    and eps1 + eps2; E2 is the symmetric alternating -1, +1 pattern
+    scaled by eps2.
     A batched err gives batched matrices, one per point of the flattened
     batch; every point is checked for admissibility first.
     """
@@ -234,7 +249,5 @@ def build_error_matrices(
         e1, e2 = e1.ravel(), e2.ravel()
     e1_mat = _unit_step(n2, e1, e1 + e2)
     e2_mat = _symmetric_alternating(n2, None, -1.0, 1.0).scaled(e2)
-    r = build_correlation(frame)
-    rhat = r + e1_mat
-    rhat_n = r + e2_mat
-    return e1_mat, e2_mat, rhat, rhat_n
+    rhat = build_correlation(frame) + e1_mat
+    return e1_mat, e2_mat, rhat, build_noise_covariance(frame, e2)

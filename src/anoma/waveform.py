@@ -7,13 +7,24 @@ Outputs are therefore computed by closed-form interval intersections --
 no quadrature -- and must reproduce the banded linear model exactly
 (up to float rounding) for every admissible timing offset.
 
+The overlap of window i with the pulse of symbol i + d depends on d but
+not on i.  The simulator takes these overlaps once, in coordinates local
+to the slot, from interval geometry alone (it never reads the model's
+matrices, so it stays an independent check of them), and builds each
+stream with five shifted slice-adds: O(n) time, and rounding that does
+not grow with the slot index.
+
 Noise comes in two flavors that cross-check each other:
 
 * a physics path that integrates sub-grid white noise through both
   filter banks (noise_covariance_mc), used to validate the colored
-  covariance model by Monte Carlo;
+  covariance model by Monte Carlo.  Each run of adjacent sub-grid cells
+  that every filter weights alike is merged into one cell carrying the
+  run's summed variance, which leaves the distribution of the outputs
+  unchanged, and the draws come in batches of bounded size, so memory
+  does not grow with the trial count;
 * a fast path that draws the interleaved noise vector directly from the
-  covariance model via a banded Cholesky factor (used by
+  noise covariance RhatN via a banded Cholesky factor (used by
   matched_filter_outputs when noise is requested).
 
 Symbols outside the frame are zero: a frame carries exactly n symbols
@@ -29,7 +40,11 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    build_error_matrices, build_gain)
+                    build_error_matrices, build_gain, build_noise_covariance)
+
+# random values drawn per batch for each of the real and imaginary parts
+# of the Monte Carlo's white noise: bounds its memory whatever the trials
+_MC_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,9 +117,9 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
 def draw_colored_noise(frame: FrameConfig, eps2: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Interleaved 2n noise vector with the model covariance (fast path)."""
-    _, _, _, rhat_n = build_error_matrices(frame, TimingError(0.0, eps2))
+    TimingError(0.0, eps2).check_admissible(frame)
     try:
-        factor = _bands.cholesky_upper(rhat_n)
+        factor = _bands.cholesky_upper(build_noise_covariance(frame, eps2))
     except np.linalg.LinAlgError:
         raise DomainError(
             f"noise covariance singular at tau={frame.tau}, eps2={eps2}"
@@ -124,10 +139,15 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
     Stream-1 sample i integrates over [i + eps1, i + 1 + eps1]; stream-2
     sample i over the same window shifted by tau + eps2.  Each user-k
     symbol contributes its amplitude times the length of the overlap
-    between its pulse support and the window.
+    between its pulse support and the window.  For symbol i + d that
+    length is taken in slot-local coordinates: window [off, 1 + off]
+    against pulse [d, d + 1] (user 1) or [d + tau, d + 1 + tau] (user 2);
+    only d = -2..2 can overlap.
     """
     err = TimingError() if err is None else err
     err.check_admissible(frame)
+    if np.ndim(err.eps1) or np.ndim(err.eps2):
+        raise DomainError("the simulator takes one timing point, not a batch")
     if symbols.n != frame.n:
         raise DomainError(
             f"frame carries {frame.n} symbols but got {symbols.n}")
@@ -135,24 +155,20 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
     a1 = link.h1 * math.sqrt(link.p1) * symbols.s1
     a2 = link.h2 * math.sqrt(link.p2) * symbols.s2
 
-    off1 = err.eps1
-    off2 = tau + err.eps1 + err.eps2
+    off1 = float(err.eps1)
+    off2 = tau + off1 + float(err.eps2)
     y1 = np.zeros(n, dtype=complex)
     y2 = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for k in range(max(0, i - 2), min(n, i + 3)):
-            w = _overlap(i + off1, i + 1 + off1, k, k + 1)
-            if w:
-                y1[i] += a1[k] * w
-            w = _overlap(i + off1, i + 1 + off1, k + tau, k + 1 + tau)
-            if w:
-                y1[i] += a2[k] * w
-            w = _overlap(i + off2, i + 1 + off2, k + tau, k + 1 + tau)
-            if w:
-                y2[i] += a2[k] * w
-            w = _overlap(i + off2, i + 1 + off2, k, k + 1)
-            if w:
-                y2[i] += a1[k] * w
+    for d in range(-2, 3):
+        # samples lo..hi-1 see symbols lo+d..hi+d-1
+        lo, hi = max(0, -d), min(n, n - d)
+        if lo >= hi:
+            continue
+        s1, s2 = a1[lo + d: hi + d], a2[lo + d: hi + d]
+        y1[lo:hi] += (_overlap(off1, 1 + off1, d, d + 1) * s1
+                      + _overlap(off1, 1 + off1, d + tau, d + 1 + tau) * s2)
+        y2[lo:hi] += (_overlap(off2, 1 + off2, d + tau, d + 1 + tau) * s2
+                      + _overlap(off2, 1 + off2, d, d + 1) * s1)
 
     if not noiseless:
         rng = np.random.default_rng() if rng is None else rng
@@ -164,14 +180,53 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
 
 def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
                   err: TimingError | None = None) -> np.ndarray:
-    """Interleaved noiseless outputs predicted by the banded linear model."""
+    """Interleaved noiseless outputs predicted by the banded linear model,
+    Rhat (h * x), formed from Rhat's row-aligned diagonals in O(n)."""
     err = TimingError() if err is None else err
     _, _, rhat, _ = build_error_matrices(frame, err)
-    x = np.empty(2 * frame.n, dtype=complex)
+    n2 = 2 * frame.n
+    x = np.empty(n2, dtype=complex)
     x[0::2] = symbols.s1
     x[1::2] = symbols.s2
     hx = build_gain(link, frame.n) * x
-    return rhat.to_dense() @ hx
+    out = np.zeros(rhat.batch_shape + (n2,), dtype=complex)
+    for k, v in rhat.diags.items():
+        # out[i] += Rhat[i, i + k] * hx[i + k]
+        lo, hi = max(0, -k), min(n2, n2 - k)
+        out[..., lo:hi] += v[..., lo:hi] * hx[lo + k: hi + k]
+    return out
+
+
+def _subgrid_weights(frame: FrameConfig, eps2: float,
+                     subsamples: int) -> np.ndarray:
+    """Filter weights W on the Monte Carlo sub-grid, ``(2n, k)``.
+
+    The grid has ``subsamples`` cells per symbol interval and covers
+    [0, n + 1); row 2i (2i + 1) holds each cell's overlap with the
+    stream-1 (stream-2) window of slot i.
+    """
+    n, tau = frame.n, frame.tau
+    dt = 1.0 / subsamples
+    edges = np.arange((n + 1) * subsamples) * dt
+    slots = np.arange(n)
+    lo = np.column_stack((slots, slots + tau + eps2)).ravel()[:, None]
+    hi = np.column_stack((slots + 1, slots + 1 + tau + eps2)).ravel()[:, None]
+    w = np.minimum(hi, edges + dt) - np.maximum(lo, edges)
+    return np.clip(w, 0.0, None)
+
+
+def _merge_equal_runs(weights: np.ndarray) -> np.ndarray:
+    """Each run of equal adjacent columns as one column times sqrt(run length).
+
+    The white noise of a run's cells enters every output with the same
+    weights, so its sum is one Gaussian with run-length times the
+    variance: the merged columns give outputs of exactly the same
+    distribution, and W W^T is unchanged.
+    """
+    change = np.any(weights[:, 1:] != weights[:, :-1], axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    counts = np.diff(np.append(starts, weights.shape[1]))
+    return weights[:, starts] * np.sqrt(counts)
 
 
 def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
@@ -183,45 +238,31 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     per symbol interval with per-sample variance 1/dt; each matched
     filter weights a sub-interval by its exact overlap with the
     integration window, so grid-aligned windows incur no bias at all and
-    misaligned ones at most O(1/subsamples) on same-bank entries.
+    misaligned ones at most O(1/subsamples) on same-bank entries.  Runs
+    of cells with equal weights are drawn as one cell (see
+    _merge_equal_runs), and at most _MC_BATCH_VALUES values are drawn
+    per batch.
     """
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a meaningful estimate")
     if not (0.0 < frame.tau + eps2 < 1.0):
         raise DomainError(
             f"noise model needs tau + eps2 in (0, 1), got {frame.tau + eps2}")
-    n, tau = frame.n, frame.tau
-    n2 = 2 * n
-    dt = 1.0 / subsamples
-    k_total = (n + 1) * subsamples  # sub-grid covers [0, n + 1)
-
-    edges = np.arange(k_total) * dt
-    weights = np.zeros((n2, k_total))
-    for i in range(n):
-        lo1, hi1 = float(i), float(i + 1)
-        lo2, hi2 = i + tau + eps2, i + 1 + tau + eps2
-        w1 = np.minimum(hi1, edges + dt) - np.maximum(lo1, edges)
-        w2 = np.minimum(hi2, edges + dt) - np.maximum(lo2, edges)
-        weights[2 * i] = np.clip(w1, 0.0, None)
-        weights[2 * i + 1] = np.clip(w2, 0.0, None)
-
+    wt = _merge_equal_runs(_subgrid_weights(frame, eps2, subsamples)).T
+    cells, n2 = wt.shape
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(subsamples / 2.0)
     cov = np.zeros((n2, n2), dtype=complex)
-    done = 0
-    batch = max(1, min(20_000, trials))
-    wt = weights.T
-    while done < trials:
-        b = min(batch, trials - done)
-        noise = sigma * (rng.standard_normal((b, k_total))
-                         + 1j * rng.standard_normal((b, k_total)))
-        y = noise @ wt
+    batch = max(1, _MC_BATCH_VALUES // cells)
+    for start in range(0, trials, batch):
+        b = min(batch, trials - start)
+        # unit-variance real and imaginary parts; sub-grid noise has
+        # per-part variance subsamples / 2, applied once at the end
+        y = (rng.standard_normal((b, cells)) @ wt
+             + 1j * (rng.standard_normal((b, cells)) @ wt))
         cov += y.T @ y.conj()
-        done += b
-    cov /= trials
+    cov *= subsamples / (2.0 * trials)
 
-    _, _, _, rhat_n = build_error_matrices(frame, TimingError(0.0, eps2))
-    expected = rhat_n.to_dense()
+    expected = build_noise_covariance(frame, eps2).to_dense()
     dev = float(np.max(np.abs(cov - expected)))
     stat_bound = 3.0 / math.sqrt(trials)
     return NoiseCovarianceReport(

@@ -228,6 +228,18 @@ class TestErrorMatrices:
             assert np.array_equal(batch[2].to_dense()[b],
                                   rhat_from_display(n, tau, e1, e2))
 
+    @pytest.mark.parametrize("eps2", [0.0, 0.07, -0.3,
+                                      np.array([0.05, -0.1, 0.2])])
+    def test_noise_covariance_is_r_plus_e2(self, eps2):
+        frame = M.FrameConfig(3, 0.4)
+        _, e2m, _, rhat_n = M.build_error_matrices(
+            frame, M.TimingError(np.zeros_like(eps2), eps2))
+        alone = M.build_noise_covariance(frame, eps2)
+        for ref in (rhat_n, M.build_correlation(frame) + e2m):
+            assert alone.diags.keys() == ref.diags.keys()
+            for k, v in ref.diags.items():
+                assert np.array_equal(alone.diags[k], v)
+
     def test_inadmissible_error_raises(self):
         with pytest.raises(M.DomainError):
             M.build_error_matrices(M.FrameConfig(2, 0.5), M.TimingError(0.7, 0.0))

@@ -1,6 +1,7 @@
 """Waveform simulator: overlap integrals, symbols, noise coloring."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,43 @@ from anoma import model as M
 from anoma import waveform as W
 
 UNIT_LINK = M.LinkConfig(p1=1.0, p2=1.0)
+
+
+def _loop_reference(symbols, link, frame, err):
+    """The per-sample double loop over global window positions: window i
+    is [i + off, i + 1 + off] against pulse [k, k + 1] or [k + tau, ...]."""
+    n, tau = frame.n, frame.tau
+    a1 = link.h1 * math.sqrt(link.p1) * symbols.s1
+    a2 = link.h2 * math.sqrt(link.p2) * symbols.s2
+    off1, off2 = err.eps1, tau + err.eps1 + err.eps2
+    y1 = np.zeros(n, dtype=complex)
+    y2 = np.zeros(n, dtype=complex)
+    for i in range(n):
+        for k in range(max(0, i - 2), min(n, i + 3)):
+            y1[i] += a1[k] * W._overlap(i + off1, i + 1 + off1, k, k + 1)
+            y1[i] += a2[k] * W._overlap(i + off1, i + 1 + off1,
+                                        k + tau, k + 1 + tau)
+            y2[i] += a2[k] * W._overlap(i + off2, i + 1 + off2,
+                                        k + tau, k + 1 + tau)
+            y2[i] += a1[k] * W._overlap(i + off2, i + 1 + off2, k, k + 1)
+    return W.SampleVectors(y1, y2).interleaved()
+
+
+def _random_point(rng, n, s1, s2):
+    """Random symbols, link and tau in [0.25, 0.75], with eps1 of sign s1
+    and eps1 + eps2 of sign s2 (magnitudes up to 0.1)."""
+    sym = W.generate_symbols(n, "gaussian", seed=int(rng.integers(0, 2 ** 31)))
+    link = M.LinkConfig(p1=float(rng.uniform(0.2, 3.0)),
+                        p2=float(rng.uniform(0.2, 3.0)),
+                        h1=complex(*rng.normal(size=2)),
+                        h2=complex(*rng.normal(size=2)))
+    frame = M.FrameConfig(n, float(rng.uniform(0.25, 0.75)))
+    eps1 = s1 * float(rng.uniform(0.01, 0.1))
+    err = M.TimingError(eps1, s2 * float(rng.uniform(0.01, 0.1)) - eps1)
+    return sym, link, frame, err
+
+
+SIGN_BRANCHES = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
 
 class TestGenerateSymbols:
@@ -75,6 +113,41 @@ class TestMatchedFilterOutputs:
         with pytest.raises(M.DomainError):
             W.matched_filter_outputs(sym, UNIT_LINK, M.FrameConfig(5, 0.3))
 
+    @pytest.mark.parametrize("s1,s2", SIGN_BRANCHES)
+    def test_slice_adds_match_the_loop_reference(self, s1, s2):
+        # the loop places windows at global i + off, which rounds at
+        # about ulp(n) ~ 1e-14 here: the two agree to that, not to bits
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 40):
+            point = _random_point(rng, n, s1, s2)
+            got = W.matched_filter_outputs(*point).interleaved()
+            assert np.max(np.abs(got - _loop_reference(*point))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    @pytest.mark.parametrize("s1,s2", SIGN_BRANCHES)
+    def test_long_frame_matches_linear_model(self, n, s1, s2):
+        point = _random_point(np.random.default_rng(n), n, s1, s2)
+        got = W.matched_filter_outputs(*point).interleaved()
+        assert np.max(np.abs(got - W.model_outputs(*point))) <= 1e-12
+
+    def test_simulator_never_reads_the_model_matrices(self, monkeypatch):
+        point = _random_point(np.random.default_rng(4), 50, -1.0, 1.0)
+        before = W.matched_filter_outputs(*point).interleaved()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the simulator consulted the model")
+
+        monkeypatch.setattr(W, "build_error_matrices", forbidden)
+        monkeypatch.setattr(M, "_unit_step", forbidden)
+        after = W.matched_filter_outputs(*point).interleaved()
+        assert np.array_equal(before, after)
+
+    def test_batched_timing_error_rejected(self):
+        sym = W.generate_symbols(3, "qpsk", seed=0)
+        err = M.TimingError(np.array([0.01, 0.02]), 0.0)
+        with pytest.raises(M.DomainError):
+            W.matched_filter_outputs(sym, UNIT_LINK, M.FrameConfig(3, 0.5), err)
+
     def test_noisy_path_reproducible_per_seed(self):
         sym = W.generate_symbols(6, "qpsk", seed=1)
         frame = M.FrameConfig(6, 0.5)
@@ -85,6 +158,19 @@ class TestMatchedFilterOutputs:
         assert np.array_equal(a.y1, b.y1)
         assert not np.allclose(a.y1, W.matched_filter_outputs(
             sym, UNIT_LINK, frame).y1)
+
+
+class TestModelOutputs:
+    @pytest.mark.parametrize("s1,s2", SIGN_BRANCHES)
+    def test_diagonal_adds_match_dense_product(self, s1, s2):
+        sym, link, frame, err = _random_point(np.random.default_rng(3), 7,
+                                              s1, s2)
+        rhat = M.build_error_matrices(frame, err)[2].to_dense()
+        x = np.empty(14, dtype=complex)
+        x[0::2], x[1::2] = sym.s1, sym.s2
+        dense = rhat @ (M.build_gain(link, 7) * x)
+        got = W.model_outputs(sym, link, frame, err)
+        assert np.max(np.abs(got - dense)) <= 1e-14
 
 
 class TestNoiseCovariance:
@@ -135,3 +221,44 @@ class TestNoiseCovariance:
         emp = draws.T @ draws.conj() / len(draws)
         expect = M.build_error_matrices(frame, M.TimingError(0.0, 0.05))[3].to_dense()
         assert np.max(np.abs(emp - expect)) <= 0.03
+
+    def test_draw_rejects_inadmissible_coordination_offset(self):
+        with pytest.raises(M.DomainError):
+            W.draw_colored_noise(M.FrameConfig(2, 0.5), 0.6,
+                                 np.random.default_rng(0))
+
+
+class TestGroupedMonteCarlo:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("eps2", [0.0, 0.05])
+    def test_merged_weights_keep_the_gram_matrix(self, n, eps2):
+        w = W._subgrid_weights(M.FrameConfig(n, 0.5), eps2, 64)
+        merged = W._merge_equal_runs(w)
+        assert merged.shape[1] < w.shape[1]
+        assert np.max(np.abs(merged @ merged.T - w @ w.T)) <= 1e-15
+
+    @pytest.mark.parametrize("eps2,cells", [(0.0, 6), (0.05, 9)])
+    def test_merged_cell_count(self, eps2, cells):
+        w = W._subgrid_weights(M.FrameConfig(2, 0.5), eps2, 64)
+        assert w.shape == (4, 192)
+        assert W._merge_equal_runs(w).shape == (4, cells)
+
+    def test_expectation_is_the_scaled_gram_matrix(self):
+        # E[cov] = subsamples * W W^T, which equals RhatN on grid-aligned
+        # windows (tau + eps2 = 40/64)
+        frame = M.FrameConfig(2, 0.5)
+        w = W._subgrid_weights(frame, 8 / 64, 64)
+        expected = M.build_noise_covariance(frame, 8 / 64).to_dense()
+        assert np.max(np.abs(64 * w @ w.T - expected)) <= 1e-14
+
+    def test_memory_does_not_grow_with_trials(self):
+        frame = M.FrameConfig(2, 0.5)
+        peaks = []
+        for trials in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                W.noise_covariance_mc(frame, eps2=0.05, trials=trials, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
