@@ -1,29 +1,35 @@
 """Small banded-matrix kernel used by the model and throughput code.
 
-A matrix is stored as a dict of diagonals keyed by offset ``k``
-(``k > 0`` super-diagonal, ``k < 0`` sub-diagonal).  Diagonal arrays are
-row-aligned and padded to full length ``n``::
+A square matrix with ``lower`` sub- and ``upper`` super-diagonals is one
+array ``ab`` of shape ``(..., lower + upper + 1, n)`` in LAPACK's general
+band layout::
 
-    diags[k][..., i] == A[..., i, i + k]      (slots outside the band hold 0.0)
+    ab[..., upper + i - j, j] == A[..., i, j]
 
-A diagonal may carry a leading batch axis, so one object holds a whole
-sweep of same-size matrices and the algebra and the Cholesky log-det
-run once per batch instead of once per matrix.
+so row ``upper - k`` holds diagonal ``k`` (``k > 0`` above the main
+diagonal), indexed by column; the slots of a row that fall outside the
+matrix hold zero.  Leading axes are a batch: one object holds a whole
+sweep of same-size matrices, and the algebra and the Cholesky log-det
+run once per batch.  The factorizations read this array as it is:
+Cholesky (``pbtrf``) its first ``upper + 1`` rows, LU (``gbtrf``) the
+whole array below ``lower`` rows of fill-in space.
 
-Everything here is O(bandwidth * n) in time and memory.  Factorizations
-are delegated to LAPACK's banded drivers: Cholesky (``pbtrf``) for the
-symmetric positive definite log-dets, LU (``gbtrf``) for the log-det of
-a general banded matrix, and the Takahashi, Fagan & Chin (1973)
-recurrence on a bidiagonal Cholesky factor for the band of a
-tridiagonal inverse.  ``to_dense`` and the banded solves
-``solve_sym_pd``/``solve_general``, which return dense arrays for dense
-right-hand sides, serve the test oracles and the noise Monte Carlo's
-dense expected covariance; the rate and loss kernels never call them.
+Summation order: a diagonal of a product ``A @ B`` sums its terms over
+A's offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``).  A sum's
+bits depend on its order, so this order fixes the bits of every rate
+and loss computed from a product.
+
+Everything here is O(bandwidth * n) in time and memory.  The band of a
+tridiagonal inverse comes from the Takahashi, Fagan & Chin (1973)
+recurrence on its bidiagonal Cholesky factor.  ``to_dense`` and the
+banded solves, which return dense arrays, serve the test oracles and
+the noise Monte Carlo's expected covariance, never the rate and loss
+kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -47,165 +53,139 @@ class NotPositiveDefinite(np.linalg.LinAlgError):
         self.index = index
 
 
+def _shifted(v: np.ndarray, k: int) -> np.ndarray:
+    """out[..., j] = v[..., j + k] along the last axis, zero where j + k
+    falls outside it."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape, dtype=v.dtype)
+    out[..., max(-k, 0): n - max(k, 0)] = v[..., max(k, 0): n - max(-k, 0)]
+    return out
+
+
 @dataclass(frozen=True)
 class BandedMatrix:
-    """Square banded matrix, or a batch of them, in row-aligned storage.
+    """Square banded matrix, or a batch of them, in LAPACK band layout.
 
-    A diagonal has shape ``(n,)`` or ``(B, n)``; the two may mix in one
-    matrix, and broadcast as numpy arrays do, so every operation below
-    acts on each matrix of a batch exactly as on a single matrix.
+    Operands of different batch shapes broadcast as numpy arrays do, so
+    every operation below acts on each matrix of a batch exactly as on a
+    single matrix.  The array is taken as it is, not copied.
     """
 
-    n: int
-    diags: dict[int, np.ndarray] = field(default_factory=dict)
+    ab: np.ndarray
+    lower: int
+    upper: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        clean: dict[int, np.ndarray] = {}
-        for k, v in self.diags.items():
-            if abs(k) >= self.n:
-                continue
-            arr = np.array(v, dtype=float)
-            if arr.ndim not in (1, 2) or arr.shape[-1] != self.n:
-                raise ValueError(
-                    f"diagonal {k} must have shape ({self.n},) or (B, {self.n})")
-            # zero the slots that fall outside the matrix
-            if k > 0:
-                arr[..., self.n - k:] = 0.0
-            elif k < 0:
-                arr[..., :-k] = 0.0
-            clean[k] = arr
-        object.__setattr__(self, "diags", clean)
+        if self.ab.shape[-2:-1] != (self.lower + self.upper + 1,):
+            raise ValueError(f"band array {self.ab.shape} for bandwidths "
+                             f"({self.lower}, {self.upper})")
 
     @property
-    def lower(self) -> int:
-        return max((-k for k in self.diags if k < 0), default=0)
-
-    @property
-    def upper(self) -> int:
-        return max((k for k in self.diags if k > 0), default=0)
+    def n(self) -> int:
+        return self.ab.shape[-1]
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
         """``()`` for a single matrix, ``(B,)`` for a batch of B."""
-        return max((v.shape[:-1] for v in self.diags.values()), key=len,
-                   default=())
+        return self.ab.shape[:-2]
+
+    @property
+    def offsets(self) -> list[int]:
+        """Diagonal offsets in summation order: 0, +1, -1, +2, -2, ..."""
+        return sorted(range(-self.lower, self.upper + 1),
+                      key=lambda k: (abs(k), -k))
 
     def diag(self, k: int) -> np.ndarray:
-        """Row-aligned diagonal at offset k (zeros if absent)."""
-        if k in self.diags:
-            return self.diags[k].copy()
-        return np.zeros(self.batch_shape + (self.n,))
+        """Diagonal k row-aligned, ``v[..., i] == A[..., i, i + k]``."""
+        if not -self.lower <= k <= self.upper:
+            return np.zeros(self.batch_shape + (self.n,))
+        return _shifted(self.ab[..., self.upper - k, :], k)
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros(self.batch_shape + (self.n, self.n))
-        for k, v in self.diags.items():
-            i0, i1 = max(0, -k), min(self.n, self.n - k)
-            rows = np.arange(i0, i1)
-            a[..., rows, rows + k] = v[..., i0:i1]
+        n = self.n
+        a = np.zeros(self.batch_shape + (n, n))
+        for k in range(-self.lower, self.upper + 1):
+            cols = np.arange(max(k, 0), n + min(k, 0))
+            a[..., cols - k, cols] = self.ab[..., self.upper - k, cols]
         return a
+
+    def _padded(self, lower: int, upper: int) -> np.ndarray:
+        """ab widened with zero diagonals to the given bandwidths."""
+        if (lower, upper) == (self.lower, self.upper):
+            return self.ab
+        ab = np.zeros(self.batch_shape + (lower + upper + 1, self.n))
+        ab[..., upper - self.upper: upper + self.lower + 1, :] = self.ab
+        return ab
+
+    def _combine(self, other: "BandedMatrix", op) -> "BandedMatrix":
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        lower = max(self.lower, other.lower)
+        upper = max(self.upper, other.upper)
+        return BandedMatrix(op(self._padded(lower, upper),
+                               other._padded(lower, upper)), lower, upper)
+
+    def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "BandedMatrix") -> "BandedMatrix":
+        return self._combine(other, np.subtract)
 
     @property
     def T(self) -> "BandedMatrix":
-        out: dict[int, np.ndarray] = {}
-        for k, v in self.diags.items():
-            # A^T[i, i - k] = A[i - k + k, ...]; row-align by shifting
-            w = np.zeros(v.shape)
-            i0, i1 = max(0, -k), min(self.n, self.n - k)
-            w[..., i0 + k: i1 + k] = v[..., i0:i1]
-            out[-k] = w
-        return BandedMatrix(self.n, out)
-
-    def _combine(self, other: "BandedMatrix", sign: float) -> "BandedMatrix":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        out = {k: v.copy() for k, v in self.diags.items()}
-        for k, v in other.diags.items():
-            if k in out:
-                out[k] = out[k] + sign * v
-            else:
-                out[k] = sign * v
-        return BandedMatrix(self.n, out)
-
-    def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "BandedMatrix") -> "BandedMatrix":
-        return self._combine(other, -1.0)
+        # A[i, i + k] at column i + k becomes A^T[i + k, i] at column i
+        ab = np.empty(self.ab.shape)
+        for k in range(-self.lower, self.upper + 1):
+            ab[..., self.lower + k, :] = _shifted(self.ab[..., self.upper - k, :], k)
+        return BandedMatrix(ab, self.upper, self.lower)
 
     def scaled(self, c) -> "BandedMatrix":
         """c * A; an array c of shape (B,) scales matrix b of a batch by c[b]."""
-        c = np.asarray(c, dtype=float)[..., None]
-        return BandedMatrix(self.n, {k: c * v for k, v in self.diags.items()})
+        c = np.asarray(c, dtype=float)[..., None, None]
+        return BandedMatrix(c * self.ab, self.lower, self.upper)
 
     def row_scaled(self, d: np.ndarray) -> "BandedMatrix":
-        """diag(d) @ A."""
-        return BandedMatrix(self.n, {k: d * v for k, v in self.diags.items()})
+        """diag(d) @ A: entry (i, i + k), at column i + k, picks up d[i]."""
+        rows = np.stack([_shifted(d, -k) for k in
+                         range(self.upper, -self.lower - 1, -1)], axis=-2)
+        return BandedMatrix(rows * self.ab, self.lower, self.upper)
 
     def col_scaled(self, d: np.ndarray) -> "BandedMatrix":
-        """A @ diag(d): entry (i, i+k) picks up d[i+k]."""
-        out = {}
-        for k, v in self.diags.items():
-            # d shifted onto row alignment; out-of-band slots of v are 0
-            dk = np.zeros(d.shape)
-            i0, i1 = max(0, -k), min(self.n, self.n - k)
-            dk[..., i0:i1] = d[..., i0 + k: i1 + k]
-            out[k] = v * dk
-        return BandedMatrix(self.n, out)
+        """A @ diag(d): every entry of column j picks up d[j]."""
+        return BandedMatrix(self.ab * d[..., None, :], self.lower, self.upper)
 
     def matmul(self, other: "BandedMatrix",
                upper_only: bool = False) -> "BandedMatrix":
         """Banded product; result bandwidths add.
 
-        With upper_only, only the diagonals k >= 0 are formed, each in
-        the same order as in the full product: for a product known to be
-        symmetric that is all a Cholesky reads.
+        Each diagonal of the product sums its terms over this matrix's
+        offsets in the order ``self.offsets``.  With upper_only, only the
+        diagonals k >= 0 are formed, each summed as in the full product:
+        for a product known to be symmetric that is all a Cholesky reads.
         """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         n = self.n
-        shape = max(self.batch_shape, other.batch_shape, key=len) + (n,)
-        out: dict[int, np.ndarray] = {}
-        for ka, va in self.diags.items():
-            for kb, vb in other.diags.items():
+        lower = 0 if upper_only else min(self.lower + other.lower, n - 1)
+        upper = min(self.upper + other.upper, n - 1)
+        shape = np.broadcast_shapes(self.batch_shape, other.batch_shape)
+        ab = np.zeros(shape + (lower + upper + 1, n))
+        for ka in self.offsets:
+            for kb in range(-other.lower, other.upper + 1):
                 kc = ka + kb
-                if abs(kc) >= n or (upper_only and kc < 0):
+                if not -lower <= kc <= upper:
                     continue
-                # C[i, i+kc] += A[i, i+ka] * B[i+ka, i+ka+kb]
-                i0 = max(0, -ka, -kc)
-                i1 = min(n, n - ka, n - kc)
-                if i1 <= i0:
-                    continue
-                acc = out.setdefault(kc, np.zeros(shape))
-                acc[..., i0:i1] += va[..., i0:i1] * vb[..., i0 + ka: i1 + ka]
-        return BandedMatrix(n, out)
+                # C[i, j] += A[i, i + ka] * B[i + ka, j] at column j = i + kc
+                j0, j1 = max(0, kc, kb), min(n, n + kc, n + kb)
+                ab[..., upper - kc, j0:j1] += (
+                    self.ab[..., self.upper - ka, j0 - kb: j1 - kb]
+                    * other.ab[..., other.upper - kb, j0:j1])
+        return BandedMatrix(ab, lower, upper)
 
 
-def identity(n: int) -> BandedMatrix:
-    return BandedMatrix(n, {0: np.ones(n)})
-
-
-def _upper_ab(a: BandedMatrix) -> np.ndarray:
-    """Symmetric upper band storage as LAPACK expects, per batch entry."""
-    u, n = a.upper, a.n
-    ab = np.zeros(a.batch_shape + (u + 1, n))
-    for k in range(u + 1):
-        if k in a.diags:
-            ab[..., u - k, k:] = a.diags[k][..., 0: n - k]
-    return ab
-
-
-def _general_ab(a: BandedMatrix) -> tuple[tuple[int, int], np.ndarray]:
-    """(l, u) and band storage as scipy's solve_banded expects."""
-    l, u, n = a.lower, a.upper, a.n
-    ab = np.zeros((l + u + 1, n))
-    for k in range(1, u + 1):
-        ab[u - k, k:] = a.diag(k)[0: n - k]
-    ab[u, :] = a.diag(0)
-    for m in range(1, l + 1):
-        ab[u + m, 0: n - m] = a.diag(-m)[m:]
-    return (l, u), ab
+def diagonal(d) -> BandedMatrix:
+    """diag(d); a ``(B, n)`` array gives a batch of B diagonal matrices."""
+    return BandedMatrix(np.array(d, dtype=float)[..., None, :], 0, 0)
 
 
 def cholesky_upper(a: BandedMatrix) -> np.ndarray:
@@ -217,7 +197,7 @@ def cholesky_upper(a: BandedMatrix) -> np.ndarray:
     so each block's factor is bit for bit that of its matrix alone.
     Raises NotPositiveDefinite, naming the first failing matrix.
     """
-    ab = _upper_ab(a)
+    ab = a.ab[..., :a.upper + 1, :]
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     u1, n = ab.shape[-2:]
@@ -247,12 +227,12 @@ def slogdet2_general(a: BandedMatrix) -> tuple[float, float]:
     row swaps.  As numpy's slogdet, a singular A (an exactly zero
     pivot) gives (0.0, -inf).
     """
-    (l, u), ab = _general_ab(a)
-    if not np.isfinite(ab).all():
+    l, u = a.lower, a.upper
+    if not np.isfinite(a.ab).all():
         raise ValueError("array must not contain infs or NaNs")
     # gbtrf needs l extra rows on top for the fill-in of row swaps
     work = np.zeros((2 * l + u + 1, a.n))
-    work[l:] = ab
+    work[l:] = a.ab
     lu, piv, info = _gbtrf(work, l, u)
     if info < 0:
         raise ValueError(f"gbtrf: illegal value in argument {-info}")
@@ -303,12 +283,11 @@ def inverse_bands_tridiagonal(a: BandedMatrix, width: int) -> np.ndarray:
 
 
 def solve_sym_pd(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    return sla.solveh_banded(_upper_ab(a), b)
+    return sla.solveh_banded(a.ab[:a.upper + 1], b)
 
 
 def solve_general(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    lu, ab = _general_ab(a)
-    return sla.solve_banded(lu, ab, b)
+    return sla.solve_banded((a.lower, a.upper), a.ab, b)
 
 
 def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -126,6 +126,11 @@ class TimingError:
         return (f"(eps1, eps2) = ({float(e1.flat[index])}, "
                 f"{float(e2.flat[index])})")
 
+    def require_point(self, who: str) -> None:
+        """DomainError unless this is one point: ``who`` takes no batch."""
+        if np.ndim(self.eps1) or np.ndim(self.eps2):
+            raise DomainError(f"{who} takes one timing point, not a batch")
+
     def check_admissible(self, frame: FrameConfig) -> None:
         """Both sampling banks must stay within one symbol of their target.
 
@@ -155,33 +160,32 @@ class RootPair:
     r2: float
 
 
-def _alt(n2: int, even_val, odd_val) -> np.ndarray:
-    """Length-n2 row alternating even_val, odd_val; one row per batch
-    entry when the values are equal-shape arrays."""
-    v = np.empty(np.shape(even_val) + (n2,))
-    v[..., 0::2] = np.asarray(even_val)[..., None]
-    v[..., 1::2] = np.asarray(odd_val)[..., None]
-    return v
-
-
-def _symmetric_alternating(n2: int, main, even, odd) -> BandedMatrix:
-    """Symmetric tridiagonal matrix with constant diagonal main (none if
-    None) whose super-diagonal alternates even, odd from (row 0, col 1).
-    Row-aligned, the sub-diagonal is the super-diagonal shifted by one:
-    it alternates odd, even (slot 0 lies outside the matrix).
-    """
-    diags = {} if main is None else {0: np.full(n2, main)}
-    diags.update({1: _alt(n2, even, odd), -1: _alt(n2, odd, even)})
-    return BandedMatrix(n2, diags)
+def _stencil(n2: int, diagonals) -> BandedMatrix:
+    """2-periodic n2 x n2 band (n2 even) in band layout: diagonal k of each
+    (k, even, odd) holds even on the even rows, odd on the odd rows; other
+    diagonals, and any with |k| >= n2, are zero.  Array values broadcast
+    to one matrix per batch entry."""
+    shape = np.broadcast(*(v for _, *pair in diagonals for v in pair)).shape
+    width = min(max(abs(k) for k, _, _ in diagonals), n2 - 1)
+    period = np.zeros(shape + (2 * width + 1, 2))
+    for k, even, odd in diagonals:
+        if abs(k) <= width:
+            # column j holds row j - k: even when j and k agree mod 2
+            period[..., width - k, k % 2] = even
+            period[..., width - k, 1 - k % 2] = odd
+    ab = np.tile(period, n2 // 2)
+    for k in range(1, width + 1):
+        ab[..., width - k, :k] = ab[..., width + k, n2 - k:] = 0.0
+    return BandedMatrix(ab, width, width)
 
 
 def build_correlation(frame: FrameConfig) -> BandedMatrix:
     """Sampled-pulse correlation matrix (doubles as the noise covariance).
 
     Unit diagonal; the first super-diagonal alternates 1-tau, tau starting
-    from (row 0, col 1); symmetric.
+    from (row 0, col 1); symmetric.  It is RhatN at eps2 = 0, bit for bit.
     """
-    return _symmetric_alternating(2 * frame.n, 1.0, 1.0 - frame.tau, frame.tau)
+    return build_noise_covariance(frame, 0.0)
 
 
 def build_gain(link: LinkConfig, n: int) -> np.ndarray:
@@ -206,13 +210,19 @@ def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
     the stencil at unit offsets is also its derivative there.  Equal-shape
     array offsets give one matrix per batch entry.
     """
-    return BandedMatrix(n2, {
-        0: _alt(n2, -np.abs(a_even), -np.abs(a_odd)),
-        1: _alt(n2, a_even, a_odd),
-        -1: _alt(n2, -a_even, -a_odd),
-        2: _alt(n2, np.maximum(a_even, 0.0), np.maximum(a_odd, 0.0)),
-        -2: _alt(n2, np.maximum(-a_even, 0.0), np.maximum(-a_odd, 0.0)),
-    })
+    return _stencil(n2, (
+        (0, -np.abs(a_even), -np.abs(a_odd)),
+        (1, a_even, a_odd),
+        (-1, -a_even, -a_odd),
+        (2, np.maximum(a_even, 0.0), np.maximum(a_odd, 0.0)),
+        (-2, np.maximum(-a_even, 0.0), np.maximum(-a_odd, 0.0)),
+    ))
+
+
+def _coordination_step(n2: int, eps2) -> BandedMatrix:
+    """E2: the symmetric pattern whose super-diagonal alternates -eps2,
+    +eps2 from (row 0, col 1); at eps2 = 1 it is also E2's derivative."""
+    return _stencil(n2, ((1, -eps2, eps2), (-1, eps2, -eps2)))
 
 
 def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
@@ -226,7 +236,9 @@ def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
     eps2 gives one matrix per entry.
     """
     tau, e2 = frame.tau, np.asarray(eps2, dtype=float)
-    return _symmetric_alternating(2 * frame.n, 1.0, (1.0 - tau) - e2, tau + e2)
+    first, second = (1.0 - tau) - e2, tau + e2
+    return _stencil(2 * frame.n, ((0, 1.0, 1.0), (1, first, second),
+                                  (-1, second, first)))
 
 
 def build_error_matrices(
@@ -237,8 +249,8 @@ def build_error_matrices(
     Returns (E1, E2, Rhat, RhatN) with Rhat = R + E1 (signal mixing) and
     RhatN = R + E2 (noise covariance, from build_noise_covariance).  E1
     follows the general unit-step stencil, valid for every sign of eps1
-    and eps1 + eps2; E2 is the symmetric alternating -1, +1 pattern
-    scaled by eps2.
+    and eps1 + eps2; E2 is the symmetric alternating -eps2, +eps2
+    pattern.
     A batched err gives batched matrices, one per point of the flattened
     batch; every point is checked for admissibility first.
     """
@@ -248,6 +260,6 @@ def build_error_matrices(
     if e1.ndim > 1:
         e1, e2 = e1.ravel(), e2.ravel()
     e1_mat = _unit_step(n2, e1, e1 + e2)
-    e2_mat = _symmetric_alternating(n2, None, -1.0, 1.0).scaled(e2)
+    e2_mat = _coordination_step(n2, e2)
     rhat = build_correlation(frame) + e1_mat
     return e1_mat, e2_mat, rhat, build_noise_covariance(frame, e2)

@@ -93,12 +93,9 @@ def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
     so a banded Cholesky gives the log-determinant stably in O(n).
     """
     link.require_positive_gains()
-    n, n2 = frame.n, 2 * frame.n
-    r = build_correlation(frame)
-    dinv = np.empty(n2)
-    dinv[0::2] = 1.0 / link.mu1
-    dinv[1::2] = 1.0 / link.mu2
-    a = r + _bands.BandedMatrix(n2, {0: dinv})
+    n = frame.n
+    dinv = np.tile([1.0 / link.mu1, 1.0 / link.mu2], n)
+    a = build_correlation(frame) + _bands.diagonal(dinv)
     logdet_gain = n * (math.log2(link.mu1) + math.log2(link.mu2))
     return logdet_gain + _bands.logdet2_sym_pd(a)
 
@@ -152,35 +149,40 @@ def throughput_closed(link: LinkConfig, frame: FrameConfig) -> float:
 def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> float:
     """log2 of det(D^-1 + R) by the literal interleaved recursion.
 
-    d_0 = 1, d_1 = 1 + 1/mu1, then
+    d_0 = 1, d_1 = 1 + 1/mu1 (from d_-1 = 0), then
         d_{2k}   = (1 + 1/mu2) d_{2k-1} - (1 - tau)^2 d_{2k-2}
         d_{2k+1} = (1 + 1/mu1) d_{2k}   - tau^2       d_{2k-1}
-    The rolling pair is rescaled by powers of two whenever it leaves
-    [2^-512, 2^512], so any frame length is representable.
+    A step multiplies the pair by less than 2^e = 2^frexp(max(a1, a2)), so
+    a pair in [2^-w, 2^w], w = min(512, 1021 - e), steps to a finite value.
+    The pair is rescaled exactly after every step that leaves that window,
+    the step to (d_0, d_1) from (d_-1, d_0) = (0, 1) included: by 2^-+512
+    if w = 512, else by frexp.
     """
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise DomainError("recursion needs mu1, mu2 > 0")
     a1 = 1.0 + 1.0 / mu1
     a2 = 1.0 + 1.0 / mu2
+    if not math.isfinite(a1 + a2):
+        raise DomainError("recursion needs finite 1/mu1 and 1/mu2")
     c_even = (1.0 - tau) ** 2
     c_odd = tau * tau
-    hi, lo = 2.0 ** 512, 2.0 ** -512
-    d_prev, d_curr = 1.0, a1  # d_0, d_1
+    w = min(512, 1021 - math.frexp(max(a1, a2))[1])
+    hi, lo = 2.0 ** w, 2.0 ** -w
+    d_prev, d_curr = 0.0, 1.0  # d_-1, d_0
     shift = 0
-    for m in range(2, 2 * n + 1):
+    for m in range(1, 2 * n + 1):
         if m % 2 == 0:
             d_next = a2 * d_curr - c_even * d_prev
         else:
             d_next = a1 * d_curr - c_odd * d_prev
         d_prev, d_curr = d_curr, d_next
-        if d_curr > hi:
-            d_prev *= lo
-            d_curr *= lo
-            shift += 512
-        elif 0.0 < d_curr < lo:
-            d_prev *= hi
-            d_curr *= hi
-            shift -= 512
+        if d_curr > hi or 0.0 < d_curr < lo:
+            if w < 512:
+                e = math.frexp(d_curr)[1]
+            else:
+                e = 512 if d_curr > hi else -512
+            d_prev, d_curr = math.ldexp(d_prev, -e), math.ldexp(d_curr, -e)
+            shift += e
     if d_curr <= 0.0:
         raise DomainError("determinant recursion left the positive cone")
     return math.log2(d_curr) + shift

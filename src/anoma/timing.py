@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    _symmetric_alternating, _unit_step, build_correlation,
+                    _coordination_step, _unit_step, build_correlation,
                     build_error_matrices, build_gain)
 from .throughput import throughput_matrix
 
@@ -49,7 +49,13 @@ class LossBreakdown:
 
 
 def _hh(link: LinkConfig, n: int) -> np.ndarray:
-    """Real diagonal of D = H H^H: alternating mu1, mu2."""
+    """Real diagonal of D = H H^H: alternating mu1, mu2.
+
+    Formed as |h sqrt(p)|^2 from the gain diagonal, not from
+    LinkConfig.mu1/mu2 = p |h|^2: the two can differ in the last bit
+    (0.5000000000000001 against 0.5 at p = 0.5), and every mistimed
+    rate, loss and slope is computed with this one.
+    """
     return np.abs(build_gain(link, n)) ** 2
 
 
@@ -126,6 +132,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     I + D R.  O(n) time and memory.
     """
     link.require_positive_gains()
+    err.require_point("throughput_loss_display")
     n, tau = frame.n, frame.tau
     e1m, e2m, _, rhat_n = build_error_matrices(frame, err)
     r = build_correlation(frame)
@@ -142,7 +149,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
          + (e1m - e2m).col_scaled(d).matmul(r + e1m.T))
     sign_m, ld_m = _bands.slogdet2_general(m)
     sign_a, ld_a = _bands.slogdet2_general(
-        _bands.identity(2 * n) + r.row_scaled(d))
+        _bands.diagonal(np.ones(2 * n)) + r.row_scaled(d))
     if sign_m <= 0.0 or sign_a <= 0.0:
         raise DomainError("loss determinant left the positive cone")
     return -(ld_m - ld_n - ld_a) / (n + tau)
@@ -167,8 +174,7 @@ def _trace_coefficient(link: LinkConfig, frame: FrameConfig,
     n, tau = frame.n, frame.tau
     if tau == 0.0:
         raise DomainError("sensitivity slopes need tau in (0, 1)")
-    a = build_correlation(frame) + _bands.BandedMatrix(
-        2 * n, {0: 1.0 / _hh(link, n)})
+    a = build_correlation(frame) + _bands.diagonal(1.0 / _hh(link, n))
     b = z_signal.T + (z_signal if z_noise is None else z_signal - z_noise)
     inv = _bands.inverse_bands_tridiagonal(a, 2)
     # both factors symmetric: each off-diagonal k > 0 counts twice
@@ -204,8 +210,7 @@ def coord_loss_slope(link: LinkConfig, frame: FrameConfig,
     sign = 1.0 if branch >= 0 else -1.0
     n2 = 2 * frame.n
     z = _unit_step(n2, 0.0, sign).scaled(sign)
-    return _trace_coefficient(link, frame, z,
-                              _symmetric_alternating(n2, None, -1.0, 1.0))
+    return _trace_coefficient(link, frame, z, _coordination_step(n2, 1.0))
 
 
 def loss_linear_sync(link: LinkConfig, frame: FrameConfig,
@@ -238,6 +243,7 @@ def loss_ratio(link: LinkConfig, frame: FrameConfig,
 def loss_breakdown(link: LinkConfig, frame: FrameConfig,
                    err: TimingError) -> LossBreakdown:
     """Exact loss plus both linear diagnostics at one operating point."""
+    err.require_point("loss_breakdown")
     base = throughput_matrix(link, frame)
     r_e = throughput_with_error(link, frame, err)
     delta = base - r_e

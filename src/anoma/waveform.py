@@ -146,8 +146,7 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
     """
     err = TimingError() if err is None else err
     err.check_admissible(frame)
-    if np.ndim(err.eps1) or np.ndim(err.eps2):
-        raise DomainError("the simulator takes one timing point, not a batch")
+    err.require_point("the simulator")
     if symbols.n != frame.n:
         raise DomainError(
             f"frame carries {frame.n} symbols but got {symbols.n}")
@@ -181,7 +180,7 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
 def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
                   err: TimingError | None = None) -> np.ndarray:
     """Interleaved noiseless outputs predicted by the banded linear model,
-    Rhat (h * x), formed from Rhat's row-aligned diagonals in O(n)."""
+    Rhat (h * x), formed from Rhat's diagonals in O(n)."""
     err = TimingError() if err is None else err
     _, _, rhat, _ = build_error_matrices(frame, err)
     n2 = 2 * frame.n
@@ -190,10 +189,10 @@ def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
     x[1::2] = symbols.s2
     hx = build_gain(link, frame.n) * x
     out = np.zeros(rhat.batch_shape + (n2,), dtype=complex)
-    for k, v in rhat.diags.items():
-        # out[i] += Rhat[i, i + k] * hx[i + k]
-        lo, hi = max(0, -k), min(n2, n2 - k)
-        out[..., lo:hi] += v[..., lo:hi] * hx[lo + k: hi + k]
+    for k in rhat.offsets:
+        # out[i] += Rhat[i, j] * hx[j] along diagonal k, j = i + k
+        j0, j1 = max(k, 0), n2 + min(k, 0)
+        out[..., j0 - k: j1 - k] += rhat.ab[..., rhat.upper - k, j0:j1] * hx[j0:j1]
     return out
 
 

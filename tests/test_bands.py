@@ -6,6 +6,25 @@ import pytest
 from anoma import _bands
 
 
+def banded(n, diags):
+    """BandedMatrix from row-aligned diagonals keyed by offset k,
+    ``diags[k][..., i] == A[..., i, i + k]``; slots past the matrix and
+    offsets with |k| >= n are dropped."""
+    keys = [k for k in diags if abs(k) < n]
+    lower = max((-k for k in keys if k < 0), default=0)
+    upper = max((k for k in keys if k > 0), default=0)
+    shape = np.broadcast_shapes(*(np.shape(diags[k])[:-1] for k in keys))
+    ab = np.zeros(shape + (lower + upper + 1, n))
+    for k in keys:
+        v = np.asarray(diags[k], dtype=float)
+        ab[..., upper - k, max(k, 0): n + min(k, 0)] = v[..., max(-k, 0): n - max(k, 0)]
+    return _bands.BandedMatrix(ab, lower, upper)
+
+
+def identity(n):
+    return _bands.diagonal(np.ones(n))
+
+
 def random_banded(rng, n, lower, upper):
     diags = {}
     for k in range(-lower, upper + 1):
@@ -13,7 +32,7 @@ def random_banded(rng, n, lower, upper):
         i0, i1 = max(0, -k), min(n, n - k)
         v[i0:i1] = rng.normal(size=i1 - i0)
         diags[k] = v
-    return _bands.BandedMatrix(n, diags)
+    return banded(n, diags)
 
 
 @pytest.fixture
@@ -39,17 +58,17 @@ def test_algebra_matches_dense(rng):
 
 def test_out_of_band_slots_are_zeroed():
     n = 4
-    m = _bands.BandedMatrix(n, {1: np.ones(n), -1: np.ones(n)})
+    m = banded(n, {1: np.ones(n), -1: np.ones(n)})
     # slot n-1 of the superdiagonal and slot 0 of the subdiagonal are outside
-    assert m.diags[1][n - 1] == 0.0
-    assert m.diags[-1][0] == 0.0
+    assert m.diag(1)[n - 1] == 0.0
+    assert m.diag(-1)[0] == 0.0
 
 
 def test_spd_logdet_and_solves(rng):
     for _ in range(10):
         n = int(rng.integers(2, 30))
         a = random_banded(rng, n, 2, 2)
-        s = a.matmul(a.T) + _bands.identity(n).scaled(n)
+        s = a.matmul(a.T) + identity(n).scaled(n)
         sd = s.to_dense()
         assert np.isclose(_bands.logdet2_sym_pd(s),
                           np.linalg.slogdet(sd)[1] / np.log(2))
@@ -60,15 +79,13 @@ def test_spd_logdet_and_solves(rng):
 
 
 def random_spd_batch(rng, batch, n):
-    a = _bands.BandedMatrix(n, {k: rng.normal(size=(batch, n))
-                                for k in (-1, 0, 1, 2)})
-    return a.matmul(a.T) + _bands.identity(n).scaled(n)
+    a = banded(n, {k: rng.normal(size=(batch, n)) for k in (-1, 0, 1, 2)})
+    return a.matmul(a.T) + identity(n).scaled(n)
 
 
 def test_batched_algebra_matches_dense(rng):
     n, batch = 7, 4
-    a = _bands.BandedMatrix(n, {k: rng.normal(size=(batch, n))
-                                for k in (-2, 0, 1)})
+    a = banded(n, {k: rng.normal(size=(batch, n)) for k in (-2, 0, 1)})
     b = random_banded(rng, n, 1, 2)
     ad, bd = a.to_dense(), b.to_dense()
     assert ad.shape == (batch, n, n)
@@ -89,24 +106,23 @@ def test_batched_logdet_is_per_matrix_logdet(rng, n):
     got = _bands.logdet2_sym_pd(s)
     assert got.shape == (5,)
     for b in range(5):
-        one = _bands.BandedMatrix(n, {k: v[b] for k, v in s.diags.items()})
+        one = _bands.BandedMatrix(s.ab[b], s.lower, s.upper)
         assert got[b] == _bands.logdet2_sym_pd(one)
         assert np.isclose(got[b], np.linalg.slogdet(s.to_dense()[b])[1] / np.log(2))
 
 
 def test_batched_cholesky_names_failing_matrix(rng):
     s = random_spd_batch(rng, 5, 6)
-    diags = dict(s.diags)
-    diags[0] = diags[0].copy()
-    diags[0][3, 2] = -1.0
+    ab = s.ab.copy()
+    ab[3, s.upper, 2] = -1.0
     with pytest.raises(_bands.NotPositiveDefinite) as info:
-        _bands.cholesky_upper(_bands.BandedMatrix(6, diags))
+        _bands.cholesky_upper(_bands.BandedMatrix(ab, s.lower, s.upper))
     assert info.value.index == 3
 
 
 def test_logdet_rejects_indefinite():
     n = 4
-    m = _bands.BandedMatrix(n, {0: -np.ones(n)})
+    m = _bands.diagonal(-np.ones(n))
     with pytest.raises(np.linalg.LinAlgError):
         _bands.logdet2_sym_pd(m)
 
@@ -114,7 +130,7 @@ def test_logdet_rejects_indefinite():
 def test_colored_factor_reproduces_covariance(rng):
     n = 6
     a = random_banded(rng, n, 1, 1)
-    s = a.matmul(a.T) + _bands.identity(n).scaled(3.0)
+    s = a.matmul(a.T) + identity(n).scaled(3.0)
     factor = _bands.cholesky_upper(s)
     w = rng.normal(size=n)
     dense_u = np.zeros((n, n))
@@ -128,14 +144,26 @@ def test_colored_factor_reproduces_covariance(rng):
 
 def test_upper_only_product_is_upper_band_of_full_product(rng):
     # a batch and a single matrix, as in R_hat D R_hat^T
-    a = _bands.BandedMatrix(9, {k: rng.normal(size=(3, 9))
-                                for k in (-2, -1, 0, 1, 2)})
+    a = banded(9, {k: rng.normal(size=(3, 9)) for k in (-2, -1, 0, 1, 2)})
     b = a.T.row_scaled(rng.normal(size=9))
     full = a.matmul(b)
     upper = a.matmul(b, upper_only=True)
-    assert sorted(upper.diags) == [k for k in sorted(full.diags) if k >= 0]
-    for k, v in upper.diags.items():
-        assert np.array_equal(v, full.diags[k])
+    assert (upper.lower, upper.upper) == (0, full.upper)
+    for k in range(upper.upper + 1):
+        assert np.array_equal(upper.diag(k), full.diag(k))
+
+
+def test_product_sums_over_offsets_in_order_0_plus1_minus1():
+    # C[1, 1] = A[1, 1] B[1, 1] + A[1, 2] B[2, 1] + A[1, 0] B[0, 1]
+    #         = -1e16 (offset 0) + 1e16 (offset +1) + 1 (offset -1);
+    # in the order 0, +1, -1 that is exactly 1.0, in 0, -1, +1 it is 0.0
+    ones = np.ones(3)
+    a = banded(3, {0: ones, 1: ones, -1: ones})
+    b = banded(3, {0: np.full(3, -1e16), -1: np.full(3, 1e16), 1: ones})
+    assert a.offsets == [0, 1, -1]
+    for c in (a.matmul(b), a.matmul(b, upper_only=True)):
+        assert c.diag(0)[1] == 1.0
+        assert c.to_dense()[1, 1] == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
@@ -151,19 +179,18 @@ def test_general_slogdet_matches_dense(rng, n):
 
 def test_general_slogdet_sign_from_swaps_and_pivots():
     # an odd permutation: det = -1, found only through a row swap
-    swap = _bands.BandedMatrix(2, {1: np.ones(2), -1: np.ones(2)})
+    swap = banded(2, {1: np.ones(2), -1: np.ones(2)})
     assert _bands.slogdet2_general(swap) == (-1.0, 0.0)
-    neg = _bands.BandedMatrix(3, {0: np.array([2.0, -1.0, 4.0])})
+    neg = _bands.diagonal([2.0, -1.0, 4.0])
     assert _bands.slogdet2_general(neg) == (-1.0, 3.0)
-    singular = _bands.BandedMatrix(3, {0: np.array([1.0, 0.0, 1.0])})
+    singular = _bands.diagonal([1.0, 0.0, 1.0])
     assert _bands.slogdet2_general(singular) == (0.0, -np.inf)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12])
 def test_tridiagonal_inverse_bands_match_dense_inverse(rng, n):
     off = rng.uniform(-1.0, 1.0, size=n)
-    a = _bands.BandedMatrix(n, {0: 2.5 + rng.uniform(size=n), 1: off,
-                                -1: np.roll(off, 1)})
+    a = banded(n, {0: 2.5 + rng.uniform(size=n), 1: off, -1: np.roll(off, 1)})
     got = _bands.inverse_bands_tridiagonal(a, 3)
     inv = np.linalg.inv(a.to_dense())
     assert got.shape == (4, n)
@@ -176,7 +203,7 @@ def test_tridiagonal_inverse_bands_match_dense_inverse(rng, n):
 def test_tridiagonal_inverse_rejects_wider_band_and_indefinite():
     with pytest.raises(ValueError):
         _bands.inverse_bands_tridiagonal(
-            _bands.BandedMatrix(4, {0: np.ones(4), 2: np.ones(4)}), 1)
+            banded(4, {0: np.ones(4), 2: np.ones(4)}), 1)
     with pytest.raises(_bands.NotPositiveDefinite):
         _bands.inverse_bands_tridiagonal(
-            _bands.BandedMatrix(4, {0: -np.ones(4)}), 1)
+            _bands.diagonal(-np.ones(4)), 1)

@@ -283,6 +283,37 @@ class TestRecursion:
         got = T.determinant_recursion(link, M.FrameConfig(n, float(tau)))
         assert math.isclose(got, float(exact), rel_tol=1e-13)
 
+    # one step multiplies the rolling pair by 1 + 1/mu; below about 1e-154
+    # that left a fixed 2^512 rescaling window and the recursion gave NaN
+    TINY_GAINS = [(1e-200, 1.0), (1e-300, 1.0), (1.0, 1e-200), (1.0, 1e-300),
+                  (1e-200, 1e-200), (1e-300, 1e-300)]
+
+    @pytest.mark.parametrize("mu1,mu2", TINY_GAINS + [(1e-300, 1e300)])
+    @pytest.mark.parametrize("n,tau", [(10, 0.5), (1, 0.3), (300, 0.13),
+                                       (2000, 0.77)])
+    def test_tiny_gains_match_logdet_route(self, mu1, mu2, n, tau):
+        link, frame = M.LinkConfig.from_gains(mu1, mu2), M.FrameConfig(n, tau)
+        got = T.throughput_recursion(link, frame)
+        assert math.isfinite(got)
+        # both routes add n (log2 mu1 + log2 mu2) to a log-det of about
+        # the opposite sign, each rounded to a few ulps of that size;
+        # divided by n + tau that leaves a few eps * |log2 mu| summed
+        scale = abs(math.log2(mu1)) + abs(math.log2(mu2))
+        assert abs(got - T.throughput_matrix(link, frame)) <= 8e-16 * scale
+
+    @pytest.mark.parametrize("mu1,mu2", [(1e-320, 1.0), (1.0, 1e-320)])
+    def test_overflowing_reciprocal_raises(self, mu1, mu2):
+        with pytest.raises(M.DomainError, match="finite 1/mu1 and 1/mu2"):
+            T.determinant_recursion_log2(mu1, mu2, 0.5, 3)
+
+    @pytest.mark.parametrize("mu1,mu2", TINY_GAINS)
+    @pytest.mark.parametrize("n,tau", [(1, 0.5), (3, 0.3)])
+    def test_tiny_gains_match_exact_rational_det(self, mu1, mu2, n, tau):
+        exact = exact_rational_det(Fraction(mu1), Fraction(mu2), Fraction(tau), n)
+        ref = math.log2(exact.numerator) - math.log2(exact.denominator)
+        got = T.determinant_recursion_log2(mu1, mu2, tau, n)
+        assert math.isclose(got, ref, rel_tol=1e-14)
+
 
 class TestAsymptotic:
     def test_hand_value(self):

@@ -39,7 +39,7 @@ def trace_coefficient_dense_oracle(link, frame, z_signal, z_noise):
     inner = mixing.col_scaled(d).matmul(r)
     solved = _bands.solve_sym_pd(r, inner.to_dense())
     rhs = z_signal.T.row_scaled(d).to_dense() + solved
-    a = _bands.identity(n2) + r.row_scaled(d)
+    a = _bands.diagonal(np.ones(n2)) + r.row_scaled(d)
     f = _bands.solve_general(a, rhs)
     return -float(np.trace(f)) / ((n + tau) * math.log(2.0))
 
@@ -68,7 +68,7 @@ def display_dense_oracle(link, frame, err):
     inner = (e1m - e2m).col_scaled(d).matmul(r + e1m.T)
     mid = _bands.solve_sym_pd(rhat_n, inner.to_dense())
     rhs = e1m.T.row_scaled(d).to_dense() + mid
-    a = _bands.identity(n2) + r.row_scaled(d)
+    a = _bands.diagonal(np.ones(n2)) + r.row_scaled(d)
     v = _bands.solve_general(a, rhs)
     sign, ld = np.linalg.slogdet(np.eye(n2) + v)
     assert sign > 0.0
@@ -359,3 +359,26 @@ class TestBreakdown:
         assert b.delta_lin_coord == TM.loss_linear_coord(LINK, FRAME, e2)[0]
         assert b.c1 == TM.sync_loss_slope(LINK, FRAME)
         assert b.c2 == TM.coord_loss_slope(LINK, FRAME)
+
+
+class TestOnePointFunctions:
+    """The display route and the breakdown evaluate one operating point;
+    a batched TimingError is refused with a DomainError that says so."""
+
+    @pytest.mark.parametrize("fn", [TM.throughput_loss_display,
+                                    TM.loss_breakdown])
+    @pytest.mark.parametrize("err", [
+        M.TimingError(np.array([0.02, -0.01]), np.array([0.01, 0.03])),
+        M.TimingError(0.02, np.array([0.01, -0.01])),
+        M.TimingError(np.array([0.02]), 0.01),
+    ])
+    def test_batched_error_rejected(self, fn, err):
+        with pytest.raises(M.DomainError, match="one timing point"):
+            fn(LINK, FRAME, err)
+
+    def test_zero_dimensional_arrays_are_one_point(self):
+        err = M.TimingError(np.float64(0.02), np.array(-0.01))
+        ref = M.TimingError(0.02, -0.01)
+        assert (TM.throughput_loss_display(LINK, FRAME, err)
+                == TM.throughput_loss_display(LINK, FRAME, ref))
+        assert TM.loss_breakdown(LINK, FRAME, err) == TM.loss_breakdown(LINK, FRAME, ref)
