@@ -109,21 +109,39 @@ class BandedMatrix:
             a[..., cols - k, cols] = self.ab[..., self.upper - k, cols]
         return a
 
-    def _padded(self, lower: int, upper: int) -> np.ndarray:
-        """ab widened with zero diagonals to the given bandwidths."""
-        if (lower, upper) == (self.lower, self.upper):
-            return self.ab
-        ab = np.zeros(self.batch_shape + (lower + upper + 1, self.n))
-        ab[..., upper - self.upper: upper + self.lower + 1, :] = self.ab
-        return ab
+    def _rows(self, upper: int, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of a band with ``upper`` super-diagonals, all of
+        which this matrix holds."""
+        shift = self.upper - upper
+        return self.ab[..., r0 + shift: r1 + shift, :]
 
     def _combine(self, other: "BandedMatrix", op) -> "BandedMatrix":
+        """op(A, B) written row by row from the operand rows each needs.
+
+        A diagonal only one operand holds is ``x op 0.0`` or ``0.0 op y``,
+        as if the other were padded with zeros, so every entry keeps the
+        bits of that padded sum, signed zeros included.
+        """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         lower = max(self.lower, other.lower)
         upper = max(self.upper, other.upper)
-        return BandedMatrix(op(self._padded(lower, upper),
-                               other._padded(lower, upper)), lower, upper)
+        shape = np.broadcast_shapes(self.batch_shape, other.batch_shape)
+        ab = np.empty(shape + (lower + upper + 1, self.n))
+        # the rows both hold, then the diagonals only the wider one holds
+        lo = upper - min(self.upper, other.upper)
+        hi = upper + min(self.lower, other.lower) + 1
+        op(self._rows(upper, lo, hi), other._rows(upper, lo, hi),
+           out=ab[..., lo:hi, :])
+        for r0, r1, mine in ((0, lo, self.upper > other.upper),
+                             (hi, lower + upper + 1, self.lower > other.lower)):
+            if r0 == r1:
+                continue
+            if mine:
+                op(self._rows(upper, r0, r1), 0.0, out=ab[..., r0:r1, :])
+            else:
+                op(0.0, other._rows(upper, r0, r1), out=ab[..., r0:r1, :])
+        return BandedMatrix(ab, lower, upper)
 
     def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
         return self._combine(other, np.add)

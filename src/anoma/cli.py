@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -166,9 +167,7 @@ def _fig_loss_slices(p: dict):
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     frame = FrameConfig(int(p["n"]), p["tau"])
     base = throughput_matrix(link, frame)
-    slopes = {b: (timing.sync_loss_slope(link, frame, branch=b),
-                  timing.coord_loss_slope(link, frame, branch=b))
-              for b in (1, -1)}
+    slopes = timing._loss_slopes(link, frame, (1, -1))
     header = ["eps", "gamma_sync_exact", "gamma_sync_linear",
               "gamma_coord_exact", "gamma_coord_linear"]
     gamma = timing.loss_ratio(link, frame, _slices(eps))
@@ -321,12 +320,14 @@ def _cmd_query(args) -> int:
     frame = FrameConfig(int(params["n"]), params["tau"])
     err = TimingError(params["eps1"], params["eps2"])
     fields = dataclasses.asdict(throughput_report(link, frame))
+    # the report's log-det rate is the base of every loss below
+    base = fields["anoma_matrix"]
     if frame.tau > 0.0:
-        fields.update(dataclasses.asdict(timing.loss_breakdown(link, frame, err)))
+        fields.update(dataclasses.asdict(
+            timing._loss_breakdown(link, frame, err, base)))
     else:
         # sensitivity slopes need tau in (0, 1); the loss itself is still defined
-        r_e = timing.throughput_with_error(link, frame, err)
-        base = fields["anoma_matrix"]
+        r_e = timing._throughput_with_error(link, frame, err, base)
         fields.update({"exact_throughput_with_error": r_e,
                        "delta": base - r_e,
                        "delta_lin_sync": math.nan, "delta_lin_coord": math.nan,
@@ -338,7 +339,10 @@ def _cmd_query(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and every --set list starts from a fresh copy of its default."""
     parser = argparse.ArgumentParser(
         prog="anoma",
         description="Two-user asynchronous uplink throughput toolkit")

@@ -97,7 +97,21 @@ def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
     dinv = np.tile([1.0 / link.mu1, 1.0 / link.mu2], n)
     a = build_correlation(frame) + _bands.diagonal(dinv)
     logdet_gain = n * (math.log2(link.mu1) + math.log2(link.mu2))
-    return logdet_gain + _bands.logdet2_sym_pd(a)
+    try:
+        return logdet_gain + _bands.logdet2_sym_pd(a)
+    except _bands.NotPositiveDefinite:
+        raise _not_positive_definite(link, frame) from None
+
+
+def _not_positive_definite(link: LinkConfig, frame: FrameConfig) -> DomainError:
+    """The error for a D^-1 + R whose banded Cholesky fails in floating
+    point: at tau = 0 its 2x2 blocks are [[1 + 1/mu1, 1], [1, 1 + 1/mu2]]."""
+    return DomainError(
+        f"D^-1 + R is not positive definite in floating point at "
+        f"mu1={link.mu1}, mu2={link.mu2}, n={frame.n}, tau={frame.tau}: "
+        f"near tau = 0 its second Cholesky pivot (1 + 1/mu2) - 1/(1 + 1/mu1) "
+        f"cancels once 1/mu is below machine epsilon; lower the gains or "
+        f"raise tau")
 
 
 def throughput_matrix(link: LinkConfig, frame: FrameConfig) -> float:

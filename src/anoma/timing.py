@@ -26,7 +26,7 @@ from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
                     _coordination_step, _unit_step, build_correlation,
                     build_error_matrices, build_gain)
-from .throughput import throughput_matrix
+from .throughput import _not_positive_definite, throughput_matrix
 
 _LN2 = math.log(2.0)
 # a batch of mistimed points is factored in blocks of about this many
@@ -71,6 +71,14 @@ def throughput_with_error(link: LinkConfig, frame: FrameConfig,
     definite, which happens once tau + eps2 leaves the window where
     neighboring integration windows overlap correctly.
     """
+    return _throughput_with_error(link, frame, err, None)
+
+
+def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
+                           err: TimingError,
+                           base: float | None) -> float | np.ndarray:
+    """throughput_with_error, with base = throughput_matrix(link, frame)
+    when the caller already holds it (None: computed here if needed)."""
     link.require_positive_gains()
     e1, e2 = err.arrays()
     out = np.empty(e1.shape)
@@ -78,7 +86,7 @@ def throughput_with_error(link: LinkConfig, frame: FrameConfig,
     e1, e2 = e1.ravel(), e2.ravel()
     zero = (e1 == 0.0) & (e2 == 0.0)
     if zero.any():
-        flat[zero] = throughput_matrix(link, frame)
+        flat[zero] = throughput_matrix(link, frame) if base is None else base
     d = _hh(link, frame.n)
     moving = np.flatnonzero(~zero)
     step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
@@ -155,7 +163,25 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     return -(ld_m - ld_n - ld_a) / (n + tau)
 
 
-def _trace_coefficient(link: LinkConfig, frame: FrameConfig,
+def _inverse_bands(link: LinkConfig, frame: FrameConfig) -> np.ndarray:
+    """Diagonals 0..2 of A^-1, A = D^-1 + R, from one factorization of A.
+
+    Every sensitivity slope at a point, on either branch, reads only
+    these, so one call serves them all.  D^-1 is 1/_hh here and 1/mu in
+    the no-error rate; the two can differ in the last bit, so the rate's
+    factor is never reused for A.
+    """
+    link.require_positive_gains()
+    if frame.tau == 0.0:
+        raise DomainError("sensitivity slopes need tau in (0, 1)")
+    a = build_correlation(frame) + _bands.diagonal(1.0 / _hh(link, frame.n))
+    try:
+        return _bands.inverse_bands_tridiagonal(a, 2)
+    except _bands.NotPositiveDefinite:
+        raise _not_positive_definite(link, frame) from None
+
+
+def _trace_coefficient(inv: np.ndarray, frame: FrameConfig,
                        z_signal: _bands.BandedMatrix,
                        z_noise: _bands.BandedMatrix | None) -> float:
     """-Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n + tau) ln 2).
@@ -168,19 +194,34 @@ def _trace_coefficient(link: LinkConfig, frame: FrameConfig,
     (I + D R)^-1 D = A^-1 and (I + D R)^-1 R^-1 M D R has the trace of
     A^-1 M, so the trace is Tr[A^-1 B] with B = Z^T + Z - Z3.  B is
     symmetric with bandwidth 2, so only the diagonals 0..2 of A^-1 are
-    needed, and R^-1 never is.  O(n) time and memory.
+    needed (inv, from _inverse_bands), and R^-1 never is.  O(n) time and
+    memory.
     """
-    link.require_positive_gains()
-    n, tau = frame.n, frame.tau
-    if tau == 0.0:
-        raise DomainError("sensitivity slopes need tau in (0, 1)")
-    a = build_correlation(frame) + _bands.diagonal(1.0 / _hh(link, n))
     b = z_signal.T + (z_signal if z_noise is None else z_signal - z_noise)
-    inv = _bands.inverse_bands_tridiagonal(a, 2)
     # both factors symmetric: each off-diagonal k > 0 counts twice
     trace = sum((1.0 if k == 0 else 2.0) * float(np.dot(inv[k], b.diag(k)))
                 for k in range(3))
-    return -trace / ((n + tau) * _LN2)
+    return -trace / ((frame.n + frame.tau) * _LN2)
+
+
+def _sync_slope(inv: np.ndarray, frame: FrameConfig, branch: int) -> float:
+    """c1 on a branch, given inv from _inverse_bands.  Z is the derivative
+    of E1 along eps1 on that branch: the E1 stencil at unit offsets
+    sign * (1, 1), times sign."""
+    sign = 1.0 if branch >= 0 else -1.0
+    z = _unit_step(2 * frame.n, sign, sign).scaled(sign)
+    return _trace_coefficient(inv, frame, z, None)
+
+
+def _coord_slope(inv: np.ndarray, frame: FrameConfig, branch: int) -> float:
+    """c2 on a branch, given inv from _inverse_bands.  eps2 moves only the
+    stream-2 rows of E1, so Z is the stencil at unit offsets (0, sign),
+    times sign; the noise covariance responds with the E2 pattern,
+    whatever the branch."""
+    sign = 1.0 if branch >= 0 else -1.0
+    n2 = 2 * frame.n
+    z = _unit_step(n2, 0.0, sign).scaled(sign)
+    return _trace_coefficient(inv, frame, z, _coordination_step(n2, 1.0))
 
 
 def sync_loss_slope(link: LinkConfig, frame: FrameConfig,
@@ -190,27 +231,24 @@ def sync_loss_slope(link: LinkConfig, frame: FrameConfig,
     The mixing-matrix perturbation switches stencil with the sign of
     eps1, so the loss is kinked at zero: branch >= 0 gives the slope for
     eps1 > 0 (the headline c1, positive at sane configs), branch < 0 the
-    slope for eps1 < 0 (negative: the loss rises as eps1 falls).  Z is
-    the derivative of E1 along eps1 on that branch: the E1 stencil at
-    unit offsets sign * (1, 1), times sign.
+    slope for eps1 < 0 (negative: the loss rises as eps1 falls).
     """
-    sign = 1.0 if branch >= 0 else -1.0
-    z = _unit_step(2 * frame.n, sign, sign).scaled(sign)
-    return _trace_coefficient(link, frame, z, None)
+    return _sync_slope(_inverse_bands(link, frame), frame, branch)
 
 
 def coord_loss_slope(link: LinkConfig, frame: FrameConfig,
                      branch: int = 1) -> float:
-    """First-order sensitivity c2 of the loss to eps2 (bits/interval).
+    """First-order sensitivity c2 of the loss to eps2 (bits/interval),
+    on the branch eps2 > 0 (branch >= 0) or eps2 < 0 (branch < 0)."""
+    return _coord_slope(_inverse_bands(link, frame), frame, branch)
 
-    eps2 moves only the stream-2 rows of E1, so Z is the stencil at unit
-    offsets (0, sign), times sign; the noise covariance responds with the
-    E2 pattern, whatever the branch.
-    """
-    sign = 1.0 if branch >= 0 else -1.0
-    n2 = 2 * frame.n
-    z = _unit_step(n2, 0.0, sign).scaled(sign)
-    return _trace_coefficient(link, frame, z, _coordination_step(n2, 1.0))
+
+def _loss_slopes(link: LinkConfig, frame: FrameConfig,
+                 branches=(1,)) -> dict[int, tuple[float, float]]:
+    """{branch: (c1, c2)}, every slope from one factorization of A."""
+    inv = _inverse_bands(link, frame)
+    return {b: (_sync_slope(inv, frame, b), _coord_slope(inv, frame, b))
+            for b in branches}
 
 
 def loss_linear_sync(link: LinkConfig, frame: FrameConfig,
@@ -243,17 +281,25 @@ def loss_ratio(link: LinkConfig, frame: FrameConfig,
 def loss_breakdown(link: LinkConfig, frame: FrameConfig,
                    err: TimingError) -> LossBreakdown:
     """Exact loss plus both linear diagnostics at one operating point."""
+    return _loss_breakdown(link, frame, err, throughput_matrix(link, frame))
+
+
+def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
+                    base: float) -> LossBreakdown:
+    """loss_breakdown given base = throughput_matrix(link, frame), which a
+    caller that reports the rate already holds.  Every slope branch comes
+    from one factorization of A."""
     err.require_point("loss_breakdown")
-    base = throughput_matrix(link, frame)
-    r_e = throughput_with_error(link, frame, err)
+    r_e = _throughput_with_error(link, frame, err, base)
     delta = base - r_e
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
+    inv = _inverse_bands(link, frame)
     # each slope branch once: the headline slopes are the positive ones
-    c1 = sync_loss_slope(link, frame)
-    c2 = coord_loss_slope(link, frame)
-    c1_err = c1 if err.eps1 >= 0.0 else sync_loss_slope(link, frame, branch=-1)
-    c2_err = c2 if err.eps2 >= 0.0 else coord_loss_slope(link, frame, branch=-1)
+    c1 = _sync_slope(inv, frame, 1)
+    c2 = _coord_slope(inv, frame, 1)
+    c1_err = c1 if err.eps1 >= 0.0 else _sync_slope(inv, frame, -1)
+    c2_err = c2 if err.eps2 >= 0.0 else _coord_slope(inv, frame, -1)
     return LossBreakdown(
         exact_throughput_with_error=r_e,
         delta=delta,

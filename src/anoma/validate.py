@@ -177,8 +177,8 @@ def check_linear_loss() -> list[CheckResult]:
                                        TimingError(0.0, eps))
         lin, _ = timing.loss_linear_coord(DEFAULT_LINK, DEFAULT_FRAME, eps)
         worst = max(worst, abs(lin - exact) / abs(exact))
-    ratio = (timing.sync_loss_slope(DEFAULT_LINK, DEFAULT_FRAME)
-             / timing.coord_loss_slope(DEFAULT_LINK, DEFAULT_FRAME))
+    c1, c2 = timing._loss_slopes(DEFAULT_LINK, DEFAULT_FRAME)[1]
+    ratio = c1 / c2
     lo, hi = 1.5, 2.5
     in_band = (lo * (1 - _EDGE_SLACK) <= ratio <= hi * (1 + _EDGE_SLACK))
     return [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anoma import _bands
+from anoma import model as M
 
 
 def banded(n, diags):
@@ -76,6 +77,59 @@ def test_spd_logdet_and_solves(rng):
         assert np.allclose(_bands.solve_sym_pd(s, b), np.linalg.solve(sd, b))
         assert np.allclose(_bands.solve_general(a, b),
                            np.linalg.solve(a.to_dense(), b))
+
+
+def zero_padded(m, lower, upper):
+    """m's band array widened with zero diagonals to the given bandwidths."""
+    ab = np.zeros(m.batch_shape + (lower + upper + 1, m.n))
+    ab[..., upper - m.upper: upper + m.lower + 1, :] = m.ab
+    return ab
+
+
+def assert_padded_bits(got, a, b, op):
+    """got = op(a, b) holds, bit for bit, op of the zero-padded operands."""
+    lower, upper = max(a.lower, b.lower), max(a.upper, b.upper)
+    want = op(zero_padded(a, lower, upper), zero_padded(b, lower, upper))
+    assert (got.lower, got.upper) == (lower, upper)
+    assert got.ab.shape == want.shape
+    assert got.ab.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op", [np.add, np.subtract])
+def test_sum_keeps_the_bits_of_the_zero_padded_sum(rng, op):
+    # -0.0 + 0.0 is 0.0: a diagonal only one operand holds is still added
+    # to zeros, so signed zeros come out as the padded sum gives them
+    values = np.array([-0.0, 0.0, 1.5, -2.25])
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        ms = []
+        for batch in [((), (3,)), ((3,), ())][int(rng.integers(2))]:
+            lower, upper = (int(v) for v in rng.integers(0, 4, size=2))
+            ab = rng.choice(values, size=batch + (lower + upper + 1, n))
+            ms.append(_bands.BandedMatrix(ab, lower, upper))
+        a, b = ms
+        got = a + b if op is np.add else a - b
+        assert_padded_bits(got, a, b, op)
+
+
+def test_model_sums_keep_their_dense_bytes():
+    # at zero offset E1 holds -0.0 on its main diagonal
+    frame = M.FrameConfig(5, 0.3)
+    r = M.build_correlation(frame)
+    for err in (M.TimingError(0.0, 0.0), M.TimingError(0.02, -0.01)):
+        e1m, e2m, _, rhat_n = M.build_error_matrices(frame, err)
+        d = np.abs(M.build_gain(M.LinkConfig.from_gains(1.0, 0.5), 5)) ** 2
+        for a, b, op in ((r, e1m, np.add), (e1m, e2m, np.subtract),
+                         (r, e1m.T, np.add), (e1m.T, e1m, np.add),
+                         (rhat_n, rhat_n.col_scaled(d).matmul(r), np.add),
+                         (identity(10), r.row_scaled(d), np.add)):
+            got = a + b if op is np.add else a - b
+            assert_padded_bits(got, a, b, op)
+            lower, upper = got.lower, got.upper
+            want = _bands.BandedMatrix(
+                op(zero_padded(a, lower, upper), zero_padded(b, lower, upper)),
+                lower, upper)
+            assert got.to_dense().tobytes() == want.to_dense().tobytes()
 
 
 def random_spd_batch(rng, batch, n):

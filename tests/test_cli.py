@@ -249,3 +249,46 @@ def test_query_subnormal_gain_is_usage_error(capsys):
 
 def test_query_invalid_point_is_usage_error(capsys):
     assert main(["query", "--set", "tau=1.5"]) == EXIT_USAGE
+
+
+def test_query_cancelled_tau0_pivot_is_usage_error(capsys):
+    assert main(["query", "--set", "mu1=1e300", "--set", "mu2=1e300",
+                 "--set", "tau=0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "machine epsilon" in captured.err and "tau=0.0" in captured.err
+
+
+def test_sweep_cancelled_tau0_pivot_writes_no_csv(tmp_path, capsys):
+    out = tmp_path / "rate_vs_n.csv"
+    assert main(["sweep", "rate_vs_n", *FAST_OVERRIDES["rate_vs_n"],
+                 "--set", "tau_values=[0.0]", "--set", "mu1=1e17",
+                 "--set", "mu2=1e17", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "machine epsilon" in capsys.readouterr().err
+
+
+def query_line(capsys, *sets):
+    assert main(["query", *(tok for s in sets for tok in ("--set", s))]) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_starts_every_call_from_its_defaults(capsys):
+    assert "n=5 " in query_line(capsys, "n=5")
+    assert "n=10 " in query_line(capsys)
+
+
+def test_reused_parser_survives_a_usage_exit(capsys):
+    with pytest.raises(SystemExit):
+        main([])
+    capsys.readouterr()
+    assert query_line(capsys, "eps1=0.01").startswith("mu1=1 ")
+
+
+def test_reused_parser_prints_identical_bytes(capsys):
+    first = query_line(capsys, "n=7", "eps2=-0.02")
+    assert query_line(capsys, "n=7", "eps2=-0.02") == first

@@ -82,6 +82,15 @@ class TestMatrixRoute:
         with pytest.raises(M.DomainError, match="mu1"):
             route(link, M.FrameConfig(4, 0.5))
 
+    @pytest.mark.parametrize("mu", [1e17, 1e300])
+    def test_tau0_cancelled_pivot_is_a_domain_error(self, mu):
+        # at tau = 0 the second pivot (1 + 1/mu2) - 1/(1 + 1/mu1) of each
+        # 2x2 block rounds to 0 once 1/mu is below machine epsilon
+        link = M.LinkConfig.from_gains(mu, mu)
+        with pytest.raises(M.DomainError, match=r"mu1=.*mu2=.*n=3, tau=0\.0.*"
+                           "second Cholesky pivot.*machine epsilon"):
+            T.log2_det_no_error(link, M.FrameConfig(3, 0.0))
+
 
 class TestClosedForm:
     def test_tau0_is_noma_bitwise(self):

@@ -48,7 +48,7 @@ def slope_patterns(slope, n, branch):
     """The (Z, Z3) pair that a slope function hands to the trace kernel."""
     seen = []
 
-    def spy(link, frame, z_signal, z_noise):
+    def spy(inv, frame, z_signal, z_noise):
         seen.append((z_signal, z_noise))
         return 0.0
 
@@ -382,3 +382,80 @@ class TestOnePointFunctions:
         assert (TM.throughput_loss_display(LINK, FRAME, err)
                 == TM.throughput_loss_display(LINK, FRAME, ref))
         assert TM.loss_breakdown(LINK, FRAME, err) == TM.loss_breakdown(LINK, FRAME, ref)
+
+
+def separately_factored_slope(link, frame, z_signal, z_noise):
+    """A slope from its own factorization of A = D^-1 + R, with the trace
+    summed term by term as the kernel sums it: the reference that a
+    factorization shared by every slope branch must equal bit for bit."""
+    a = M.build_correlation(frame) + _bands.diagonal(1.0 / TM._hh(link, frame.n))
+    inv = _bands.inverse_bands_tridiagonal(a, 2)
+    b = z_signal.T + (z_signal if z_noise is None else z_signal - z_noise)
+    trace = sum((1.0 if k == 0 else 2.0) * float(np.dot(inv[k], b.diag(k)))
+                for k in range(3))
+    return -trace / ((frame.n + frame.tau) * math.log(2.0))
+
+
+def counting(monkeypatch, *names):
+    """Count the calls of the named _bands functions from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _orig=getattr(_bands, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(_bands, name, spy)
+    return counts
+
+
+class TestOneFactorizationPerPoint:
+    """A query factors each distinct matrix once: the no-error D^-1 + R
+    (throughput_report), RhatN and RhatN + Rhat D Rhat^T (the mistimed
+    rate), and A = diag(1/_hh) + R, whose one inverse band serves every
+    slope branch.  The zero-error rate reuses the report's log-det."""
+
+    @pytest.mark.parametrize("sets,cholesky,inverse", [
+        (["n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"], 4, 1),
+        ([], 2, 1),
+        (["tau=0"], 1, 0),
+    ])
+    def test_query_factor_counts(self, monkeypatch, capsys, sets, cholesky,
+                                 inverse):
+        counts = counting(monkeypatch, "cholesky_upper",
+                          "inverse_bands_tridiagonal")
+        argv = ["query"] + [tok for s in sets for tok in ("--set", s)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert counts == {"cholesky_upper": cholesky,
+                          "inverse_bands_tridiagonal": inverse}
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 300])
+    @pytest.mark.parametrize("e1,e2", [(0.03, 0.02), (0.03, -0.02),
+                                       (-0.03, 0.02), (-0.03, -0.02)])
+    def test_shared_factor_equals_one_factor_per_slope(self, n, e1, e2):
+        frame = M.FrameConfig(n, 0.4)
+        slopes = {b: tuple(separately_factored_slope(
+                      LINK, frame, *slope_patterns(fn, n, b))
+                      for fn in (TM.sync_loss_slope, TM.coord_loss_slope))
+                  for b in (1, -1)}
+        for b, (c1, c2) in slopes.items():
+            assert TM.sync_loss_slope(LINK, frame, b) == c1
+            assert TM.coord_loss_slope(LINK, frame, b) == c2
+        assert TM._loss_slopes(LINK, frame, (1, -1)) == slopes
+        err = M.TimingError(e1, e2)
+        base = T.throughput_matrix(LINK, frame)
+        r_e = TM.throughput_with_error(LINK, frame, err)
+        assert TM.loss_breakdown(LINK, frame, err) == TM.LossBreakdown(
+            exact_throughput_with_error=r_e,
+            delta=base - r_e,
+            delta_lin_sync=e1 * slopes[1 if e1 >= 0 else -1][0],
+            delta_lin_coord=e2 * slopes[1 if e2 >= 0 else -1][1],
+            c1=slopes[1][0],
+            c2=slopes[1][1],
+            gamma=(base - r_e) / base,
+        )
+
+    @pytest.mark.parametrize("slope", [TM.sync_loss_slope, TM.coord_loss_slope])
+    def test_cancelled_pivot_is_a_domain_error(self, slope):
+        # tau far below machine epsilon makes A the tau = 0 matrix in floats
+        link = M.LinkConfig.from_gains(1e300, 1e300)
+        with pytest.raises(M.DomainError, match=r"mu1=.*mu2=.*n=10, tau=1e-20"):
+            slope(link, M.FrameConfig(10, 1e-20))
