@@ -95,12 +95,6 @@ class BandedMatrix:
         return sorted(range(-self.lower, self.upper + 1),
                       key=lambda k: (abs(k), -k))
 
-    def diag(self, k: int) -> np.ndarray:
-        """Diagonal k row-aligned, ``v[..., i] == A[..., i, i + k]``."""
-        if not -self.lower <= k <= self.upper:
-            return np.zeros(self.batch_shape + (self.n,))
-        return _shifted(self.ab[..., self.upper - k, :], k)
-
     def to_dense(self) -> np.ndarray:
         n = self.n
         a = np.zeros(self.batch_shape + (n, n))
@@ -156,11 +150,6 @@ class BandedMatrix:
         for k in range(-self.lower, self.upper + 1):
             ab[..., self.lower + k, :] = _shifted(self.ab[..., self.upper - k, :], k)
         return BandedMatrix(ab, self.upper, self.lower)
-
-    def scaled(self, c) -> "BandedMatrix":
-        """c * A; an array c of shape (B,) scales matrix b of a batch by c[b]."""
-        c = np.asarray(c, dtype=float)[..., None, None]
-        return BandedMatrix(c * self.ab, self.lower, self.upper)
 
     def row_scaled(self, d: np.ndarray) -> "BandedMatrix":
         """diag(d) @ A: entry (i, i + k), at column i + k, picks up d[i]."""

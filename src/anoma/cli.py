@@ -71,7 +71,7 @@ def _fig_rate_vs_gain(p: dict):
     h2_list = list(p["h2_sq_values"])
     if not h2_list:
         raise UsageError("h2_sq_values must be non-empty")
-    frame = FrameConfig(int(p["n"]), p["tau"])
+    frame = FrameConfig(p["n"], p["tau"])
     header = ["h1_sq"]
     for h2 in h2_list:
         tag = _fmt(h2)
@@ -100,18 +100,18 @@ def _fig_rate_vs_n(p: dict):
     taus = list(p["tau_values"])
     if not taus:
         raise UsageError("tau_values must be non-empty")
-    if int(p["n_points"]) < 1 or int(p["n_min"]) < 1 or p["n_max"] < p["n_min"]:
+    if p["n_points"] < 1 or p["n_min"] < 1 or p["n_max"] < p["n_min"]:
         raise UsageError("n_min/n_max/n_points must define a non-empty range")
     ns = np.unique(np.round(np.logspace(math.log10(p["n_min"]),
                                         math.log10(p["n_max"]),
-                                        int(p["n_points"]))).astype(int))
+                                        p["n_points"])).astype(int))
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     header = (["N"] + [f"anoma_tau{_fmt(t)}" for t in taus] + ["noma"]
               + [f"asymptote_{_fmt(t)}" for t in taus])
 
     def row(n: int):
-        out = [int(n)]
-        out += [throughput_matrix(link, FrameConfig(int(n), t)) for t in taus]
+        out = [n]
+        out += [throughput_matrix(link, FrameConfig(n, t)) for t in taus]
         out.append(throughput_noma(link.mu1, link.mu2))
         out += [throughput_asymptotic(link.mu1, link.mu2, t) for t in taus]
         return out
@@ -121,7 +121,7 @@ def _fig_rate_vs_n(p: dict):
 
 def _fig_power_surface(p: dict):
     pg = _axis(p, "p_min", "p_max", "p_step")
-    frame = FrameConfig(int(p["n"]), p["tau"])
+    frame = FrameConfig(p["n"], p["tau"])
     rate = design.verify_full_power(pg, pg, p["h1_sq"], p["h2_sq"],
                                     frame).throughput
     header = ["p1", "p2", "throughput"]
@@ -133,7 +133,7 @@ def _fig_tau_star_vs_n(p: dict):
     gains = [tuple(g) for g in p["gains"]]
     if not gains:
         raise UsageError("gains must be non-empty")
-    n_values = [int(n) for n in p["n_values"]]
+    n_values = p["n_values"]
     if not n_values:
         raise UsageError("n_values must be non-empty")
     res = p["grid_resolution"]
@@ -148,7 +148,7 @@ def _fig_tau_star_vs_n(p: dict):
 def _fig_loss_heatmap(p: dict):
     eps = _axis(p, "eps_min", "eps_max", "eps_step")
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
-    frame = FrameConfig(int(p["n"]), p["tau"])
+    frame = FrameConfig(p["n"], p["tau"])
     header = ["eps1", "eps2", "gamma"]
     e1, e2 = (v.ravel() for v in np.meshgrid(eps, eps, indexing="ij"))
     gamma = timing.loss_ratio(link, frame, TimingError(e1, e2))
@@ -165,23 +165,23 @@ def _slices(eps: np.ndarray) -> TimingError:
 def _fig_loss_slices(p: dict):
     eps = _axis(p, "eps_min", "eps_max", "eps_step")
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
-    frame = FrameConfig(int(p["n"]), p["tau"])
+    frame = FrameConfig(p["n"], p["tau"])
     base = throughput_matrix(link, frame)
-    slopes = timing._loss_slopes(link, frame, (1, -1))
+    c1, c2 = timing._loss_slopes(link, frame)
     header = ["eps", "gamma_sync_exact", "gamma_sync_linear",
               "gamma_coord_exact", "gamma_coord_linear"]
     gamma = timing.loss_ratio(link, frame, _slices(eps))
     rows = []
     for e, gs, gc in zip(eps, gamma[:len(eps)], gamma[len(eps):]):
-        c1, c2 = slopes[1 if e >= 0 else -1]
-        rows.append([e, gs, e * c1 / base, gc, e * c2 / base])
+        sign = 1.0 if e >= 0.0 else -1.0
+        rows.append([e, gs, e * (sign * c1) / base, gc, e * (sign * c2) / base])
     return header, rows
 
 
 def _fig_scheme_comparison(p: dict):
     eps = _axis(p, "eps_min", "eps_max", "eps_step")
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
-    frame = FrameConfig(int(p["n"]), p["tau"])
+    frame = FrameConfig(p["n"], p["tau"])
     noma = throughput_noma(link.mu1, link.mu2)
     oma = throughput_oma(link.mu1, link.mu2)
     header = ["eps", "anoma_sync_error", "anoma_coord_error", "noma", "oma"]
@@ -240,8 +240,41 @@ def _parse_set(entries: list[str]) -> dict:
     return out
 
 
+def _conform(key: str, val, default):
+    """val as a value of default's kind, else UsageError naming key.
+
+    Where the default is an int, val must be a whole number (1e3 gives
+    1000); where it is a float, a finite number that is not a bool;
+    where it is a list, a list of values of its first entry's kind, and
+    of that entry's length when the entries are lists (gain pairs).
+    """
+    if isinstance(default, list):
+        item = default[0]
+        if not isinstance(val, list) or (isinstance(item, list) and any(
+                not isinstance(v, list) or len(v) != len(item) for v in val)):
+            shape = f"{len(item)}-element lists" if isinstance(item, list) else "values"
+            raise UsageError(f"{key} must be a list of {shape}, got {val!r}")
+        return [_conform(key, v, item) for v in val]
+    if isinstance(default, int):
+        if isinstance(val, float) and val.is_integer():
+            val = int(val)
+        if isinstance(val, int) and not isinstance(val, bool):
+            return val
+        raise UsageError(f"{key} must be a whole number, got {val!r}")
+    try:
+        finite = (isinstance(val, (int, float)) and not isinstance(val, bool)
+                  and math.isfinite(val))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise UsageError(f"{key} must be a finite number, got {val!r}")
+    return val
+
+
 def _merge_params(defaults: dict, config_path: str | None,
                   overrides: dict) -> dict:
+    """defaults, then the config file's fields, then the overrides, each
+    value checked against its default's kind (_conform)."""
     params = dict(defaults)
     if config_path:
         try:
@@ -256,11 +289,11 @@ def _merge_params(defaults: dict, config_path: str | None,
         for key, val in file_params.items():
             if key not in params:
                 raise UsageError(f"unknown config field {key!r}")
-            params[key] = val
+            params[key] = _conform(key, val, defaults[key])
     for key, val in overrides.items():
         if key not in params:
             raise UsageError(f"unknown field {key!r}")
-        params[key] = val
+        params[key] = _conform(key, val, defaults[key])
     return params
 
 
@@ -317,7 +350,7 @@ def _cmd_validate(args) -> int:
 def _cmd_query(args) -> int:
     params = _merge_params(QUERY_DEFAULTS, None, _parse_set(args.set))
     link = LinkConfig.from_gains(params["mu1"], params["mu2"])
-    frame = FrameConfig(int(params["n"]), params["tau"])
+    frame = FrameConfig(params["n"], params["tau"])
     err = TimingError(params["eps1"], params["eps2"])
     fields = dataclasses.asdict(throughput_report(link, frame))
     # the report's log-det rate is the base of every loss below

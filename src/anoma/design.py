@@ -42,8 +42,6 @@ class TauSearchResult:
 class PowerSweepReport:
     """Finite-difference monotonicity scan of the (p1, p2) throughput grid."""
 
-    p1_values: np.ndarray
-    p2_values: np.ndarray
     throughput: np.ndarray
     violations: list[tuple[str, int, int]] = field(default_factory=list)
     argmax: tuple[float, float] = (0.0, 0.0)
@@ -174,7 +172,6 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
 
     imax, jmax = np.unravel_index(int(np.argmax(grid)), grid.shape)
     return PowerSweepReport(
-        p1_values=p1_values, p2_values=p2_values, throughput=grid,
-        violations=violations,
+        throughput=grid, violations=violations,
         argmax=(float(p1_values[imax]), float(p2_values[jmax])),
     )

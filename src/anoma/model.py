@@ -206,9 +206,8 @@ def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
     offset by a_even = eps1 and stream-2 rows (odd) by a_odd = eps1 + eps2.
 
     Every row spans offsets -2..+2, with the unit-step terms landing on
-    the +-2 slots.  E1 is linear in the offsets on each sign branch, so
-    the stencil at unit offsets is also its derivative there.  Equal-shape
-    array offsets give one matrix per batch entry.
+    the +-2 slots.  Equal-shape array offsets give one matrix per batch
+    entry.
     """
     return _stencil(n2, (
         (0, -np.abs(a_even), -np.abs(a_odd)),
@@ -221,7 +220,7 @@ def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
 
 def _coordination_step(n2: int, eps2) -> BandedMatrix:
     """E2: the symmetric pattern whose super-diagonal alternates -eps2,
-    +eps2 from (row 0, col 1); at eps2 = 1 it is also E2's derivative."""
+    +eps2 from (row 0, col 1)."""
     return _stencil(n2, ((1, -eps2, eps2), (-1, eps2, -eps2)))
 
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    _coordination_step, _unit_step, build_correlation,
-                    build_error_matrices, build_gain)
+                    build_correlation, build_error_matrices, build_gain)
 from .throughput import _not_positive_definite, throughput_matrix
 
 _LN2 = math.log(2.0)
@@ -166,10 +165,8 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
 def _inverse_bands(link: LinkConfig, frame: FrameConfig) -> np.ndarray:
     """Diagonals 0..2 of A^-1, A = D^-1 + R, from one factorization of A.
 
-    Every sensitivity slope at a point, on either branch, reads only
-    these, so one call serves them all.  D^-1 is 1/_hh here and 1/mu in
-    the no-error rate; the two can differ in the last bit, so the rate's
-    factor is never reused for A.
+    D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
+    in the last bit, so the rate's factor is never reused for A.
     """
     link.require_positive_gains()
     if frame.tau == 0.0:
@@ -181,86 +178,65 @@ def _inverse_bands(link: LinkConfig, frame: FrameConfig) -> np.ndarray:
         raise _not_positive_definite(link, frame) from None
 
 
-def _trace_coefficient(inv: np.ndarray, frame: FrameConfig,
-                       z_signal: _bands.BandedMatrix,
-                       z_noise: _bands.BandedMatrix | None) -> float:
-    """-Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n + tau) ln 2).
+def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
+    """(c1, c2), both from one factorization of A = D^-1 + R.
 
-    z_noise is None for the sync coefficient (noise covariance does not
-    respond to eps1).  The 1/ln2 converts the nat-valued trace expansion
-    to the bit-valued rates used everywhere else.
+    Each slope is -Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n +
+    tau) ln 2), Z the derivative of E1 along the error and Z3 that of the
+    noise covariance (zero for eps1); the 1/ln2 converts nats to bits.
+    As (I + D R)^-1 D = A^-1, the trace is Tr[A^-1 B] with B = Z^T + Z -
+    Z3.  For eps1, B is -2 on the diagonal, 0 on the first off-diagonals
+    and 1 on the second; for eps2 it is the same on the odd (stream-2)
+    rows and columns and zero elsewhere.  So each slope is two sums over
+    the band of A^-1:
 
-    With A = D^-1 + R, symmetric positive definite and tridiagonal,
-    (I + D R)^-1 D = A^-1 and (I + D R)^-1 R^-1 M D R has the trace of
-    A^-1 M, so the trace is Tr[A^-1 B] with B = Z^T + Z - Z3.  B is
-    symmetric with bandwidth 2, so only the diagonals 0..2 of A^-1 are
-    needed (inv, from _inverse_bands), and R^-1 never is.  O(n) time and
-    memory.
+        c = 2 (sum_i inv[0, i] - sum_i inv[2, i]) / ((n + tau) ln 2),
+
+    over every i for c1 and over odd i for c2 (inv[2] is zero in its
+    last two slots).  B changes sign with the error, so the slope for a
+    negative error is -c.  O(n) time and memory.
     """
-    b = z_signal.T + (z_signal if z_noise is None else z_signal - z_noise)
-    # both factors symmetric: each off-diagonal k > 0 counts twice
-    trace = sum((1.0 if k == 0 else 2.0) * float(np.dot(inv[k], b.diag(k)))
-                for k in range(3))
-    return -trace / ((frame.n + frame.tau) * _LN2)
-
-
-def _sync_slope(inv: np.ndarray, frame: FrameConfig, branch: int) -> float:
-    """c1 on a branch, given inv from _inverse_bands.  Z is the derivative
-    of E1 along eps1 on that branch: the E1 stencil at unit offsets
-    sign * (1, 1), times sign."""
-    sign = 1.0 if branch >= 0 else -1.0
-    z = _unit_step(2 * frame.n, sign, sign).scaled(sign)
-    return _trace_coefficient(inv, frame, z, None)
-
-
-def _coord_slope(inv: np.ndarray, frame: FrameConfig, branch: int) -> float:
-    """c2 on a branch, given inv from _inverse_bands.  eps2 moves only the
-    stream-2 rows of E1, so Z is the stencil at unit offsets (0, sign),
-    times sign; the noise covariance responds with the E2 pattern,
-    whatever the branch."""
-    sign = 1.0 if branch >= 0 else -1.0
-    n2 = 2 * frame.n
-    z = _unit_step(n2, 0.0, sign).scaled(sign)
-    return _trace_coefficient(inv, frame, z, _coordination_step(n2, 1.0))
+    inv = _inverse_bands(link, frame)
+    scale = (frame.n + frame.tau) * _LN2
+    c1 = 2.0 * float(np.sum(inv[0]) - np.sum(inv[2])) / scale
+    c2 = 2.0 * float(np.sum(inv[0, 1::2]) - np.sum(inv[2, 1::2])) / scale
+    return c1, c2
 
 
 def sync_loss_slope(link: LinkConfig, frame: FrameConfig,
                     branch: int = 1) -> float:
     """First-order sensitivity c1 of the loss to eps1 (bits/interval).
 
-    The mixing-matrix perturbation switches stencil with the sign of
-    eps1, so the loss is kinked at zero: branch >= 0 gives the slope for
-    eps1 > 0 (the headline c1, positive at sane configs), branch < 0 the
-    slope for eps1 < 0 (negative: the loss rises as eps1 falls).
+    The loss is kinked at zero, c1 |eps1| to first order: branch >= 0
+    gives c1, the slope for eps1 > 0 (positive at sane configs), branch
+    < 0 gives -c1, the slope for eps1 < 0.
     """
-    return _sync_slope(_inverse_bands(link, frame), frame, branch)
+    c1 = _loss_slopes(link, frame)[0]
+    return c1 if branch >= 0 else -c1
 
 
 def coord_loss_slope(link: LinkConfig, frame: FrameConfig,
                      branch: int = 1) -> float:
-    """First-order sensitivity c2 of the loss to eps2 (bits/interval),
-    on the branch eps2 > 0 (branch >= 0) or eps2 < 0 (branch < 0)."""
-    return _coord_slope(_inverse_bands(link, frame), frame, branch)
-
-
-def _loss_slopes(link: LinkConfig, frame: FrameConfig,
-                 branches=(1,)) -> dict[int, tuple[float, float]]:
-    """{branch: (c1, c2)}, every slope from one factorization of A."""
-    inv = _inverse_bands(link, frame)
-    return {b: (_sync_slope(inv, frame, b), _coord_slope(inv, frame, b))
-            for b in branches}
+    """First-order sensitivity c2 of the loss to eps2 (bits/interval):
+    c2 for branch >= 0 (eps2 > 0), -c2 for branch < 0 (eps2 < 0)."""
+    c2 = _loss_slopes(link, frame)[1]
+    return c2 if branch >= 0 else -c2
 
 
 def loss_linear_sync(link: LinkConfig, frame: FrameConfig,
                      eps1: float) -> tuple[float, float]:
-    """(eps1 * c1, c1) on the branch containing eps1."""
+    """(eps1 * c, c), c the slope for the sign of eps1, which must be
+    finite."""
+    TimingError(eps1=eps1)
     c1 = sync_loss_slope(link, frame, branch=1 if eps1 >= 0.0 else -1)
     return eps1 * c1, c1
 
 
 def loss_linear_coord(link: LinkConfig, frame: FrameConfig,
                       eps2: float) -> tuple[float, float]:
-    """(eps2 * c2, c2) on the branch containing eps2."""
+    """(eps2 * c, c), c the slope for the sign of eps2, which must be
+    finite."""
+    TimingError(eps2=eps2)
     c2 = coord_loss_slope(link, frame, branch=1 if eps2 >= 0.0 else -1)
     return eps2 * c2, c2
 
@@ -287,19 +263,15 @@ def loss_breakdown(link: LinkConfig, frame: FrameConfig,
 def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
                     base: float) -> LossBreakdown:
     """loss_breakdown given base = throughput_matrix(link, frame), which a
-    caller that reports the rate already holds.  Every slope branch comes
-    from one factorization of A."""
+    caller that reports the rate already holds."""
     err.require_point("loss_breakdown")
     r_e = _throughput_with_error(link, frame, err, base)
     delta = base - r_e
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
-    inv = _inverse_bands(link, frame)
-    # each slope branch once: the headline slopes are the positive ones
-    c1 = _sync_slope(inv, frame, 1)
-    c2 = _coord_slope(inv, frame, 1)
-    c1_err = c1 if err.eps1 >= 0.0 else _sync_slope(inv, frame, -1)
-    c2_err = c2 if err.eps2 >= 0.0 else _coord_slope(inv, frame, -1)
+    c1, c2 = _loss_slopes(link, frame)
+    c1_err = c1 if err.eps1 >= 0.0 else -c1
+    c2_err = c2 if err.eps2 >= 0.0 else -c2
     return LossBreakdown(
         exact_throughput_with_error=r_e,
         delta=delta,

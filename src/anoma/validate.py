@@ -167,17 +167,13 @@ def check_zero_error() -> list[CheckResult]:
 
 def check_linear_loss() -> list[CheckResult]:
     """First-order models within 10% of the exact loss for |eps| <= 0.02."""
+    c1, c2 = timing._loss_slopes(DEFAULT_LINK, DEFAULT_FRAME)
     worst = 0.0
     for eps in (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02):
-        exact = timing.throughput_loss(DEFAULT_LINK, DEFAULT_FRAME,
-                                       TimingError(eps, 0.0))
-        lin, _ = timing.loss_linear_sync(DEFAULT_LINK, DEFAULT_FRAME, eps)
-        worst = max(worst, abs(lin - exact) / abs(exact))
-        exact = timing.throughput_loss(DEFAULT_LINK, DEFAULT_FRAME,
-                                       TimingError(0.0, eps))
-        lin, _ = timing.loss_linear_coord(DEFAULT_LINK, DEFAULT_FRAME, eps)
-        worst = max(worst, abs(lin - exact) / abs(exact))
-    c1, c2 = timing._loss_slopes(DEFAULT_LINK, DEFAULT_FRAME)[1]
+        sign = 1.0 if eps >= 0.0 else -1.0
+        for err, c in ((TimingError(eps, 0.0), c1), (TimingError(0.0, eps), c2)):
+            exact = timing.throughput_loss(DEFAULT_LINK, DEFAULT_FRAME, err)
+            worst = max(worst, abs(eps * (sign * c) - exact) / abs(exact))
     ratio = c1 / c2
     lo, hi = 1.5, 2.5
     in_band = (lo * (1 - _EDGE_SLACK) <= ratio <= hi * (1 + _EDGE_SLACK))

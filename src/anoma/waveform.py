@@ -88,7 +88,6 @@ class NoiseCovarianceReport:
     empirical: np.ndarray
     expected: np.ndarray
     max_abs_deviation: float
-    trials: int
     stat_bound: float
 
 
@@ -266,5 +265,5 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     stat_bound = 3.0 / math.sqrt(trials)
     return NoiseCovarianceReport(
         empirical=cov, expected=expected, max_abs_deviation=dev,
-        trials=trials, stat_bound=stat_bound,
+        stat_bound=stat_bound,
     )

@@ -1,5 +1,6 @@
 """CLI contract: CSV schemas, determinism, exit codes, config precedence."""
 
+import hashlib
 import json
 import math
 
@@ -268,6 +269,33 @@ def test_sweep_cancelled_tau0_pivot_writes_no_csv(tmp_path, capsys):
     assert "machine epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["query", "--set", "n=1.5"], "n"),
+    (["query", "--set", "n=true"], "n"),
+    (["query", "--set", "n=abc"], "n"),
+    (["query", "--set", 'tau="0.3"'], "tau"),
+    (["sweep", "tau_star_vs_n", "--set", "n_values=[1.9, 2]"], "n_values"),
+    (["sweep", "tau_star_vs_n", "--set", "n_values=5"], "n_values"),
+    (["sweep", "tau_star_vs_n", "--set", "gains=[[1]]"], "gains"),
+    (["sweep", "tau_star_vs_n", "--set", 'grid_resolution="x"'], "grid_resolution"),
+    (["sweep", "loss_heatmap", "--set", "eps_step=NaN"], "eps_step"),
+    (["sweep", "loss_heatmap", "--set", "eps_max=Infinity"], "eps_max"),
+])
+def test_malformed_value_is_usage_error(tmp_path, capsys, argv, field):
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    assert main(argv + extra) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
+def test_whole_float_is_the_int_it_names(capsys):
+    assert query_line(capsys, "n=1e1", "eps1=0.01") == query_line(
+        capsys, "n=10", "eps1=0.01")
+
+
 def query_line(capsys, *sets):
     assert main(["query", *(tok for s in sets for tok in ("--set", s))]) == EXIT_OK
     return capsys.readouterr().out
@@ -292,3 +320,45 @@ def test_reused_parser_survives_a_usage_exit(capsys):
 def test_reused_parser_prints_identical_bytes(capsys):
     first = query_line(capsys, "n=7", "eps2=-0.02")
     assert query_line(capsys, "n=7", "eps2=-0.02") == first
+
+
+# sha256 of each default sweep CSV; a change that moves a cell updates
+# its hash here and names the cell
+DEFAULT_CSV_SHA256 = {
+    "rate_vs_gain": "b5d0b18cb2be7d49c59cc2bb562a5ad6e2df175c3612d626ba29afdf8d1e3f05",
+    "rate_vs_n": "c4faed87059e1169c7dd63bfd5fb584f6c081b3a7095aa8c5a1b8c712a6c5c78",
+    "power_surface": "8e9a9883071e9a6673d6aabc29dc863e3773723159d2ccb91ae1d30de4cb49d8",
+    "tau_star_vs_n": "1f9bf6dac5c54e010acc211da0f965bbd944af2057c7ea9f8c46e81926af0c26",
+    "loss_heatmap": "31a2eff778e98e3ed6c170c8d785bb7b54ce781a9cc380e77e620ffcaa0488f5",
+    "loss_slices": "c2187ada6a1ae2d012c2a6cc1d1ba6e11eba0d7ad7b7bd44dad6ba6344f64b7e",
+    "scheme_comparison": "3b33c3f241c0e55d796f94c584ee8ca87fb2016f9ccdcf3492d99da81df0f4cb",
+}
+
+QUERY_LINES = {
+    (): ("mu1=1 mu2=0.5 tau=0.5 n=10 eps1=0 eps2=0 anoma_matrix=1.39349260628 "
+         "anoma_closed=1.39349260628 anoma_recursion=1.39349260628 "
+         "anoma_n_plus_1=1.33015203326 noma=1.32192809489 oma=0.792481250361 "
+         "asymptotic=1.45644156317 exact_throughput_with_error=1.39349260628 "
+         "delta=0 delta_lin_sync=0 delta_lin_coord=0 c1=2.39429863612 "
+         "c2=0.957719454446 gamma=0\n"),
+    ("n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"): (
+        "mu1=1 mu2=0.5 tau=0.4 n=300 eps1=0.03 eps2=-0.05 "
+        "anoma_matrix=1.44961583479 anoma_closed=1.44961583479 "
+        "anoma_recursion=1.44961583479 anoma_n_plus_1=1.44672623512 "
+        "noma=1.32192809489 oma=0.792481250361 asymptotic=1.45140072728 "
+        "exact_throughput_with_error=1.38560974359 delta=0.064006091196 "
+        "delta_lin_sync=0.0757078864801 delta_lin_coord=0.0504719243201 "
+        "c1=2.523596216 c2=1.0094384864 gamma=0.0441538300424\n"),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(DEFAULT_CSV_SHA256))
+def test_default_sweep_bytes_are_pinned(tmp_path, capsys, figure):
+    out = tmp_path / f"{figure}.csv"
+    assert main(["sweep", figure, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[figure]
+
+
+@pytest.mark.parametrize("sets", sorted(QUERY_LINES))
+def test_query_line_is_pinned(capsys, sets):
+    assert query_line(capsys, *sets) == QUERY_LINES[sets]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anoma import _bands
 from anoma import cli
@@ -44,18 +45,18 @@ def trace_coefficient_dense_oracle(link, frame, z_signal, z_noise):
     return -float(np.trace(f)) / ((n + tau) * math.log(2.0))
 
 
-def slope_patterns(slope, n, branch):
-    """The (Z, Z3) pair that a slope function hands to the trace kernel."""
-    seen = []
-
-    def spy(inv, frame, z_signal, z_noise):
-        seen.append((z_signal, z_noise))
-        return 0.0
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TM, "_trace_coefficient", spy)
-        slope(LINK, M.FrameConfig(n, 0.5), branch)
-    return seen[0]
+def slope_patterns(slope, n, branch, step=2.0 ** -6):
+    """(Z, Z3) for a slope on its sign branch: the derivatives of E1 and
+    of the noise covariance along the slope's error, as difference
+    quotients.  E1 and E2 are linear on a branch, so with a power-of-two
+    step the quotient is exact."""
+    unit = (1.0, 0.0) if slope is TM.sync_loss_slope else (0.0, 1.0)
+    frame = M.FrameConfig(n, 0.5)
+    t = branch * step
+    moved = M.build_error_matrices(frame, M.TimingError(t * unit[0], t * unit[1]))
+    still = M.build_error_matrices(frame, M.TimingError())
+    z, z3 = (a - b for a, b in zip(moved[:2], still[:2]))
+    return tuple(_bands.BandedMatrix(d.ab / t, d.lower, d.upper) for d in (z, z3))
 
 
 def display_dense_oracle(link, frame, err):
@@ -177,31 +178,30 @@ class TestLoss:
 
 
 class TestSlopePatterns:
-    """A slope's Z is the derivative of E1 along its error on its sign
-    branch, and Z3 that of the noise covariance; E1 and E2 are linear on
-    a branch, so a difference quotient with a power-of-two step is exact.
-    """
-    STEP = 2.0 ** -6
+    """The slope sums read diagonals 0 and 2 of A^-1 because B = Z^T + Z
+    - Z3 is -2 on the diagonal, 0 on the first off-diagonals and 1 on the
+    second (sync), or the same on the odd rows and columns only
+    (coordination); and B changes sign with the branch."""
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("branch", [1, -1])
     @pytest.mark.parametrize("slope,unit", [
         (TM.sync_loss_slope, (1.0, 0.0)), (TM.coord_loss_slope, (0.0, 1.0))])
     def test_pattern_is_exact_difference_quotient(self, n, branch, slope, unit):
-        frame = M.FrameConfig(n, 0.5)
-        t = branch * self.STEP
-        moved = M.build_error_matrices(
-            frame, M.TimingError(t * unit[0], t * unit[1]))
-        still = M.build_error_matrices(frame, M.TimingError())
-        d_e1, d_e2 = ((a.to_dense() - b.to_dense()) / t
-                      for a, b in zip(moved[:2], still[:2]))
-        z, z3 = slope_patterns(slope, n, branch)
-        assert np.array_equal(d_e1, z.to_dense())
-        if z3 is None:
-            assert not d_e2.any()
-        else:
-            assert np.array_equal(d_e2, z3.to_dense())
-            assert np.array_equal(d_e2, d_e2.T)
+        def b(branch, step=2.0 ** -6):
+            z, z3 = (m.to_dense() for m in slope_patterns(slope, n, branch, step))
+            return z.T + z - z3
+
+        # linear on the branch: a coarser step gives the same quotient
+        assert np.array_equal(b(branch), b(branch, 2.0 ** -2))
+        n2 = 2 * n
+        want = np.zeros((n2, n2))
+        for i in range(n2)[slice(None) if unit[0] else slice(1, None, 2)]:
+            want[i, i] = -2.0
+            if i + 2 < n2:
+                want[i, i + 2] = want[i + 2, i] = 1.0
+        assert np.array_equal(b(branch), branch * want)
+        assert np.array_equal(b(-branch), -b(branch))
 
 
 class TestBandedKernelsAgainstDenseOracles:
@@ -310,6 +310,22 @@ class TestLinearModels:
         with pytest.raises(M.DomainError):
             TM.sync_loss_slope(LINK, M.FrameConfig(10, 0.0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.01, 0.99),
+           st.integers(1, 300))
+    def test_negative_branch_is_the_negated_slope(self, log_mu1, log_mu2,
+                                                  tau, n):
+        link = M.LinkConfig.from_gains(10.0 ** log_mu1, 10.0 ** log_mu2)
+        frame = M.FrameConfig(n, tau)
+        for slope in (TM.sync_loss_slope, TM.coord_loss_slope):
+            assert slope(link, frame, -1) == -slope(link, frame, 1)
+
+    @pytest.mark.parametrize("fn", [TM.loss_linear_sync, TM.loss_linear_coord])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, fn, eps):
+        with pytest.raises(M.DomainError, match="must be finite"):
+            fn(LINK, FRAME, eps)
+
 
 class TestLossRatio:
     def test_zero_at_origin(self):
@@ -384,16 +400,15 @@ class TestOnePointFunctions:
         assert TM.loss_breakdown(LINK, FRAME, err) == TM.loss_breakdown(LINK, FRAME, ref)
 
 
-def separately_factored_slope(link, frame, z_signal, z_noise):
-    """A slope from its own factorization of A = D^-1 + R, with the trace
-    summed term by term as the kernel sums it: the reference that a
-    factorization shared by every slope branch must equal bit for bit."""
+def separately_factored_slope(link, frame, rows):
+    """c1 (rows = slice(None)) or c2 (rows = slice(1, None, 2)) from its
+    own factorization of A = D^-1 + R, summed as the kernel sums it: the
+    reference that the factorization shared by both slopes must equal
+    bit for bit."""
     a = M.build_correlation(frame) + _bands.diagonal(1.0 / TM._hh(link, frame.n))
     inv = _bands.inverse_bands_tridiagonal(a, 2)
-    b = z_signal.T + (z_signal if z_noise is None else z_signal - z_noise)
-    trace = sum((1.0 if k == 0 else 2.0) * float(np.dot(inv[k], b.diag(k)))
-                for k in range(3))
-    return -trace / ((frame.n + frame.tau) * math.log(2.0))
+    total = float(np.sum(inv[0, rows]) - np.sum(inv[2, rows]))
+    return 2.0 * total / ((frame.n + frame.tau) * math.log(2.0))
 
 
 def counting(monkeypatch, *names):
@@ -427,19 +442,33 @@ class TestOneFactorizationPerPoint:
         assert counts == {"cholesky_upper": cholesky,
                           "inverse_bands_tridiagonal": inverse}
 
+    @pytest.mark.parametrize("sets,calls", [
+        (["n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"], 1),
+        (["eps1=-0.01", "eps2=-0.02"], 1),
+        (["tau=0"], 0),
+    ])
+    def test_query_evaluates_the_slopes_once(self, monkeypatch, capsys, sets,
+                                             calls):
+        seen = []
+        monkeypatch.setattr(TM, "_loss_slopes",
+                            lambda *a, _orig=TM._loss_slopes: seen.append(a)
+                            or _orig(*a))
+        argv = ["query"] + [tok for s in sets for tok in ("--set", s)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("n", [1, 2, 10, 300])
     @pytest.mark.parametrize("e1,e2", [(0.03, 0.02), (0.03, -0.02),
                                        (-0.03, 0.02), (-0.03, -0.02)])
     def test_shared_factor_equals_one_factor_per_slope(self, n, e1, e2):
         frame = M.FrameConfig(n, 0.4)
-        slopes = {b: tuple(separately_factored_slope(
-                      LINK, frame, *slope_patterns(fn, n, b))
-                      for fn in (TM.sync_loss_slope, TM.coord_loss_slope))
-                  for b in (1, -1)}
+        c1, c2 = (separately_factored_slope(LINK, frame, rows)
+                  for rows in (slice(None), slice(1, None, 2)))
+        slopes = {1: (c1, c2), -1: (-c1, -c2)}
         for b, (c1, c2) in slopes.items():
             assert TM.sync_loss_slope(LINK, frame, b) == c1
             assert TM.coord_loss_slope(LINK, frame, b) == c2
-        assert TM._loss_slopes(LINK, frame, (1, -1)) == slopes
+        assert TM._loss_slopes(LINK, frame) == slopes[1]
         err = M.TimingError(e1, e2)
         base = T.throughput_matrix(LINK, frame)
         r_e = TM.throughput_with_error(LINK, frame, err)
