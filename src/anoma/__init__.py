@@ -18,9 +18,8 @@ from .throughput import (ThroughputReport, closed_rate, determinant_recursion,
                          throughput_n_plus_1, throughput_noma, throughput_oma,
                          throughput_recursion, throughput_report)
 from .timing import (LossBreakdown, coord_loss_slope, loss_breakdown,
-                     loss_linear_coord, loss_linear_sync, loss_ratio,
-                     sync_loss_slope, throughput_loss, throughput_loss_display,
-                     throughput_with_error)
+                     loss_ratio, sync_loss_slope, throughput_loss,
+                     throughput_loss_display, throughput_with_error)
 from .waveform import (NoiseCovarianceReport, SampleVectors, SymbolFrame,
                        draw_colored_noise, generate_symbols,
                        matched_filter_outputs, model_outputs,
@@ -34,7 +33,7 @@ __all__ = [
     "build_noise_covariance", "closed_rate", "coord_loss_slope",
     "determinant_recursion", "determinant_recursion_log2",
     "draw_colored_noise", "generate_symbols", "log2_det_no_error",
-    "loss_breakdown", "loss_linear_coord", "loss_linear_sync", "loss_ratio",
+    "loss_breakdown", "loss_ratio",
     "matched_filter_outputs", "model_outputs", "noise_covariance_mc",
     "optimal_tau", "roots", "sync_loss_slope", "throughput_asymptotic",
     "throughput_closed", "throughput_existing_definition", "throughput_loss",

@@ -102,9 +102,10 @@ def _fig_rate_vs_n(p: dict):
         raise UsageError("tau_values must be non-empty")
     if p["n_points"] < 1 or p["n_min"] < 1 or p["n_max"] < p["n_min"]:
         raise UsageError("n_min/n_max/n_points must define a non-empty range")
+    # whole floats: FrameConfig checks each, where an int64 cast would wrap
     ns = np.unique(np.round(np.logspace(math.log10(p["n_min"]),
                                         math.log10(p["n_max"]),
-                                        p["n_points"])).astype(int))
+                                        p["n_points"])))
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     header = (["N"] + [f"anoma_tau{_fmt(t)}" for t in taus] + ["noma"]
               + [f"asymptote_{_fmt(t)}" for t in taus])
@@ -173,8 +174,7 @@ def _fig_loss_slices(p: dict):
     gamma = timing.loss_ratio(link, frame, _slices(eps))
     rows = []
     for e, gs, gc in zip(eps, gamma[:len(eps)], gamma[len(eps):]):
-        sign = 1.0 if e >= 0.0 else -1.0
-        rows.append([e, gs, e * (sign * c1) / base, gc, e * (sign * c2) / base])
+        rows.append([e, gs, abs(e) * c1 / base, gc, abs(e) * c2 / base])
     return header, rows
 
 

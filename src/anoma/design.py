@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DomainError, FrameConfig, LinkConfig
-from .throughput import closed_rate, throughput_asymptotic
+from .throughput import closed_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section refinement stops once its bracket is this narrow
@@ -45,10 +45,6 @@ class PowerSweepReport:
     throughput: np.ndarray
     violations: list[tuple[str, int, int]] = field(default_factory=list)
     argmax: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def is_monotone(self) -> bool:
-        return not self.violations
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
@@ -83,8 +79,8 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     return x, f(rows, x)
 
 
-def optimal_tau(link: LinkConfig, n, grid_resolution: float = 1e-3,
-                use_asymptotic: bool = False) -> TauSearchResult:
+def optimal_tau(link: LinkConfig, n,
+                grid_resolution: float = 1e-3) -> TauSearchResult:
     """Best normalized mismatch for each frame length in n (an int or a
     1-D array of them).
 
@@ -103,14 +99,9 @@ def optimal_tau(link: LinkConfig, n, grid_resolution: float = 1e-3,
     link.require_positive_gains()
     ns = np.array([FrameConfig(int(v), 0.0).n for v in np.ravel(n)], dtype=int)
     mu1, mu2 = link.mu1, link.mu2
-    if use_asymptotic:
-        def objective(rows, tau):
-            # the limit does not depend on n: every row gets the same values
-            shape = np.broadcast_shapes(rows.shape, np.shape(tau))
-            return throughput_asymptotic(mu1, mu2, np.broadcast_to(tau, shape))
-    else:
-        def objective(rows, tau):
-            return closed_rate(mu1, mu2, ns[rows], tau)
+
+    def objective(rows, tau):
+        return closed_rate(mu1, mu2, ns[rows], tau)
 
     taus = np.arange(0.0, 1.0, grid_resolution)
     rows = np.arange(len(ns))

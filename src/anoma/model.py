@@ -78,6 +78,10 @@ class LinkConfig:
                                   f"1/{name}, got {name}={mu}")
 
 
+# the largest frame length: every route indexes the frame with int64
+_N_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Frame length n (symbols per user) and normalized timing mismatch tau."""
@@ -87,8 +91,9 @@ class FrameConfig:
 
     def __post_init__(self) -> None:
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
-                or self.n < 1):
-            raise DomainError(f"frame length must be a positive int, got {self.n}")
+                or not 1 <= self.n <= _N_MAX):
+            raise DomainError(f"frame length n must be an int in [1, {_N_MAX}], "
+                              f"got {self.n}")
         if not (0.0 <= self.tau < 1.0):
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
         object.__setattr__(self, "n", int(self.n))

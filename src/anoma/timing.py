@@ -9,10 +9,11 @@ evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
 banded Cholesky factorizations (D = H H^H).  The loss Delta is computed
 from the definition R - R_e; the rearranged log-det expression for
 Delta, assembled from its own banded terms, is kept alongside as a
-cross-check, and the first-order trace models give the sensitivity
-slopes c1 (sync) and c2 (coordination).  Every kernel here is O(n) in
-the frame length.  Exact losses are always the primary quantity; the
-linear models are diagnostics only.
+cross-check.  To first order the loss is V-shaped in each error,
+c1 |eps1| (sync) and c2 |eps2| (coordination); the trace models give
+the slopes, and loss_breakdown reports both terms next to the exact
+loss.  Every kernel here is O(n) in the frame length.  Exact losses are
+always the primary quantity; the linear terms are diagnostics only.
 """
 
 from __future__ import annotations
@@ -203,42 +204,20 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
     return c1, c2
 
 
-def sync_loss_slope(link: LinkConfig, frame: FrameConfig,
-                    branch: int = 1) -> float:
+def sync_loss_slope(link: LinkConfig, frame: FrameConfig) -> float:
     """First-order sensitivity c1 of the loss to eps1 (bits/interval).
 
-    The loss is kinked at zero, c1 |eps1| to first order: branch >= 0
-    gives c1, the slope for eps1 > 0 (positive at sane configs), branch
-    < 0 gives -c1, the slope for eps1 < 0.
+    The loss is kinked at zero, c1 |eps1| to first order: c1 is the
+    slope for eps1 > 0 (positive at sane configs) and -c1 the slope for
+    eps1 < 0.
     """
-    c1 = _loss_slopes(link, frame)[0]
-    return c1 if branch >= 0 else -c1
+    return _loss_slopes(link, frame)[0]
 
 
-def coord_loss_slope(link: LinkConfig, frame: FrameConfig,
-                     branch: int = 1) -> float:
+def coord_loss_slope(link: LinkConfig, frame: FrameConfig) -> float:
     """First-order sensitivity c2 of the loss to eps2 (bits/interval):
-    c2 for branch >= 0 (eps2 > 0), -c2 for branch < 0 (eps2 < 0)."""
-    c2 = _loss_slopes(link, frame)[1]
-    return c2 if branch >= 0 else -c2
-
-
-def loss_linear_sync(link: LinkConfig, frame: FrameConfig,
-                     eps1: float) -> tuple[float, float]:
-    """(eps1 * c, c), c the slope for the sign of eps1, which must be
-    finite."""
-    TimingError(eps1=eps1)
-    c1 = sync_loss_slope(link, frame, branch=1 if eps1 >= 0.0 else -1)
-    return eps1 * c1, c1
-
-
-def loss_linear_coord(link: LinkConfig, frame: FrameConfig,
-                      eps2: float) -> tuple[float, float]:
-    """(eps2 * c, c), c the slope for the sign of eps2, which must be
-    finite."""
-    TimingError(eps2=eps2)
-    c2 = coord_loss_slope(link, frame, branch=1 if eps2 >= 0.0 else -1)
-    return eps2 * c2, c2
+    the loss is c2 |eps2| to first order."""
+    return _loss_slopes(link, frame)[1]
 
 
 def loss_ratio(link: LinkConfig, frame: FrameConfig,
@@ -256,7 +235,8 @@ def loss_ratio(link: LinkConfig, frame: FrameConfig,
 
 def loss_breakdown(link: LinkConfig, frame: FrameConfig,
                    err: TimingError) -> LossBreakdown:
-    """Exact loss plus both linear diagnostics at one operating point."""
+    """Exact loss plus both linear diagnostics, c1 |eps1| and c2 |eps2|,
+    at one operating point."""
     return _loss_breakdown(link, frame, err, throughput_matrix(link, frame))
 
 
@@ -270,13 +250,11 @@ def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
     c1, c2 = _loss_slopes(link, frame)
-    c1_err = c1 if err.eps1 >= 0.0 else -c1
-    c2_err = c2 if err.eps2 >= 0.0 else -c2
     return LossBreakdown(
         exact_throughput_with_error=r_e,
         delta=delta,
-        delta_lin_sync=err.eps1 * c1_err,
-        delta_lin_coord=err.eps2 * c2_err,
+        delta_lin_sync=abs(err.eps1) * c1,
+        delta_lin_coord=abs(err.eps2) * c2,
         c1=c1,
         c2=c2,
         gamma=delta / base,

@@ -47,37 +47,26 @@ class CheckResult:
 def check_route_agreement() -> list[CheckResult]:
     """Closed form, log-det, and recursion agree across the pinned grid."""
     t0 = time.perf_counter()
-    worst_small = 0.0
-    for mu1 in MU_GRID:
-        for mu2 in MU_GRID:
-            link = LinkConfig.from_gains(mu1, mu2)
-            for tau in TAU_GRID:
-                for n in N_GRID:
-                    frame = FrameConfig(n, tau)
-                    rm = throughput.throughput_matrix(link, frame)
-                    rc = throughput.throughput_closed(link, frame)
-                    rr = throughput.throughput_recursion(link, frame)
-                    rel = max(abs(rm - rc), abs(rm - rr)) / abs(rm)
-                    worst_small = max(worst_small, rel)
-    worst_large = 0.0
-    for mu1 in MU_GRID:
-        for mu2 in MU_GRID:
-            link = LinkConfig.from_gains(mu1, mu2)
-            for tau in TAU_GRID:
-                frame = FrameConfig(2000, tau)
-                rm = throughput.throughput_matrix(link, frame)
-                rc = throughput.throughput_closed(link, frame)
-                rr = throughput.throughput_recursion(link, frame)
-                rel = max(abs(rm - rc), abs(rm - rr)) / abs(rm)
-                worst_large = max(worst_large, rel)
+    results = []
+    for name, n_values, tol in (("routes.agreement_n_le_50", N_GRID, 1e-9),
+                                ("routes.agreement_n_2000", (2000,), 1e-6)):
+        worst = 0.0
+        for mu1 in MU_GRID:
+            for mu2 in MU_GRID:
+                link = LinkConfig.from_gains(mu1, mu2)
+                for tau in TAU_GRID:
+                    for n in n_values:
+                        frame = FrameConfig(n, tau)
+                        rm = throughput.throughput_matrix(link, frame)
+                        rc = throughput.throughput_closed(link, frame)
+                        rr = throughput.throughput_recursion(link, frame)
+                        rel = max(abs(rm - rc), abs(rm - rr)) / abs(rm)
+                        worst = max(worst, rel)
+        results.append(CheckResult(name, worst, tol, worst <= tol))
     elapsed = time.perf_counter() - t0
-    return [
-        CheckResult("routes.agreement_n_le_50", worst_small, 1e-9,
-                    worst_small <= 1e-9),
-        CheckResult("routes.agreement_n_2000", worst_large, 1e-6,
-                    worst_large <= 1e-6),
-        CheckResult("routes.runtime_seconds", elapsed, 30.0, elapsed <= 30.0),
-    ]
+    results.append(CheckResult("routes.runtime_seconds", elapsed, 30.0,
+                               elapsed <= 30.0))
+    return results
 
 
 def check_noma_collapse() -> list[CheckResult]:
@@ -170,10 +159,9 @@ def check_linear_loss() -> list[CheckResult]:
     c1, c2 = timing._loss_slopes(DEFAULT_LINK, DEFAULT_FRAME)
     worst = 0.0
     for eps in (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02):
-        sign = 1.0 if eps >= 0.0 else -1.0
         for err, c in ((TimingError(eps, 0.0), c1), (TimingError(0.0, eps), c2)):
             exact = timing.throughput_loss(DEFAULT_LINK, DEFAULT_FRAME, err)
-            worst = max(worst, abs(eps * (sign * c) - exact) / abs(exact))
+            worst = max(worst, abs(abs(eps) * c - exact) / abs(exact))
     ratio = c1 / c2
     lo, hi = 1.5, 2.5
     in_band = (lo * (1 - _EDGE_SLACK) <= ratio <= hi * (1 + _EDGE_SLACK))
@@ -184,19 +172,14 @@ def check_linear_loss() -> list[CheckResult]:
     ]
 
 
-def _gamma_grid(res: float = 0.005, span: float = 0.1):
-    # integer-scaled so the origin is exactly 0.0
-    k = round(span / res)
-    eps = res * np.arange(-k, k + 1)
-    e1, e2 = np.meshgrid(eps, eps, indexing="ij")
-    grid = timing.loss_ratio(DEFAULT_LINK, DEFAULT_FRAME, TimingError(e1, e2))
-    return eps, grid
-
-
 def check_gamma_surface() -> list[CheckResult]:
     """gamma has its grid minimum at the origin and no jump at the kinks."""
+    # steps of res over [-0.1, 0.1], integer-scaled so the origin is
+    # exactly 0.0
     res = 0.005
-    eps, grid = _gamma_grid(res=res)
+    eps = res * np.arange(-20, 21)
+    e1, e2 = np.meshgrid(eps, eps, indexing="ij")
+    grid = timing.loss_ratio(DEFAULT_LINK, DEFAULT_FRAME, TimingError(e1, e2))
     i0 = int(np.argmin(np.abs(eps)))
     origin = grid[i0, i0]
     min_off = float(np.min(grid) - origin)
@@ -235,11 +218,11 @@ def check_scheme_ordering() -> list[CheckResult]:
                         detail=f"anoma={anoma:.4f} noma={noma:.4f} oma={oma:.4f}")]
 
 
-def check_waveform_equivalence(frames: int = 100, seed: int = 2024) -> list[CheckResult]:
+def check_waveform_equivalence() -> list[CheckResult]:
     """Noiseless matched-filter outputs equal the banded linear model."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(frames):
+    for _ in range(100):
         n = int(rng.integers(1, 17))
         sym = waveform.generate_symbols(n, "gaussian",
                                         seed=int(rng.integers(0, 2 ** 31)))
@@ -261,12 +244,12 @@ def check_waveform_equivalence(frames: int = 100, seed: int = 2024) -> list[Chec
                         worst <= 1e-12)]
 
 
-def check_noise_covariance(trials: int = 1_000_000) -> list[CheckResult]:
+def check_noise_covariance() -> list[CheckResult]:
     t0 = time.perf_counter()
     rep0 = waveform.noise_covariance_mc(FrameConfig(2, 0.5), eps2=0.0,
-                                        trials=trials, seed=511)
+                                        trials=1_000_000, seed=511)
     rep1 = waveform.noise_covariance_mc(FrameConfig(2, 0.5), eps2=0.05,
-                                        trials=trials, seed=512)
+                                        trials=1_000_000, seed=512)
     elapsed = time.perf_counter() - t0
     dev = max(rep0.max_abs_deviation, rep1.max_abs_deviation)
     adj0 = float(rep0.empirical[0, 1].real)

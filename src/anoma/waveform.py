@@ -16,13 +16,13 @@ not grow with the slot index.
 
 Noise comes in two flavors that cross-check each other:
 
-* a physics path that integrates sub-grid white noise through both
-  filter banks (noise_covariance_mc), used to validate the colored
-  covariance model by Monte Carlo.  Each run of adjacent sub-grid cells
-  that every filter weights alike is merged into one cell carrying the
-  run's summed variance, which leaves the distribution of the outputs
-  unchanged, and the draws come in batches of bounded size, so memory
-  does not grow with the trial count;
+* a physics path that integrates white noise through both filter
+  banks (noise_covariance_mc), used to validate the colored covariance
+  model by Monte Carlo.  The window edges split the frame into 2n + 2
+  cells whose integrated noise is exactly independent with variance
+  equal to the cell length, so one draw per cell gives the outputs'
+  exact distribution; the draws come in batches of bounded size, so
+  memory does not grow with the trial count;
 * a fast path that draws the interleaved noise vector directly from the
   noise covariance RhatN via a banded Cholesky factor (used by
   matched_filter_outputs when noise is requested).
@@ -195,70 +195,60 @@ def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
     return out
 
 
-def _subgrid_weights(frame: FrameConfig, eps2: float,
-                     subsamples: int) -> np.ndarray:
-    """Filter weights W on the Monte Carlo sub-grid, ``(2n, k)``.
+def _interval_weights(frame: FrameConfig, eps2: float) -> np.ndarray:
+    """Filter weights of the Monte Carlo's white-noise cells, ``(2n, 2n + 2)``.
 
-    The grid has ``subsamples`` cells per symbol interval and covers
-    [0, n + 1); row 2i (2i + 1) holds each cell's overlap with the
-    stream-1 (stream-2) window of slot i.
+    Stream-1 window i is [i, i + 1] and stream-2 window i is [i + s,
+    i + 1 + s], s = tau + eps2 in (0, 1).  Their edges split [0, n + 1)
+    into the 2n + 2 cells [k, k + s), [k + s, k + 1), k = 0..n (the last
+    one past every window).  White noise integrated over a cell of
+    length L is a Gaussian of variance L, independent of the other
+    cells, and window r (row r of the interleaved streams) covers
+    exactly cells r and r + 1, so W[r, r] and W[r, r + 1] are the square
+    roots of their lengths and W W^T is the window-overlap matrix RhatN.
     """
-    n, tau = frame.n, frame.tau
-    dt = 1.0 / subsamples
-    edges = np.arange((n + 1) * subsamples) * dt
-    slots = np.arange(n)
-    lo = np.column_stack((slots, slots + tau + eps2)).ravel()[:, None]
-    hi = np.column_stack((slots + 1, slots + 1 + tau + eps2)).ravel()[:, None]
-    w = np.minimum(hi, edges + dt) - np.maximum(lo, edges)
-    return np.clip(w, 0.0, None)
-
-
-def _merge_equal_runs(weights: np.ndarray) -> np.ndarray:
-    """Each run of equal adjacent columns as one column times sqrt(run length).
-
-    The white noise of a run's cells enters every output with the same
-    weights, so its sum is one Gaussian with run-length times the
-    variance: the merged columns give outputs of exactly the same
-    distribution, and W W^T is unchanged.
-    """
-    change = np.any(weights[:, 1:] != weights[:, :-1], axis=0)
-    starts = np.flatnonzero(np.concatenate(([True], change)))
-    counts = np.diff(np.append(starts, weights.shape[1]))
-    return weights[:, starts] * np.sqrt(counts)
+    n2 = 2 * frame.n
+    k = np.arange(frame.n + 1)
+    edges = np.append(np.column_stack((k, k + frame.tau + eps2)).ravel(),
+                      frame.n + 1.0)
+    root = np.sqrt(np.diff(edges))
+    w = np.zeros((n2, n2 + 2))
+    rows = np.arange(n2)
+    w[rows, rows] = root[:-2]
+    w[rows, rows + 1] = root[1:-1]
+    return w
 
 
 def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
-                        trials: int = 10_000, seed: int | None = None,
-                        subsamples: int = 64) -> NoiseCovarianceReport:
+                        trials: int = 10_000,
+                        seed: int | None = None) -> NoiseCovarianceReport:
     """Monte Carlo validation of the colored-noise covariance.
 
-    White noise is approximated on a sub-grid of ``subsamples`` points
-    per symbol interval with per-sample variance 1/dt; each matched
-    filter weights a sub-interval by its exact overlap with the
-    integration window, so grid-aligned windows incur no bias at all and
-    misaligned ones at most O(1/subsamples) on same-bank entries.  Runs
-    of cells with equal weights are drawn as one cell (see
-    _merge_equal_runs), and at most _MC_BATCH_VALUES values are drawn
-    per batch.
+    Unit-variance complex white noise is drawn once per cell between
+    consecutive window edges (see _interval_weights), which is the exact
+    distribution of the integrated noise: the estimate carries no
+    discretization bias for any tau + eps2, only sampling error.  At
+    most _MC_BATCH_VALUES values are drawn per batch.
     """
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a meaningful estimate")
     if not (0.0 < frame.tau + eps2 < 1.0):
         raise DomainError(
             f"noise model needs tau + eps2 in (0, 1), got {frame.tau + eps2}")
-    wt = _merge_equal_runs(_subgrid_weights(frame, eps2, subsamples)).T
+    wt = _interval_weights(frame, eps2).T
     cells, n2 = wt.shape
     rng = np.random.default_rng(seed)
     cov = np.zeros((n2, n2), dtype=complex)
     batch = max(1, _MC_BATCH_VALUES // cells)
     for start in range(0, trials, batch):
         b = min(batch, trials - start)
-        # unit-variance real and imaginary parts; sub-grid noise has
-        # per-part variance subsamples / 2, applied once at the end
+        # the real and the imaginary part of a cell each carry its
+        # length L as variance, twice a complex cell's L: halved once
+        # at the end
         y = (rng.standard_normal((b, cells)) @ wt
              + 1j * (rng.standard_normal((b, cells)) @ wt))
         cov += y.T @ y.conj()
-    cov *= subsamples / (2.0 * trials)
+    cov *= 1.0 / (2.0 * trials)
 
     expected = build_noise_covariance(frame, eps2).to_dense()
     dev = float(np.max(np.abs(cov - expected)))

@@ -291,6 +291,26 @@ def test_malformed_value_is_usage_error(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["query", "--set", "n=1e20"],
+    ["sweep", "tau_star_vs_n", "--set", "n_values=[10, 1e20]"],
+    ["sweep", "rate_vs_n", "--set", "n_min=1e20", "--set", "n_max=1e20",
+     "--set", "n_points=1"],
+    ["sweep", "rate_vs_n", "--set", "n_min=1e19", "--set", "n_max=1e20"],
+])
+def test_frame_length_beyond_int64_is_usage_error(tmp_path, capsys, argv):
+    # FrameConfig refuses n before any route allocates O(n) memory; the
+    # message carries the value itself, not an int64 wrap of it
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    assert main(argv + extra) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: frame length n must be an int in "
+                                   "[1, 9223372036854775807], got 1000000000")
+    assert not out.exists()
+
+
 def test_whole_float_is_the_int_it_names(capsys):
     assert query_line(capsys, "n=1e1", "eps1=0.01") == query_line(
         capsys, "n=10", "eps1=0.01")

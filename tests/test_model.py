@@ -90,6 +90,14 @@ class TestFrameConfig:
         with pytest.raises(M.DomainError):
             M.FrameConfig(n, 0.5)
 
+    @pytest.mark.parametrize("n", [2 ** 63, 10 ** 20, np.uint64(2 ** 63)])
+    def test_length_beyond_int64_rejected_by_name(self, n):
+        with pytest.raises(M.DomainError, match=r"frame length n .*got \d+"):
+            M.FrameConfig(n, 0.5)
+
+    def test_int64_maximum_is_legal(self):
+        assert M.FrameConfig(2 ** 63 - 1, 0.5).n == 2 ** 63 - 1
+
 
 class TestTimingError:
     def test_admissible_ranges(self):

@@ -221,7 +221,8 @@ class TestBandedKernelsAgainstDenseOracles:
         z, z3 = slope_patterns(slope, n, branch)
         for link, tau in ((LINK, 0.5), (M.LinkConfig.from_gains(20.0, 0.05), 0.13)):
             frame = M.FrameConfig(n, tau)
-            got = slope(link, frame, branch)
+            # the slope on the negative side is -c
+            got = branch * slope(link, frame)
             ref = trace_coefficient_dense_oracle(link, frame, z, z3)
             assert math.isclose(got, ref, rel_tol=1e-12)
 
@@ -247,9 +248,8 @@ class TestBandedKernelsAgainstDenseOracles:
         monkeypatch.setattr(_bands, "solve_sym_pd", dense)
         monkeypatch.setattr(_bands, "solve_general", dense)
         frame = M.FrameConfig(100_000, 0.5)
-        for branch in (1, -1):
-            assert math.isfinite(TM.sync_loss_slope(LINK, frame, branch))
-            assert math.isfinite(TM.coord_loss_slope(LINK, frame, branch))
+        assert math.isfinite(TM.sync_loss_slope(LINK, frame))
+        assert math.isfinite(TM.coord_loss_slope(LINK, frame))
         err = M.TimingError(0.03, -0.05)
         display = TM.throughput_loss_display(LINK, frame, err)
         assert math.isclose(display, TM.throughput_loss(LINK, frame, err),
@@ -260,20 +260,25 @@ class TestBandedKernelsAgainstDenseOracles:
         assert all(math.isfinite(float(v)) for v in fields.values())
 
 
+def linear_terms(eps1, eps2):
+    """(delta_lin_sync, delta_lin_coord) of the breakdown at (eps1, eps2)."""
+    b = TM.loss_breakdown(LINK, FRAME, M.TimingError(eps1, eps2))
+    return b.delta_lin_sync, b.delta_lin_coord
+
+
 class TestLinearModels:
     def test_zero_offset_gives_zero(self):
-        d, c1 = TM.loss_linear_sync(LINK, FRAME, 0.0)
-        assert d == 0.0
-        assert c1 > 0.0
+        assert linear_terms(0.0, 0.0) == (0.0, 0.0)
+        assert TM.sync_loss_slope(LINK, FRAME) > 0.0
 
     def test_sync_within_ten_percent_at_eps_001(self):
         exact = TM.throughput_loss(LINK, FRAME, M.TimingError(0.01, 0.0))
-        approx, _ = TM.loss_linear_sync(LINK, FRAME, 0.01)
+        approx = linear_terms(0.01, 0.0)[0]
         assert abs(approx - exact) / exact <= 0.1
 
     def test_coord_within_ten_percent_at_eps_001(self):
         exact = TM.throughput_loss(LINK, FRAME, M.TimingError(0.0, 0.01))
-        approx, _ = TM.loss_linear_coord(LINK, FRAME, 0.01)
+        approx = linear_terms(0.0, 0.01)[1]
         assert abs(approx - exact) / exact <= 0.1
 
     def test_c1_sign_matches_exact_slope(self):
@@ -281,12 +286,12 @@ class TestLinearModels:
         up = TM.throughput_loss(LINK, FRAME, M.TimingError(0.01, 0.0))
         assert c1 > 0.0 and up > 0.0
 
-    def test_negative_branch_slope_matches_finite_difference(self):
+    def test_negative_side_slope_matches_finite_difference(self):
         h = 1e-6
-        c1_neg = TM.sync_loss_slope(LINK, FRAME, branch=-1)
+        c1_neg = -TM.sync_loss_slope(LINK, FRAME)
         fd = TM.throughput_loss(LINK, FRAME, M.TimingError(-h, 0.0)) / (-h)
         assert math.isclose(c1_neg, fd, rel_tol=1e-4)
-        c2_neg = TM.coord_loss_slope(LINK, FRAME, branch=-1)
+        c2_neg = -TM.coord_loss_slope(LINK, FRAME)
         fd2 = TM.throughput_loss(LINK, FRAME, M.TimingError(0.0, -h)) / (-h)
         assert math.isclose(c2_neg, fd2, rel_tol=1e-4)
 
@@ -298,7 +303,7 @@ class TestLinearModels:
 
     def test_degrades_gracefully_up_to_005(self):
         exact = TM.throughput_loss(LINK, FRAME, M.TimingError(0.05, 0.0))
-        approx, _ = TM.loss_linear_sync(LINK, FRAME, 0.05)
+        approx = linear_terms(0.05, 0.0)[0]
         assert abs(approx - exact) / exact <= 0.2
 
     def test_slope_ratio_near_two(self):
@@ -312,19 +317,22 @@ class TestLinearModels:
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.01, 0.99),
-           st.integers(1, 300))
-    def test_negative_branch_is_the_negated_slope(self, log_mu1, log_mu2,
-                                                  tau, n):
+           st.integers(1, 300), st.floats(-0.005, 0.005),
+           st.floats(-0.005, 0.005))
+    def test_linear_terms_are_eps_times_the_side_slope(self, log_mu1, log_mu2,
+                                                       tau, n, e1, e2):
+        # |eps| c equals eps (-c) bit for bit on the negative side
         link = M.LinkConfig.from_gains(10.0 ** log_mu1, 10.0 ** log_mu2)
         frame = M.FrameConfig(n, tau)
-        for slope in (TM.sync_loss_slope, TM.coord_loss_slope):
-            assert slope(link, frame, -1) == -slope(link, frame, 1)
+        b = TM.loss_breakdown(link, frame, M.TimingError(e1, e2))
+        assert b.delta_lin_sync == e1 * (b.c1 if e1 >= 0.0 else -b.c1)
+        assert b.delta_lin_coord == e2 * (b.c2 if e2 >= 0.0 else -b.c2)
 
-    @pytest.mark.parametrize("fn", [TM.loss_linear_sync, TM.loss_linear_coord])
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
-    def test_non_finite_offset_rejected(self, fn, eps):
-        with pytest.raises(M.DomainError, match="must be finite"):
-            fn(LINK, FRAME, eps)
+    def test_non_finite_offset_rejected(self, eps):
+        for e1, e2 in ((eps, 0.0), (0.0, eps)):
+            with pytest.raises(M.DomainError, match="must be finite"):
+                TM.loss_breakdown(LINK, FRAME, M.TimingError(e1, e2))
 
 
 class TestLossRatio:
@@ -363,18 +371,19 @@ class TestBreakdown:
         assert math.isclose(b.gamma, b.delta / base, rel_tol=1e-14)
         assert b.c1 > 0.0 and b.c2 > 0.0
         assert math.isclose(b.delta_lin_sync, 0.02 * b.c1, rel_tol=1e-14)
-        # negative eps2 rides the negative branch, not -0.01 * c2
-        neg_c2 = TM.coord_loss_slope(LINK, FRAME, branch=-1)
+        # negative eps2 rides the negative side, slope -c2
+        neg_c2 = -TM.coord_loss_slope(LINK, FRAME)
         assert math.isclose(b.delta_lin_coord, -0.01 * neg_c2, rel_tol=1e-14)
 
     @pytest.mark.parametrize("e1,e2", [(0.02, 0.01), (0.02, -0.01),
                                        (-0.02, 0.01), (-0.02, -0.01)])
-    def test_linear_terms_equal_linear_models_on_every_branch(self, e1, e2):
+    def test_linear_terms_are_the_side_slopes_on_every_branch(self, e1, e2):
         b = TM.loss_breakdown(LINK, FRAME, M.TimingError(e1, e2))
-        assert b.delta_lin_sync == TM.loss_linear_sync(LINK, FRAME, e1)[0]
-        assert b.delta_lin_coord == TM.loss_linear_coord(LINK, FRAME, e2)[0]
-        assert b.c1 == TM.sync_loss_slope(LINK, FRAME)
-        assert b.c2 == TM.coord_loss_slope(LINK, FRAME)
+        c1 = TM.sync_loss_slope(LINK, FRAME)
+        c2 = TM.coord_loss_slope(LINK, FRAME)
+        assert b.delta_lin_sync == e1 * (c1 if e1 >= 0.0 else -c1)
+        assert b.delta_lin_coord == e2 * (c2 if e2 >= 0.0 else -c2)
+        assert (b.c1, b.c2) == (c1, c2)
 
 
 class TestOnePointFunctions:
@@ -465,9 +474,8 @@ class TestOneFactorizationPerPoint:
         c1, c2 = (separately_factored_slope(LINK, frame, rows)
                   for rows in (slice(None), slice(1, None, 2)))
         slopes = {1: (c1, c2), -1: (-c1, -c2)}
-        for b, (c1, c2) in slopes.items():
-            assert TM.sync_loss_slope(LINK, frame, b) == c1
-            assert TM.coord_loss_slope(LINK, frame, b) == c2
+        assert TM.sync_loss_slope(LINK, frame) == c1
+        assert TM.coord_loss_slope(LINK, frame) == c2
         assert TM._loss_slopes(LINK, frame) == slopes[1]
         err = M.TimingError(e1, e2)
         base = T.throughput_matrix(LINK, frame)

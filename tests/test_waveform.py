@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anoma import model as M
 from anoma import waveform as W
@@ -193,12 +194,12 @@ class TestNoiseCovariance:
             M.FrameConfig(2, 0.5), M.TimingError(0.0, 0.1))[3].to_dense()
         assert np.array_equal(rep.expected, model_cov)
 
-    def test_subgrid_refinement_stays_within_noise(self):
-        coarse = W.noise_covariance_mc(M.FrameConfig(1, 0.3), trials=50_000,
-                                       seed=5, subsamples=64)
-        fine = W.noise_covariance_mc(M.FrameConfig(1, 0.3), trials=50_000,
-                                     seed=5, subsamples=128)
-        assert np.max(np.abs(coarse.empirical - fine.empirical)) <= 0.05
+    def test_misaligned_windows_carry_no_bias(self):
+        # tau + eps2 = 0.3123 falls on no dyadic grid: the estimate still
+        # lies inside its three-sigma band
+        rep = W.noise_covariance_mc(M.FrameConfig(2, 0.3), eps2=0.0123,
+                                    trials=50_000, seed=5)
+        assert rep.max_abs_deviation <= rep.stat_bound
 
     def test_trial_floor_enforced(self):
         with pytest.raises(M.DomainError):
@@ -228,28 +229,45 @@ class TestNoiseCovariance:
                                  np.random.default_rng(0))
 
 
-class TestGroupedMonteCarlo:
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    @pytest.mark.parametrize("eps2", [0.0, 0.05])
-    def test_merged_weights_keep_the_gram_matrix(self, n, eps2):
-        w = W._subgrid_weights(M.FrameConfig(n, 0.5), eps2, 64)
-        merged = W._merge_equal_runs(w)
-        assert merged.shape[1] < w.shape[1]
-        assert np.max(np.abs(merged @ merged.T - w @ w.T)) <= 1e-15
+class TestIntervalMonteCarlo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 50), st.floats(0.0, 0.99), st.floats(0.001, 0.999))
+    def test_gram_matrix_is_the_noise_covariance(self, n, tau, offset):
+        # windows at tau + eps2 = offset, on no sub-grid in general
+        eps2 = offset - tau
+        frame = M.FrameConfig(n, tau)
+        w = W._interval_weights(frame, eps2)
+        expected = M.build_noise_covariance(frame, eps2).to_dense()
+        # each cell length is a difference of two window edges k + s,
+        # each rounded to within half a spacing of n + 1, and an entry
+        # of W W^T sums at most two lengths: at most 2 spacings apart
+        # from the exact value, plus a few ulps of 1 from the square
+        # roots and the model's own rounding
+        bound = 2 * np.spacing(float(n + 1)) + 4 * np.spacing(1.0)
+        assert np.max(np.abs(w @ w.T - expected)) <= bound
 
-    @pytest.mark.parametrize("eps2,cells", [(0.0, 6), (0.05, 9)])
-    def test_merged_cell_count(self, eps2, cells):
-        w = W._subgrid_weights(M.FrameConfig(2, 0.5), eps2, 64)
-        assert w.shape == (4, 192)
-        assert W._merge_equal_runs(w).shape == (4, cells)
+    @pytest.mark.parametrize("n", [1, 2, 5, 200])
+    @pytest.mark.parametrize("tau,eps2", [(0.5, 0.0), (0.5, 0.05), (0.3, -0.17)])
+    def test_cell_count(self, n, tau, eps2):
+        w = W._interval_weights(M.FrameConfig(n, tau), eps2)
+        assert w.shape == (2 * n, 2 * n + 2)
+        # window r covers cells r and r + 1 only; the last cell lies
+        # past every window
+        assert np.count_nonzero(w) == 4 * n
+        assert not w[:, -1].any()
 
-    def test_expectation_is_the_scaled_gram_matrix(self):
-        # E[cov] = subsamples * W W^T, which equals RhatN on grid-aligned
-        # windows (tau + eps2 = 40/64)
-        frame = M.FrameConfig(2, 0.5)
-        w = W._subgrid_weights(frame, 8 / 64, 64)
-        expected = M.build_noise_covariance(frame, 8 / 64).to_dense()
-        assert np.max(np.abs(64 * w @ w.T - expected)) <= 1e-14
+    def test_peak_memory_at_n_200(self):
+        # a few 400 x 400 complex arrays of 2.6 MB each (the covariance,
+        # its batch update, the deviation from the model) put the peak
+        # near 9 MB; the cell weights add 1.3 MB
+        tracemalloc.start()
+        try:
+            W.noise_covariance_mc(M.FrameConfig(200, 0.5), eps2=0.05,
+                                  trials=10_000, seed=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_memory_does_not_grow_with_trials(self):
         frame = M.FrameConfig(2, 0.5)
