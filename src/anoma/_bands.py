@@ -25,19 +25,83 @@ recurrence on its bidiagonal Cholesky factor.  ``to_dense`` and the
 banded solves, which return dense arrays, serve the test oracles and
 the noise Monte Carlo's expected covariance, never the rate and loss
 kernels.
+
+The three LAPACK routines (``dpbtrf``, ``dgbtrf``, ``dtbtrs``) come from
+scipy's ``scipy/linalg/_flapack`` extension, loaded by file path:
+``import scipy.linalg`` would run its package ``__init__``, which pulls
+in ``numpy.f2py``, ``numpy.testing`` and scipy's array-API layer and
+takes most of this package's import time.  The loader neither runs
+``scipy/__init__`` nor leaves the module in ``sys.modules``, so a later
+``import scipy.linalg`` runs as usual; ``scipy.linalg.lapack`` hands out
+the same Fortran routines.  ``_flapack`` is private to scipy, so where
+its file is missing or does not load, the routines come from
+``scipy.linalg.lapack`` instead.  The banded solves, which only the test
+oracles use, import ``scipy.linalg`` when first called.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dgbtrf as _gbtrf
-from scipy.linalg.lapack import dpbtrf as _pbtrf
-from scipy.linalg.lapack import dtbtrs as _tbtrs
 
 _LN2 = float(np.log(2.0))
+_FLAPACK = "scipy.linalg._flapack"
+_ROUTINES = ("dpbtrf", "dgbtrf", "dtbtrs")
+
+
+def _flapack_path() -> str | None:
+    """File of scipy's _flapack extension, found without importing scipy;
+    None when there is no such file."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    for root in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_flapack(path: str):
+    """The _flapack module from its file, or the one scipy.linalg already
+    imported.  A single-phase extension module enters itself in
+    sys.modules when created; that entry is taken out again, so a later
+    ``import scipy.linalg`` imports its package and its submodules as if
+    this had never run."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path,
+                                                  loader=loader)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    finally:
+        sys.modules.pop(_FLAPACK, None)
+    return module
+
+
+def _lapack_routines() -> tuple:
+    """(dpbtrf, dgbtrf, dtbtrs): from the _flapack file when it loads,
+    else from scipy.linalg.lapack."""
+    path = _flapack_path()
+    if path is not None:
+        try:
+            module = _load_flapack(path)
+            return tuple(getattr(module, name) for name in _ROUTINES)
+        except (ImportError, AttributeError):
+            pass
+    from scipy.linalg import lapack
+    return tuple(getattr(lapack, name) for name in _ROUTINES)
+
+
+_pbtrf, _gbtrf, _tbtrs = _lapack_routines()
 
 
 class NotPositiveDefinite(np.linalg.LinAlgError):
@@ -290,11 +354,13 @@ def inverse_bands_tridiagonal(a: BandedMatrix, width: int) -> np.ndarray:
 
 
 def solve_sym_pd(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    return sla.solveh_banded(a.ab[:a.upper + 1], b)
+    from scipy.linalg import solveh_banded
+    return solveh_banded(a.ab[:a.upper + 1], b)
 
 
 def solve_general(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    return sla.solve_banded((a.lower, a.upper), a.ab, b)
+    from scipy.linalg import solve_banded
+    return solve_banded((a.lower, a.upper), a.ab, b)
 
 
 def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -407,6 +407,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy raises its _ArrayMemoryError, a MemoryError, for an array
+        # that does not fit; every array here is O(n) or O(grid size)
+        print(f"error: out of memory: {exc} (the arrays grow with the frame "
+              "length n and with the number of sweep points)", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

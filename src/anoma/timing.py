@@ -75,10 +75,11 @@ def throughput_with_error(link: LinkConfig, frame: FrameConfig,
 
 
 def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
-                           err: TimingError,
-                           base: float | None) -> float | np.ndarray:
+                           err: TimingError, base: float | None,
+                           d: np.ndarray | None = None) -> float | np.ndarray:
     """throughput_with_error, with base = throughput_matrix(link, frame)
-    when the caller already holds it (None: computed here if needed)."""
+    and d = _hh(link, frame.n) when the caller already holds them (None:
+    computed here if needed)."""
     link.require_positive_gains()
     e1, e2 = err.arrays()
     out = np.empty(e1.shape)
@@ -87,8 +88,9 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
     zero = (e1 == 0.0) & (e2 == 0.0)
     if zero.any():
         flat[zero] = throughput_matrix(link, frame) if base is None else base
-    d = _hh(link, frame.n)
     moving = np.flatnonzero(~zero)
+    if moving.size and d is None:
+        d = _hh(link, frame.n)
     step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
     for start in range(0, moving.size, step):
         idx = moving[start:start + step]
@@ -163,8 +165,10 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     return -(ld_m - ld_n - ld_a) / (n + tau)
 
 
-def _inverse_bands(link: LinkConfig, frame: FrameConfig) -> np.ndarray:
-    """Diagonals 0..2 of A^-1, A = D^-1 + R, from one factorization of A.
+def _inverse_bands(link: LinkConfig, frame: FrameConfig,
+                   d: np.ndarray | None = None) -> np.ndarray:
+    """Diagonals 0..2 of A^-1, A = D^-1 + R, from one factorization of A;
+    d = _hh(link, frame.n) when the caller already holds it.
 
     D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
     in the last bit, so the rate's factor is never reused for A.
@@ -172,15 +176,19 @@ def _inverse_bands(link: LinkConfig, frame: FrameConfig) -> np.ndarray:
     link.require_positive_gains()
     if frame.tau == 0.0:
         raise DomainError("sensitivity slopes need tau in (0, 1)")
-    a = build_correlation(frame) + _bands.diagonal(1.0 / _hh(link, frame.n))
+    if d is None:
+        d = _hh(link, frame.n)
+    a = build_correlation(frame) + _bands.diagonal(1.0 / d)
     try:
         return _bands.inverse_bands_tridiagonal(a, 2)
     except _bands.NotPositiveDefinite:
         raise _not_positive_definite(link, frame) from None
 
 
-def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
-    """(c1, c2), both from one factorization of A = D^-1 + R.
+def _loss_slopes(link: LinkConfig, frame: FrameConfig,
+                 d: np.ndarray | None = None) -> tuple[float, float]:
+    """(c1, c2), both from one factorization of A = D^-1 + R; d as in
+    _inverse_bands.
 
     Each slope is -Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n +
     tau) ln 2), Z the derivative of E1 along the error and Z3 that of the
@@ -197,7 +205,7 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
     last two slots).  B changes sign with the error, so the slope for a
     negative error is -c.  O(n) time and memory.
     """
-    inv = _inverse_bands(link, frame)
+    inv = _inverse_bands(link, frame, d)
     scale = (frame.n + frame.tau) * _LN2
     c1 = 2.0 * float(np.sum(inv[0]) - np.sum(inv[2])) / scale
     c2 = 2.0 * float(np.sum(inv[0, 1::2]) - np.sum(inv[2, 1::2])) / scale
@@ -243,13 +251,15 @@ def loss_breakdown(link: LinkConfig, frame: FrameConfig,
 def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
                     base: float) -> LossBreakdown:
     """loss_breakdown given base = throughput_matrix(link, frame), which a
-    caller that reports the rate already holds."""
+    caller that reports the rate already holds.  The rate and the slopes
+    share one D = H H^H."""
     err.require_point("loss_breakdown")
-    r_e = _throughput_with_error(link, frame, err, base)
+    d = _hh(link, frame.n)
+    r_e = _throughput_with_error(link, frame, err, base, d)
     delta = base - r_e
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
-    c1, c2 = _loss_slopes(link, frame)
+    c1, c2 = _loss_slopes(link, frame, d)
     return LossBreakdown(
         exact_throughput_with_error=r_e,
         delta=delta,

@@ -1,5 +1,7 @@
 """Banded kernel against dense numpy/scipy oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,75 @@ def test_tridiagonal_inverse_rejects_wider_band_and_indefinite():
     with pytest.raises(_bands.NotPositiveDefinite):
         _bands.inverse_bands_tridiagonal(
             _bands.diagonal(-np.ones(4)), 1)
+
+
+def scipy_lapack_routines():
+    from scipy.linalg import lapack
+    return lapack.dpbtrf, lapack.dgbtrf, lapack.dtbtrs
+
+
+def loaded_by_path(monkeypatch):
+    """The routines as a fresh process gets them: _flapack loaded from its
+    file, with no scipy.linalg imported before."""
+    monkeypatch.delitem(sys.modules, _bands._FLAPACK, raising=False)
+    routines = _bands._lapack_routines()
+    assert _bands._FLAPACK not in sys.modules
+    return routines
+
+
+class TestLapackLoaders:
+    """The three routines come from the _flapack file, or from
+    scipy.linalg.lapack when that file is missing or does not load; both
+    give equal results."""
+
+    def test_path_miss_falls_back_to_scipy_lapack(self, monkeypatch):
+        monkeypatch.setattr(_bands, "_flapack_path", lambda: None)
+        assert _bands._lapack_routines() == scipy_lapack_routines()
+
+    def test_unloadable_file_falls_back_to_scipy_lapack(self, monkeypatch,
+                                                        tmp_path):
+        bogus = tmp_path / "_flapack.so"
+        bogus.write_bytes(b"not a shared object")
+        monkeypatch.delitem(sys.modules, _bands._FLAPACK, raising=False)
+        with pytest.raises(ImportError):
+            _bands._load_flapack(str(bogus))
+        # the failed load leaves no half-made module behind
+        assert _bands._FLAPACK not in sys.modules
+        monkeypatch.setattr(_bands, "_flapack_path", lambda: str(bogus))
+        assert _bands._lapack_routines() == scipy_lapack_routines()
+
+    def test_module_routines_are_the_path_loaded_ones(self, monkeypatch):
+        assert (_bands._pbtrf, _bands._gbtrf, _bands._tbtrs) \
+            == loaded_by_path(monkeypatch)
+
+    def test_both_paths_give_equal_results(self, monkeypatch, rng):
+        by_path = loaded_by_path(monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(_bands, "_flapack_path", lambda: None)
+        fallback = _bands._lapack_routines()
+        n, batch = 9, 4
+        spd = random_spd_batch(rng, batch, n)
+        general = [random_banded(rng, n, 2, 1) for _ in range(batch)]
+        bidiagonal = np.zeros((2, n))
+        bidiagonal[0, 1:] = rng.uniform(-1.0, 1.0, size=n - 1)
+        bidiagonal[1] = 1.0
+        rhs = rng.normal(size=n)
+
+        def results(routines):
+            pbtrf, gbtrf, tbtrs = routines
+            monkeypatch.setattr(_bands, "_pbtrf", pbtrf)
+            out = [pbtrf(spd.ab[b, :spd.upper + 1], lower=0)[0]
+                   for b in range(batch)]
+            for a in general:
+                work = np.zeros((2 * a.lower + a.upper + 1, n))
+                work[a.lower:] = a.ab
+                out += gbtrf(work, a.lower, a.upper)[:2]
+            out.append(tbtrs(bidiagonal, rhs, uplo="U", diag="U")[0])
+            out.append(_bands.logdet2_sym_pd(spd))
+            return out
+
+        got, want = results(by_path), results(fallback)
+        assert len(got) == len(want) == batch + 2 * len(general) + 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,29 @@ def test_frame_length_beyond_int64_is_usage_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: frame length n must be an int in "
                                    "[1, 9223372036854775807], got 1000000000")
     assert not out.exists()
+
+
+# the child caps its own address space at 3 GiB, so no allocation of an
+# O(n) array can reach the machine's memory whatever the kernel's
+# overcommit policy; one BLAS thread keeps the cap above its buffers
+OUT_OF_MEMORY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from anoma.cli import main
+sys.exit(main(["query", "--set", "n=1e15"]))
+"""
+
+
+def test_frame_length_beyond_memory_is_usage_error():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "frame length n" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_whole_float_is_the_int_it_names(capsys):

@@ -466,6 +466,21 @@ class TestOneFactorizationPerPoint:
         assert cli.main(argv) == cli.EXIT_OK
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("sets,calls", [
+        (["n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"], 1),
+        ([], 1),
+        (["tau=0", "n=300"], 0),
+    ])
+    def test_query_forms_d_once(self, monkeypatch, capsys, sets, calls):
+        # the mistimed rate and the slopes share one D = H H^H; the
+        # zero-error rate and tau = 0 (no slopes) need none
+        seen = []
+        monkeypatch.setattr(TM, "_hh", lambda *a, _orig=TM._hh: seen.append(a)
+                            or _orig(*a))
+        argv = ["query"] + [tok for s in sets for tok in ("--set", s)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("n", [1, 2, 10, 300])
     @pytest.mark.parametrize("e1,e2", [(0.03, 0.02), (0.03, -0.02),
                                        (-0.03, 0.02), (-0.03, -0.02)])
