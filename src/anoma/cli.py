@@ -171,7 +171,7 @@ def _fig_loss_slices(p: dict):
     c1, c2 = timing._loss_slopes(link, frame)
     header = ["eps", "gamma_sync_exact", "gamma_sync_linear",
               "gamma_coord_exact", "gamma_coord_linear"]
-    gamma = timing.loss_ratio(link, frame, _slices(eps))
+    gamma = timing._loss_ratio(link, frame, _slices(eps), base)
     rows = []
     for e, gs, gc in zip(eps, gamma[:len(eps)], gamma[len(eps):]):
         rows.append([e, gs, abs(e) * c1 / base, gc, abs(e) * c2 / base])

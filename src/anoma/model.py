@@ -178,7 +178,8 @@ def _stencil(n2: int, diagonals) -> BandedMatrix:
             # column j holds row j - k: even when j and k agree mod 2
             period[..., width - k, k % 2] = even
             period[..., width - k, 1 - k % 2] = odd
-    ab = np.tile(period, n2 // 2)
+    ab = np.repeat(period[..., None, :], n2 // 2, axis=-2).reshape(
+        shape + (2 * width + 1, n2))
     for k in range(1, width + 1):
         ab[..., width - k, :k] = ab[..., width + k, n2 - k:] = 0.0
     return BandedMatrix(ab, width, width)
@@ -259,11 +260,16 @@ def build_error_matrices(
     batch; every point is checked for admissibility first.
     """
     err.check_admissible(frame)
-    n2 = 2 * frame.n
     e1, e2 = err.arrays()
     if e1.ndim > 1:
         e1, e2 = e1.ravel(), e2.ravel()
-    e1_mat = _unit_step(n2, e1, e1 + e2)
-    e2_mat = _coordination_step(n2, e2)
-    rhat = build_correlation(frame) + e1_mat
-    return e1_mat, e2_mat, rhat, build_noise_covariance(frame, e2)
+    e1_mat, rhat = _mixing(frame, e1, e2)
+    return (e1_mat, _coordination_step(2 * frame.n, e2), rhat,
+            build_noise_covariance(frame, e2))
+
+
+def _mixing(frame: FrameConfig, eps1, eps2) -> tuple[BandedMatrix, BandedMatrix]:
+    """(E1, Rhat = R + E1) at offsets eps1, eps2 (scalars or equal-shape
+    1-D arrays); admissibility is left to the caller."""
+    e1_mat = _unit_step(2 * frame.n, eps1, eps1 + eps2)
+    return e1_mat, build_correlation(frame) + e1_mat

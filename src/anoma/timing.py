@@ -6,7 +6,11 @@ RhatN, so the achievable rate is
     R_e = log2 det(I + RhatN^-1 Rhat H H^H Rhat^T) / (n + tau)
 
 evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
-banded Cholesky factorizations (D = H H^H).  The loss Delta is computed
+banded Cholesky factorizations (D = H H^H).  A batch of points is
+evaluated in blocks: RhatN, which depends on eps2 alone, is factored once
+per distinct eps2, and RhatN + Rhat D Rhat^T is assembled on a frame of
+five slots and widened to 2n columns, bit for bit the full-length
+assembly (every band is 2-periodic).  The loss Delta is computed
 from the definition R - R_e; the rearranged log-det expression for
 Delta, assembled from its own banded terms, is kept alongside as a
 cross-check.  To first order the loss is V-shaped in each error,
@@ -25,14 +29,18 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    build_correlation, build_error_matrices, build_gain)
+                    _mixing, build_correlation, build_error_matrices,
+                    build_gain, build_noise_covariance)
 from .throughput import _not_positive_definite, throughput_matrix
 
 _LN2 = math.log(2.0)
 # a batch of mistimed points is factored in blocks of about this many
 # band entries per diagonal, so peak memory stays flat however large
 # the sweep
-_BLOCK_ENTRIES = 2048
+_BLOCK_ENTRIES = 8192
+# every band of the mistimed covariance is 2-periodic with bandwidth at
+# most 4: a frame of this many slots holds both edges and one period
+_FRAME_SLOTS = 5
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,8 @@ def throughput_with_error(link: LinkConfig, frame: FrameConfig,
     """Rate of the mistimed frame, bits per symbol interval.
 
     A float for one point; for a batched err, an array of its shape,
-    evaluated block by block with one stacked banded Cholesky per block.
+    evaluated block by block with one stacked banded Cholesky per block,
+    after one per distinct eps2 for the noise covariances.
     Where both errors are zero the rate is throughput_matrix itself, bit
     for bit.  Raises DomainError, naming the point, when a point is
     inadmissible or its perturbed noise covariance is not positive
@@ -88,40 +97,106 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
     zero = (e1 == 0.0) & (e2 == 0.0)
     if zero.any():
         flat[zero] = throughput_matrix(link, frame) if base is None else base
-    moving = np.flatnonzero(~zero)
-    if moving.size and d is None:
-        d = _hh(link, frame.n)
-    step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
-    for start in range(0, moving.size, step):
-        idx = moving[start:start + step]
-        block = TimingError(e1[idx], e2[idx])
-        flat[idx] = _rate_block(frame, d, block)
+    moving = ~zero
+    if moving.any():
+        flat[moving] = _mistimed_rates(
+            frame, _hh(link, frame.n) if d is None else d,
+            TimingError(e1[moving], e2[moving]))
     return float(out) if out.ndim == 0 else out
 
 
-def _rate_block(frame: FrameConfig, d: np.ndarray,
-                err: TimingError) -> np.ndarray:
-    """R_e at a 1-D batch of points, by two batched banded log-dets."""
-    _, _, rhat, rhat_n = build_error_matrices(frame, err)
-    # symmetric: the Cholesky reads only the upper band
-    signal = rhat.col_scaled(d).matmul(rhat.T, upper_only=True)
-    try:
-        ld_n = _bands.logdet2_sym_pd(rhat_n)
-    except _bands.NotPositiveDefinite as exc:
-        raise DomainError(f"noise covariance singular at tau={frame.tau}, "
-                          f"{err.point(exc.index)}") from None
-    try:
-        ld = _bands.logdet2_sym_pd(rhat_n + signal)
-    except _bands.NotPositiveDefinite as exc:
-        raise DomainError(f"mistimed covariance not positive definite at "
-                          f"tau={frame.tau}, {err.point(exc.index)}") from None
-    return (ld - ld_n) / (frame.n + frame.tau)
+def _mistimed_rates(frame: FrameConfig, d: np.ndarray,
+                    err: TimingError) -> np.ndarray:
+    """R_e at a 1-D batch of points, by batched banded log-dets in blocks
+    of about _BLOCK_ENTRIES columns.
+
+    Errors name the batch's first failing point: every point is checked
+    for admissibility, then every noise covariance, then every mistimed
+    covariance.
+    """
+    err.check_admissible(frame)
+    e1, e2 = err.arrays()
+    step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
+    ld = _noise_logdets(frame, err, step)
+    for start in range(0, e1.size, step):
+        block = slice(start, start + step)
+        try:
+            ld[block] = (_bands.logdet2_sym_pd(_mistimed_covariance(
+                frame, d, e1[block], e2[block])) - ld[block])
+        except _bands.NotPositiveDefinite as exc:
+            raise DomainError(
+                f"mistimed covariance not positive definite at "
+                f"tau={frame.tau}, {err.point(start + exc.index)}") from None
+    return ld / (frame.n + frame.tau)
+
+
+def _noise_logdets(frame: FrameConfig, err: TimingError,
+                   step: int) -> np.ndarray:
+    """log2 det RhatN at each point of a 1-D batch, in blocks of step.
+
+    RhatN depends on eps2 alone, so it is factored once per distinct
+    eps2.  The distinct values are factored in the order of their first
+    occurrence, so the first one that fails names the batch's first
+    failing point.
+    """
+    _, e2 = err.arrays()
+    if e2.size > 1:
+        values, first, inverse = np.unique(e2, return_index=True,
+                                           return_inverse=True)
+        order = np.argsort(first)
+    else:  # one point: nothing to share; np.unique costs a tenth of a call
+        values, first = e2, np.zeros(1, dtype=np.intp)
+        inverse = order = first
+    ld = np.empty(values.size)
+    for start in range(0, values.size, step):
+        part = order[start:start + step]
+        try:
+            ld[part] = _bands.logdet2_sym_pd(
+                build_noise_covariance(frame, values[part]))
+        except _bands.NotPositiveDefinite as exc:
+            raise DomainError(f"noise covariance singular at tau={frame.tau}, "
+                              f"{err.point(first[part[exc.index]])}") from None
+    return ld[inverse]
+
+
+def _mistimed_covariance(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
+                         e2: np.ndarray) -> _bands.BandedMatrix:
+    """Upper band of RhatN + Rhat D Rhat^T at a 1-D batch of points (the
+    part the Cholesky reads; the matrix is symmetric).
+
+    Every band in it is 2-periodic, and the sum has bandwidth 4, so its
+    columns 4 .. 2n - 5 repeat one period.  It is assembled on a frame of
+    min(n, 5) slots, whose columns 4 and 5 are that period, and widened
+    to 2n columns by repeating them: bit for bit the full assembly, for
+    O(1) work per point and one copy.  The widened band is laid out as
+    the Cholesky stacks a batch, so that stacking copies nothing.
+    """
+    n = frame.n
+    small = frame if n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS, frame.tau)
+    total = build_noise_covariance(small, e2) + _signal(small, d, e1, e2)
+    band = total.ab[:, :total.upper + 1]
+    if small is frame:
+        return _bands.BandedMatrix(band, 0, total.upper)
+    # (row, point, slot, column): slots 0-1 and 3-4 are the two edges
+    rows = total.upper + 1
+    src = band.transpose(1, 0, 2).reshape(rows, -1, _FRAME_SLOTS, 2)
+    wide = np.repeat(src, [1, 1, n - 4, 1, 1], axis=2)
+    return _bands.BandedMatrix(wide.reshape(rows, -1, 2 * n).transpose(1, 0, 2),
+                               0, total.upper)
+
+
+def _signal(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
+            e2: np.ndarray) -> _bands.BandedMatrix:
+    """Upper band of the symmetric Rhat D Rhat^T at a 1-D batch of points."""
+    rhat = _mixing(frame, e1, e2)[1]
+    return rhat.col_scaled(d[:2 * frame.n]).matmul(rhat.T, upper_only=True)
 
 
 def throughput_loss(link: LinkConfig, frame: FrameConfig,
                     err: TimingError) -> float:
     """Exact throughput loss, by definition: R - R_e."""
-    return throughput_matrix(link, frame) - throughput_with_error(link, frame, err)
+    base = throughput_matrix(link, frame)
+    return base - _throughput_with_error(link, frame, err, base)
 
 
 def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
@@ -235,10 +310,16 @@ def loss_ratio(link: LinkConfig, frame: FrameConfig,
     A float for one point, an array for a batched err; exactly 0.0 where
     both errors are zero.
     """
-    base = throughput_matrix(link, frame)
+    return _loss_ratio(link, frame, err, throughput_matrix(link, frame))
+
+
+def _loss_ratio(link: LinkConfig, frame: FrameConfig, err: TimingError,
+                base: float) -> float | np.ndarray:
+    """loss_ratio given base = throughput_matrix(link, frame), which a
+    caller that also needs the rate already holds."""
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
-    return (base - throughput_with_error(link, frame, err)) / base
+    return (base - _throughput_with_error(link, frame, err, base)) / base
 
 
 def loss_breakdown(link: LinkConfig, frame: FrameConfig,

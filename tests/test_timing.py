@@ -1,10 +1,11 @@
 """Timing-error throughput, losses, and linear sensitivity models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from anoma import _bands
 from anoma import cli
@@ -122,7 +123,8 @@ class TestBatchedRate:
 
     def test_ragged_grid_equals_point_calls_bitwise(self):
         frame = M.FrameConfig(100, 0.45)
-        eps = 0.02 * np.arange(-4, 5)
+        # 121 points: one full block of 81 and a ragged one of 40
+        eps = 0.02 * np.arange(-5, 6)
         e1, e2 = np.meshgrid(eps, eps, indexing="ij")
         block = TM._BLOCK_ENTRIES // (2 * frame.n)
         assert e1.size > block and e1.size % block != 0
@@ -150,6 +152,92 @@ class TestBatchedRate:
         err = M.TimingError(np.array([0.1, 0.6]), 0.0)
         with pytest.raises(M.DomainError, match=r"\(eps1, eps2\) = \(0\.6, 0\.0\)"):
             TM.throughput_with_error(LINK, FRAME, err)
+
+    def test_deduplicated_noise_factor_names_the_first_failing_point(self):
+        # at tau = 0.5, RhatN is singular at eps2 = 0.5 and at eps2 = -0.5;
+        # the first in batch order is 0.5, behind repeated smaller values,
+        # while sorting the distinct values would put -0.5 first
+        eps2 = np.array([0.3, 0.1, 0.3, 0.5, 0.1, -0.5, 0.5, 0.2])
+        with pytest.raises(M.DomainError,
+                           match=r"singular .* \(eps1, eps2\) = \(0\.0, 0\.5\)"):
+            TM.throughput_with_error(LINK, FRAME, M.TimingError(0.0, eps2))
+        with pytest.raises(M.DomainError,
+                           match=r"singular .* \(eps1, eps2\) = \(0\.0, -0\.5\)"):
+            TM.throughput_with_error(LINK, FRAME, M.TimingError(
+                0.0, np.array([0.3, 0.1, 0.3, -0.5, 0.5])))
+
+    def test_noise_covariance_factored_once_per_distinct_eps2(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(_bands, "cholesky_upper",
+                            lambda a, _orig=_bands.cholesky_upper:
+                            shapes.append(a.batch_shape) or _orig(a))
+        eps = 0.005 * np.arange(-20, 21)
+        e1, e2 = np.meshgrid(eps, eps, indexing="ij")
+        TM.loss_ratio(LINK, FRAME, M.TimingError(e1, e2))
+        # the no-error rate, RhatN at the 41 values of eps2, then the
+        # 1,680 mistimed points in blocks
+        block = TM._BLOCK_ENTRIES // (2 * FRAME.n)
+        assert shapes[:2] == [(), (41,)]
+        assert [s[0] for s in shapes[2:]] == [min(block, 1680 - start)
+                                              for start in range(0, 1680, block)]
+
+    def test_peak_memory_of_the_default_grid_at_n_32(self):
+        # a block's widened band is 5 rows of _BLOCK_ENTRIES doubles; it,
+        # LAPACK's copy of it and the log of its pivots are live at once
+        # (about 2.2 bands), next to O(points) vectors of the 1,681-point
+        # grid.  Allow four bands.
+        frame = M.FrameConfig(32, 0.5)
+        eps = 0.005 * np.arange(-20, 21)
+        err = M.TimingError(*np.meshgrid(eps, eps, indexing="ij"))
+        TM.loss_ratio(LINK, frame, err)
+        tracemalloc.start()
+        try:
+            TM.loss_ratio(LINK, frame, err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 5 * 8 * TM._BLOCK_ENTRIES
+
+
+def full_mistimed_band(link, frame, err):
+    """Upper band of RhatN + Rhat D Rhat^T assembled at full length 2n."""
+    _, _, rhat, rhat_n = M.build_error_matrices(frame, err)
+    d = TM._hh(link, frame.n)
+    total = rhat_n + rhat.col_scaled(d).matmul(rhat.T, upper_only=True)
+    return total.ab[:, :total.upper + 1]
+
+
+# (f1, f2) per point: eps1 = f1 tau or f1 (1 - tau), eps1 + eps2 = f2 (1 -
+# tau) or f2 tau, by sign, so that every sign branch is admissible
+SIGN_BRANCHES = [(f1, f2) for f1 in (-0.5, 0.0, 0.5) for f2 in (-0.5, 0.0, 0.5)]
+FRACTION = st.just(0.0) | st.floats(-0.99, 0.99)
+
+
+class TestFiveSlotAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 64) | st.sampled_from([4, 5, 6]),
+           tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           gains=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+           fractions=st.lists(st.tuples(FRACTION, FRACTION), min_size=1,
+                              max_size=9))
+    @example(n=4, tau=0.5, gains=(1.0, 0.5), fractions=SIGN_BRANCHES)
+    @example(n=5, tau=0.3, gains=(2.0, 0.1), fractions=SIGN_BRANCHES)
+    @example(n=6, tau=0.7, gains=(0.5, 8.0), fractions=SIGN_BRANCHES)
+    @example(n=64, tau=1e-9, gains=(1.0, 1.0), fractions=SIGN_BRANCHES)
+    def test_widened_band_is_the_full_assembly(self, n, tau, gains, fractions):
+        frame = M.FrameConfig(n, tau)
+        f1, f2 = np.array(fractions).T
+        e1 = np.where(f1 > 0, f1 * tau, f1 * (1.0 - tau))
+        e2 = np.where(f2 > 0, f2 * (1.0 - tau), f2 * tau) - e1
+        err = M.TimingError(e1, e2)
+        try:
+            err.check_admissible(frame)
+        except M.DomainError:
+            assume(False)  # rounding carried eps1 + eps2 past a bound
+        link = M.LinkConfig.from_gains(*gains)
+        got = TM._mistimed_covariance(frame, TM._hh(link, n), e1, e2)
+        assert got.ab.shape == (len(e1), min(5, 2 * n), 2 * n)
+        assert np.array_equal(got.ab, full_mistimed_band(link, frame, err))
 
 
 class TestLoss:
@@ -511,3 +599,35 @@ class TestOneFactorizationPerPoint:
         link = M.LinkConfig.from_gains(1e300, 1e300)
         with pytest.raises(M.DomainError, match=r"mu1=.*mu2=.*n=10, tau=1e-20"):
             slope(link, M.FrameConfig(10, 1e-20))
+
+
+class TestNoErrorRateOncePerCall:
+    """Every loss entry point computes the no-error rate once, and a
+    (0, 0) point reuses it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(T, "log2_det_no_error",
+                            lambda *a, _orig=T.log2_det_no_error:
+                            seen.append(a) or _orig(*a))
+        return seen
+
+    ERR = M.TimingError(np.array([0.0, 0.01, 0.0]), np.array([0.0, 0.0, -0.02]))
+
+    @pytest.mark.parametrize("fn", [TM.loss_ratio, TM.throughput_loss])
+    def test_loss_functions(self, calls, fn):
+        fn(LINK, FRAME, M.TimingError(0.0, 0.0))
+        fn(LINK, FRAME, M.TimingError(0.01, 0.0))
+        assert len(calls) == 2
+
+    def test_batch_with_a_zero_point(self, calls):
+        TM.loss_ratio(LINK, FRAME, self.ERR)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("figure", ["loss_heatmap", "loss_slices",
+                                        "scheme_comparison"])
+    def test_timing_figures(self, calls, tmp_path, figure):
+        out = tmp_path / f"{figure}.csv"
+        assert cli.main(["sweep", figure, "--out", str(out)]) == cli.EXIT_OK
+        assert len(calls) == 1
