@@ -364,13 +364,14 @@ def solve_general(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply U^T to w, where U is a banded upper Cholesky factor.
+    """Apply U^T to w along its last axis, where U is a banded upper
+    Cholesky factor.
 
     With A = U^T U, the vector U^T w has covariance A when w is white.
     """
     u = chol_upper.shape[0] - 1
     n = chol_upper.shape[1]
-    out = np.zeros(n, dtype=w.dtype)
+    out = np.zeros(w.shape, dtype=w.dtype)
     for m in range(u + 1):
-        out[m:] += chol_upper[u - m, m:] * w[: n - m]
+        out[..., m:] += chol_upper[u - m, m:] * w[..., : n - m]
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DomainError, FrameConfig, LinkConfig
-from .throughput import closed_rate
+from .throughput import _require_finite, closed_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section refinement stops once its bracket is this narrow
@@ -55,27 +55,41 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     makes exactly the comparisons and updates of a one-row search, so
     its result does not depend on the other rows.  Returns the bracket
     midpoints and f there.
+
+    The brackets and the values at their interior points are kept as
+    lists of Python floats, whose + - * and comparisons round exactly as
+    numpy float64's do, so a step costs one call of f and no array
+    indexing.  Both first interior points are evaluated in one call.
     """
-    a, b = lo.copy(), hi.copy()
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    rows = np.arange(len(a))
-    fc, fd = f(rows, c), f(rows, d)
-    while True:
-        live = np.flatnonzero((b - a) > tol)
-        if not len(live):
-            break
-        left = fc[live] > fd[live]
-        lft, rgt = live[left], live[~left]
-        # left: the maximum lies in [a, d]; d takes c's place
-        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
-        c[lft] = b[lft] - (b[lft] - a[lft]) * _INV_PHI
-        # right: it lies in [c, b]; c takes d's place
-        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
-        d[rgt] = a[rgt] + (b[rgt] - a[rgt]) * _INV_PHI
-        f_new = f(live, np.where(left, c[live], d[live]))
-        fc[lft], fd[rgt] = f_new[left], f_new[~left]
-    x = 0.5 * (a + b)
+    m = len(lo)
+    a, b = lo.tolist(), hi.tolist()
+    c = [bi - (bi - ai) * _INV_PHI for ai, bi in zip(a, b)]
+    d = [ai + (bi - ai) * _INV_PHI for ai, bi in zip(a, b)]
+    rows = np.arange(m)
+    f0 = f(np.concatenate((rows, rows)), np.array(c + d)).tolist()
+    fc, fd = f0[:m], f0[m:]
+    live = [i for i in range(m) if b[i] - a[i] > tol]
+    while live:
+        # each row's new point, and the list its value goes to
+        x, slot = [], []
+        for i in live:
+            if fc[i] > fd[i]:
+                # the maximum lies in [a, d]; d takes c's place
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - (b[i] - a[i]) * _INV_PHI
+                x.append(c[i])
+                slot.append(fc)
+            else:
+                # it lies in [c, b]; c takes d's place
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + (b[i] - a[i]) * _INV_PHI
+                x.append(d[i])
+                slot.append(fd)
+        for i, values, v in zip(live, slot,
+                                f(np.array(live), np.array(x)).tolist()):
+            values[i] = v
+        live = [i for i in live if b[i] - a[i] > tol]
+    x = np.array([0.5 * (ai + bi) for ai, bi in zip(a, b)])
     return x, f(rows, x)
 
 
@@ -101,7 +115,12 @@ def optimal_tau(link: LinkConfig, n,
     mu1, mu2 = link.mu1, link.mu2
 
     def objective(rows, tau):
-        return closed_rate(mu1, mu2, ns[rows], tau)
+        # closed_rate names a point it cannot evaluate; this names any
+        # other non-finite value before it can steer the search
+        rate = closed_rate(mu1, mu2, ns[rows], tau)
+        _require_finite(rate, "tau* search objective", mu1=mu1, mu2=mu2,
+                        n=ns[rows], tau=tau)
+        return rate
 
     taus = np.arange(0.0, 1.0, grid_resolution)
     rows = np.arange(len(ns))

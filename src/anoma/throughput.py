@@ -26,6 +26,8 @@ from .model import (DomainError, FrameConfig, LinkConfig, RootPair,
                     build_correlation)
 
 _LN2 = math.log(2.0)
+# broadcast size from which closed_rate tests which powers underflow
+_CUT_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,21 @@ def _char_roots(mu1, mu2, tau):
     return r1, r2, gap
 
 
+def _every(values) -> bool:
+    """values.all(), without a reduction's fixed cost on one value."""
+    return bool(values) if values.ndim == 0 else bool(values.all())
+
+
 def _require_finite(value, what: str, **point) -> None:
     """DomainError naming the first point at which value is not finite;
     point holds the inputs value was broadcast from."""
+    if _every(np.isfinite(value)):
+        return
     bad = ~np.isfinite(value)
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        coords = ", ".join(f"{k}={np.broadcast_to(v, bad.shape)[at].item()!r}"
-                           for k, v in point.items())
-        raise DomainError(f"{what} is not finite at {coords}")
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    coords = ", ".join(f"{k}={np.broadcast_to(v, bad.shape)[at].item()!r}"
+                       for k, v in point.items())
+    raise DomainError(f"{what} is not finite at {coords}")
 
 
 def roots(mu1: float, mu2: float, tau: float) -> RootPair:
@@ -129,6 +137,27 @@ def throughput_n_plus_1(link: LinkConfig, frame: FrameConfig) -> float:
     return log2_det_no_error(link, frame) / (frame.n + 1)
 
 
+def _power(q, n):
+    """q ** n, bit for bit, without pow's slow path for powers that
+    underflow.
+
+    Where q < 2^(-1100/n), q^n < 2^-1100, far below half the least
+    subnormal (2^-1075), so pow's result is exactly +0: those points
+    keep the +0 they start with and pow is not called there.  A NaN q
+    fails the comparison and still goes through pow; n <= 0 skips
+    nothing.  Only an array of float frame lengths over at least
+    _CUT_POINTS points is cut; on fewer the test costs more than the
+    slow pow calls it saves, and a scalar n keeps numpy's scalar-power
+    paths.
+    """
+    if n.ndim:
+        shape = np.broadcast(q, n).shape
+        if math.prod(shape) >= _CUT_POINTS:
+            cut = np.exp2(np.where(n > 0.0, -1100.0 / n, -np.inf))
+            return np.power(q, n, out=np.zeros(shape), where=~(q < cut))
+    return q ** n
+
+
 def closed_rate(mu1, mu2, n, tau):
     """Closed-form rate at every point of the broadcast of mu1, mu2, n, tau.
 
@@ -139,18 +168,27 @@ def closed_rate(mu1, mu2, n, tau):
     The gains are the caller's to check (LinkConfig.require_positive_gains);
     a point whose rate is not finite raises DomainError naming it.
     Returns a float for one point, else an array of the broadcast shape.
+
+    An array of frame lengths is converted to float once, the value
+    numpy's int-to-float cast would give at every point of the
+    broadcast, and (r2 / r1)^n is skipped wherever it is sure to
+    underflow to +0 (see _power), so the bits are those of the plain
+    formula.
     """
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is fast
     mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
-    n = np.asarray(n)[()]
+    n_in = n = np.asarray(n)[()]
     with np.errstate(all="ignore"):
         r1, r2, gap = _char_roots(mu1, mu2, tau)
-        qn = (r2 / r1) ** n
+        if n.ndim:
+            n = n.astype(float)
+        qn = _power(r2 / r1, n)
         corr = np.log2((r1 - r2 * qn + tau * tau * (1.0 - qn)) / gap)
         lead = n * (np.log2(mu1) + np.log2(mu2) + np.log2(r1))
-        rate = np.where(tau == 0.0, _sync_rate(mu1, mu2),
-                        (lead + corr) / (n + tau))
-    _require_finite(rate, "closed-form rate", mu1=mu1, mu2=mu2, n=n, tau=tau)
+        rate = (lead + corr) / (n + tau)
+        if not _every(tau):  # some tau is 0 (NaN counts as nonzero)
+            rate = np.where(tau == 0.0, _sync_rate(mu1, mu2), rate)
+    _require_finite(rate, "closed-form rate", mu1=mu1, mu2=mu2, n=n_in, tau=tau)
     return rate[()]
 
 

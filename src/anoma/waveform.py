@@ -114,8 +114,14 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
 
 
 def draw_colored_noise(frame: FrameConfig, eps2: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Interleaved 2n noise vector with the model covariance (fast path)."""
+                       rng: np.random.Generator,
+                       count: int | None = None) -> np.ndarray:
+    """Interleaved 2n noise vector with the model covariance (fast path),
+    or ``(count, 2n)`` such vectors from one factorization of RhatN.
+
+    Each vector takes 2n real then 2n imaginary standard normals from
+    rng, so a block of count vectors equals count one-vector calls.
+    """
     TimingError(0.0, eps2).check_admissible(frame)
     try:
         factor = _bands.cholesky_upper(build_noise_covariance(frame, eps2))
@@ -123,8 +129,9 @@ def draw_colored_noise(frame: FrameConfig, eps2: float,
         raise DomainError(
             f"noise covariance singular at tau={frame.tau}, eps2={eps2}"
         ) from None
-    n2 = 2 * frame.n
-    w = (rng.standard_normal(n2) + 1j * rng.standard_normal(n2)) / math.sqrt(2.0)
+    shape = (2, 2 * frame.n) if count is None else (count, 2, 2 * frame.n)
+    z = rng.standard_normal(shape)
+    w = (z[..., 0, :] + 1j * z[..., 1, :]) / math.sqrt(2.0)
     return _bands.colored_factor_apply(factor, w)
 
 

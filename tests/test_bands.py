@@ -194,6 +194,10 @@ def test_colored_factor_reproduces_covariance(rng):
             dense_u[i, j] = factor[u + i - j, j]
     assert np.allclose(dense_u.T @ dense_u, s.to_dense())
     assert np.allclose(_bands.colored_factor_apply(factor, w), dense_u.T @ w)
+    # along the last axis of a block, row for row
+    block = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    rows = [_bands.colored_factor_apply(factor, v) for v in block]
+    assert np.array_equal(_bands.colored_factor_apply(factor, block), rows)
 
 
 def test_upper_only_product_is_upper_band_of_full_product(rng):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anoma import cli
 from anoma import design as D
@@ -131,6 +132,47 @@ class TestBatchedSearch:
             tau_star, achieved = optimal_tau_oracle(mu1, mu2, int(n), 5e-3)
             assert res.tau_star[i] == tau_star
             assert res.achieved_throughput[i] == achieved
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.lists(st.integers(1, 2000), min_size=1, max_size=6),
+           st.sampled_from([1e-3, 5e-3, 1e-2]))
+    def test_equals_one_point_oracle_bit_for_bit(self, log_mu1, log_mu2,
+                                                 n_values, res):
+        mu1, mu2 = 10.0 ** log_mu1, 10.0 ** log_mu2
+        got = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2),
+                             np.array(n_values), grid_resolution=res)
+        for i, n in enumerate(n_values):
+            tau_star, achieved = optimal_tau_oracle(mu1, mu2, n, res)
+            assert got.tau_star[i] == tau_star
+            assert got.achieved_throughput[i] == achieved
+
+    def test_nan_inside_the_refinement_is_named(self, monkeypatch):
+        # the golden pass for n = 20, step by step as the oracle makes
+        # it; its sixth point is off the grid, inside the bracket
+        mu1, mu2, n, res = LINK.mu1, LINK.mu2, 20, 1e-3
+        taus = np.arange(0.0, 1.0, res)
+        grid_star = float(taus[np.argmax(closed_rate(mu1, mu2, n, taus))])
+        lo, hi = grid_star - res, grid_star + res
+        asked = []
+
+        def record(tau):
+            asked.append(tau)
+            return closed_rate(mu1, mu2, n, tau)
+
+        golden_max_oracle(record, lo, hi, REFINE_TOL)
+        bad_tau = asked[5]
+        assert lo < bad_tau < hi and bad_tau not in taus
+
+        def nan_at_one_point(mu1, mu2, n_arr, tau):
+            rate = closed_rate(mu1, mu2, n_arr, tau)
+            hit = np.broadcast_to((n_arr == n) & (tau == bad_tau), rate.shape)
+            return np.where(hit, np.nan, rate)
+
+        monkeypatch.setattr(D, "closed_rate", nan_at_one_point)
+        with pytest.raises(M.DomainError) as info:
+            D.optimal_tau(LINK, N_LADDER)
+        assert str(info.value).endswith(f"n={n}, tau={bad_tau!r}")
 
     @pytest.mark.parametrize("entries", [1, 7, 333])
     def test_blocked_scan_equals_one_block(self, monkeypatch, entries):

@@ -230,6 +230,102 @@ class TestClosedKernel:
             T.throughput_asymptotic(1.0, 1.0, np.array([0.5, 1.5]))
 
 
+def closed_rate_plain(mu1, mu2, n, tau):
+    """closed_rate as written before the underflow shortcut: the plain
+    (r2 / r1) ** n at every point, with numpy's own int-to-float casts."""
+    mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
+    n = np.asarray(n)[()]
+    with np.errstate(all="ignore"):
+        r1, r2, gap = T._char_roots(mu1, mu2, tau)
+        qn = (r2 / r1) ** n
+        corr = np.log2((r1 - r2 * qn + tau * tau * (1.0 - qn)) / gap)
+        lead = n * (np.log2(mu1) + np.log2(mu2) + np.log2(r1))
+        return np.where(tau == 0.0, T._sync_rate(mu1, mu2),
+                        (lead + corr) / (n + tau))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def crossing_grid(mu1, mu2):
+    """(n, tau) pairs, flat, with n log2(r2 / r1) spread over
+    [-1200, -1000]: across the cut at -1100 and across the subnormals
+    that pow's results pass through on the way to 0."""
+    taus = np.linspace(0.05, 0.95, 61)
+    with np.errstate(all="ignore"):
+        r1, r2, _ = T._char_roots(np.float64(mu1), np.float64(mu2), taus)
+    log2q = np.log2(r2 / r1)
+    targets = np.linspace(-1200.0, -1000.0, 41)
+    n = np.rint(targets[:, None] / log2q[None, :]).astype(int)
+    tau = np.broadcast_to(taus, n.shape)
+    keep = n >= 1
+    return n[keep], tau[keep]
+
+
+class TestPowerShortcut:
+    @pytest.mark.parametrize("mu1,mu2", [(1.0, 0.5), (0.02, 30.0), (80.0, 60.0)])
+    def test_power_is_pow_bit_for_bit_across_the_cut(self, mu1, mu2):
+        n, tau = crossing_grid(mu1, mu2)
+        assert len(n) >= T._CUT_POINTS
+        with np.errstate(all="ignore"):
+            r1, r2, _ = T._char_roots(np.float64(mu1), np.float64(mu2), tau)
+            q = r2 / r1
+            want = q ** n
+            got = T._power(q, n.astype(float))
+        log2qn = n * np.log2(q)
+        # the grid reaches both sides of the cut, and pow's subnormals
+        assert log2qn.min() < -1150.0 and log2qn.max() > -1050.0
+        assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
+        assert same_bits(got, want)
+
+    def test_power_keeps_nan_zero_q_and_n_up_to_zero(self):
+        rng = np.random.default_rng(5)
+        q = rng.choice([np.nan, 0.0, 1e-300, 0.25, 0.5, 1.0], 600)
+        n = rng.choice([-3, 0, 1, 2, 1000, 100_000], 600)
+        with np.errstate(all="ignore"):
+            assert same_bits(T._power(q, n.astype(float)), q ** n)
+
+    @pytest.mark.parametrize("mu1,mu2", [(1.0, 0.5), (0.02, 30.0), (80.0, 60.0)])
+    def test_rate_is_plain_formula_bit_for_bit_across_the_cut(self, mu1, mu2):
+        n, tau = crossing_grid(mu1, mu2)
+        assert same_bits(T.closed_rate(mu1, mu2, n, tau),
+                         closed_rate_plain(mu1, mu2, n, tau))
+        # below the cut's minimum size, and as the tau scan lays it out
+        assert same_bits(T.closed_rate(mu1, mu2, n[:9], tau[:9]),
+                         closed_rate_plain(mu1, mu2, n[:9], tau[:9]))
+        col, row = np.unique(n)[::7, None], np.unique(tau)
+        assert same_bits(T.closed_rate(mu1, mu2, col, row),
+                         closed_rate_plain(mu1, mu2, col, row))
+
+    @pytest.mark.parametrize("n", [1, 100_000])
+    def test_tau0_and_extreme_frames_bit_for_bit(self, n):
+        mu = 10.0 ** np.linspace(-2.0, 2.0, 9)
+        tau = np.concatenate(([0.0], np.linspace(1e-3, 0.999, 40)))
+        ns = np.array([n])
+        for args in ((mu[:, None], mu[None, :, None], ns[:, None], tau),
+                     (mu[:, None], mu[None, :], n, 0.0),
+                     (mu, mu[::-1], ns, tau[:9])):
+            assert same_bits(T.closed_rate(*args), closed_rate_plain(*args))
+        for a, b, t in ((1.0, 0.5, 0.0), (1.0, 0.5, 0.3), (30.0, 0.02, 0.7)):
+            assert same_bits(T.closed_rate(a, b, n, t), closed_rate_plain(a, b, n, t))
+
+    @pytest.mark.parametrize("mu1,mu2", [(1e-300, 0.7), (3.0, 1e-300),
+                                         (1e300, 1e300), (1e-300, 1e300)])
+    def test_extreme_gains_raise_the_same_text(self, mu1, mu2):
+        ns = np.array([10, 200, 1000])
+        taus = np.arange(0.0, 1.0, 1e-3)
+        want = closed_rate_plain(mu1, mu2, ns[:, None], taus)
+        row, col = np.unravel_index(np.argmax(~np.isfinite(want)), want.shape)
+        assert ns[row] == 10
+        text = (f"closed-form rate is not finite at mu1={mu1!r}, mu2={mu2!r}, "
+                f"n=10, tau={float(taus[col])!r}")
+        with pytest.raises(M.DomainError) as info:
+            T.closed_rate(mu1, mu2, ns[:, None], taus)
+        assert str(info.value) == text
+
+
 class TestRoots:
     def test_tau0_collapses_root(self):
         rp = T.roots(1.0, 0.5, 0.0)

@@ -217,11 +217,25 @@ class TestNoiseCovariance:
     def test_factorized_draw_matches_model_covariance(self):
         frame = M.FrameConfig(2, 0.5)
         rng = np.random.default_rng(8)
-        draws = np.stack([W.draw_colored_noise(frame, 0.05, rng)
-                          for _ in range(20_000)])
+        draws = W.draw_colored_noise(frame, 0.05, rng, 20_000)
         emp = draws.T @ draws.conj() / len(draws)
         expect = M.build_error_matrices(frame, M.TimingError(0.0, 0.05))[3].to_dense()
         assert np.max(np.abs(emp - expect)) <= 0.03
+
+    @pytest.mark.parametrize("n,tau,eps2", [(1, 0.0, 0.2), (2, 0.5, 0.05),
+                                            (300, 0.41, -0.02)])
+    def test_block_draw_equals_sequential_draws(self, n, tau, eps2):
+        frame = M.FrameConfig(n, tau)
+        rng = np.random.default_rng(4)
+        one_by_one = np.stack([W.draw_colored_noise(frame, eps2, rng)
+                               for _ in range(37)])
+        block = W.draw_colored_noise(frame, eps2, np.random.default_rng(4), 37)
+        assert block.shape == (37, 2 * n)
+        assert np.array_equal(block.view(float), one_by_one.view(float))
+        # the generator is left where 37 one-vector calls leave it
+        again = np.random.default_rng(4)
+        W.draw_colored_noise(frame, eps2, again, 37)
+        assert again.standard_normal() == rng.standard_normal()
 
     def test_draw_rejects_inadmissible_coordination_offset(self):
         with pytest.raises(M.DomainError):
