@@ -10,9 +10,16 @@ so row ``upper - k`` holds diagonal ``k`` (``k > 0`` above the main
 diagonal), indexed by column; the slots of a row that fall outside the
 matrix hold zero.  Leading axes are a batch: one object holds a whole
 sweep of same-size matrices, and the algebra and the Cholesky log-det
-run once per batch.  The factorizations read this array as it is:
-Cholesky (``pbtrf``) its first ``upper + 1`` rows, LU (``gbtrf``) the
-whole array below ``lower`` rows of fill-in space.
+run once per batch.  LU (``gbtrf``) reads this array as it is, below
+``lower`` rows of fill-in space.
+
+Cholesky (``pbtrf``) factors LAPACK's lower storage, a C-ordered
+``(B*n, u+1)`` array that f2py passes uncopied.  At bandwidths 2-4 the
+upper storage costs two to three times as much per column (``dpbtf2``
+calls OpenBLAS's ``dsyr`` with stride u there, unit stride here) for
+the same bits: both scale every entry by 1/a_jj and update it as
+a - x_p * x_q, so the lower factor is the upper one transposed
+(tests/test_bands.py).
 
 Summation order: a diagonal of a product ``A @ B`` sums its terms over
 A's offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``).  A sum's
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -259,6 +267,22 @@ def diagonal(d) -> BandedMatrix:
     return BandedMatrix(np.array(d, dtype=float)[..., None, :], 0, 0)
 
 
+def lower_storage(a: BandedMatrix) -> np.ndarray:
+    """Symmetric A, read from its upper band, in LAPACK lower storage:
+    C-ordered columns ``(u + B*n, u + 1)``, u zero columns and then the n
+    of each matrix in turn, column j holding ``A[j + k, j]`` at slot k
+    (zero past the matrix).  Raises ValueError unless A is finite."""
+    u, n = a.upper, a.n
+    rows = a.ab[..., :u + 1, :]
+    if not np.isfinite(rows).all():
+        raise ValueError("array must not contain infs or NaNs")
+    cols = np.zeros((u + math.prod(a.batch_shape) * n, u + 1))
+    low = cols[u:].reshape(a.batch_shape + (n, u + 1))
+    for k in range(min(u, n - 1) + 1):
+        low[..., :n - k, k] = rows[..., u - k, k:]
+    return cols
+
+
 def cholesky_upper(a: BandedMatrix) -> np.ndarray:
     """Banded Cholesky factor in LAPACK upper storage, ``(u+1, n)``.
 
@@ -266,19 +290,34 @@ def cholesky_upper(a: BandedMatrix) -> np.ndarray:
     call: the B bands lie end to end along the diagonal of one
     ``(u+1, B*n)`` band whose couplings between blocks are exactly zero,
     so each block's factor is bit for bit that of its matrix alone.
+    A band given by its lower rows (``upper == 0 < lower``) must be
+    lower storage with u columns of it in front, and is factored in
+    place, its finiteness left to its builder; else lower_storage copies
+    A's upper band.  The factor is a view of the lower one: upper row
+    u - k is lower row k moved k columns right, so it starts u*u entries
+    early, where only out-of-matrix slots lie, zeros of the columns in
+    front.
     Raises NotPositiveDefinite, naming the first failing matrix.
     """
-    ab = a.ab[..., :a.upper + 1, :]
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
-    u1, n = ab.shape[-2:]
-    stacked = ab.reshape(-1, u1, n).transpose(1, 0, 2).reshape(u1, -1)
-    factor, info = _pbtrf(stacked, lower=0)
+    if a.upper == 0 < a.lower:
+        low, cols = a.ab.swapaxes(-1, -2), a.ab.base
+        if not low.flags.c_contiguous:
+            raise ValueError("expected C-ordered lower storage")
+        front = low.ctypes.data - cols.ctypes.data
+    else:
+        cols = lower_storage(a)
+        low = cols[a.upper:].reshape(a.batch_shape + (a.n, a.upper + 1))
+        front = a.upper * cols.strides[0]
+    n, u1 = low.shape[-2:]
+    u, size = u1 - 1, low.itemsize
+    _, info = _pbtrf(low.reshape(-1, u1).T, lower=1, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefinite((info - 1) // n, (info - 1) % n + 1)
     if info < 0:
         raise ValueError(f"pbtrf: illegal value in argument {-info}")
-    return factor.reshape(u1, -1, n).transpose(1, 0, 2).reshape(ab.shape)
+    return np.ndarray(low.shape[:-2] + (u1, n), low.dtype, cols,
+                      front - u * u * size,
+                      low.strides[:-2] + (u * size, u1 * size))
 
 
 def logdet2_sym_pd(a: BandedMatrix) -> float | np.ndarray:
@@ -339,7 +378,7 @@ def inverse_bands_tridiagonal(a: BandedMatrix, width: int) -> np.ndarray:
     diag = c[-1]
     ratio = np.zeros(n)
     if n > 1:
-        ratio[:-1] = c[0, 1:] / diag[:-1]
+        ratio[:-1] = c[0, 1:] / diag[:-1]  # L[1, :-1] / L[0, :-1], in place
     # unit upper bidiagonal system: x_i - r_i^2 x_{i+1} = 1/u_i^2
     ab = np.zeros((2, n))
     ab[0, 1:] = -ratio[:-1] ** 2
@@ -368,6 +407,8 @@ def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:
     Cholesky factor.
 
     With A = U^T U, the vector U^T w has covariance A when w is white.
+    Row u - m of cholesky_upper's factor from column m on is row m of
+    the lower factor L = U^T as LAPACK stores it, read in place.
     """
     u = chol_upper.shape[0] - 1
     n = chol_upper.shape[1]

@@ -9,15 +9,16 @@ evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
 banded Cholesky factorizations (D = H H^H).  A batch of points is
 evaluated in blocks: RhatN, which depends on eps2 alone, is factored once
 per distinct eps2, and RhatN + Rhat D Rhat^T is assembled on a frame of
-five slots and widened to 2n columns, bit for bit the full-length
-assembly (every band is 2-periodic).  The loss Delta is computed
-from the definition R - R_e; the rearranged log-det expression for
-Delta, assembled from its own banded terms, is kept alongside as a
-cross-check.  To first order the loss is V-shaped in each error,
-c1 |eps1| (sync) and c2 |eps2| (coordination); the trace models give
-the slopes, and loss_breakdown reports both terms next to the exact
-loss.  Every kernel here is O(n) in the frame length.  Exact losses are
-always the primary quantity; the linear terms are diagnostics only.
+five slots, many blocks at a time, and widened to 2n columns in LAPACK's
+lower storage, bit for bit the full-length assembly (every band is
+2-periodic).  The loss Delta is computed from the definition R - R_e;
+the rearranged log-det expression for Delta, assembled from its own
+banded terms, is kept alongside as a cross-check.  To first order the
+loss is V-shaped in each error, c1 |eps1| (sync) and c2 |eps2|
+(coordination); the trace models give the slopes, and loss_breakdown
+reports both terms next to the exact loss.  Every kernel here is O(n)
+in the frame length.  Exact losses are always the primary quantity; the
+linear terms are diagnostics only.
 """
 
 from __future__ import annotations
@@ -117,16 +118,23 @@ def _mistimed_rates(frame: FrameConfig, d: np.ndarray,
     err.check_admissible(frame)
     e1, e2 = err.arrays()
     step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
+    # the five-slot frame is assembled for as many whole blocks at once
+    # as fill a block's worth of its columns: memory stays flat in n too
+    chunk = max(1, _BLOCK_ENTRIES // (2 * _FRAME_SLOTS * step)) * step
     ld = _noise_logdets(frame, err, step)
-    for start in range(0, e1.size, step):
-        block = slice(start, start + step)
-        try:
-            ld[block] = (_bands.logdet2_sym_pd(_mistimed_covariance(
-                frame, d, e1[block], e2[block])) - ld[block])
-        except _bands.NotPositiveDefinite as exc:
-            raise DomainError(
-                f"mistimed covariance not positive definite at "
-                f"tau={frame.tau}, {err.point(start + exc.index)}") from None
+    for first in range(0, e1.size, chunk):
+        part = slice(first, first + chunk)
+        cols = _five_slot_storage(frame, d, e1[part], e2[part])
+        for start in range(first, min(first + chunk, e1.size), step):
+            block = slice(start, start + step)
+            try:
+                ld[block] = (_bands.logdet2_sym_pd(_mistimed_covariance(
+                    frame.n, cols, start - first, step)) - ld[block])
+            except _bands.NotPositiveDefinite as exc:
+                raise DomainError("mistimed covariance not positive definite "
+                                  f"at tau={frame.tau}, "
+                                  f"{err.point(start + exc.index)}") from None
+        del cols  # the next chunk is assembled without it
     return ld / (frame.n + frame.tau)
 
 
@@ -159,37 +167,47 @@ def _noise_logdets(frame: FrameConfig, err: TimingError,
     return ld[inverse]
 
 
-def _mistimed_covariance(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
-                         e2: np.ndarray) -> _bands.BandedMatrix:
-    """Upper band of RhatN + Rhat D Rhat^T at a 1-D batch of points (the
-    part the Cholesky reads; the matrix is symmetric).
+def _five_slot_storage(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
+                       e2: np.ndarray) -> np.ndarray:
+    """RhatN + Rhat D Rhat^T at a 1-D batch of points on a frame of
+    min(n, 5) slots, in _bands.lower_storage (checked finite there)."""
+    small = frame if frame.n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS,
+                                                              frame.tau)
+    return _bands.lower_storage(_signal(small, d, e1, e2)
+                                + build_noise_covariance(small, e2))
 
-    Every band in it is 2-periodic, and the sum has bandwidth 4, so its
-    columns 4 .. 2n - 5 repeat one period.  It is assembled on a frame of
-    min(n, 5) slots, whose columns 4 and 5 are that period, and widened
-    to 2n columns by repeating them: bit for bit the full assembly, for
-    O(1) work per point and one copy.  The widened band is laid out as
-    the Cholesky stacks a batch, so that stacking copies nothing.
+
+def _mistimed_covariance(n: int, cols: np.ndarray, start: int,
+                         count: int) -> _bands.BandedMatrix:
+    """count points from start of RhatN + Rhat D Rhat^T at full length,
+    from _five_slot_storage's cols, as a band given by its lower rows for
+    an in-place Cholesky.
+
+    Every band in the sum is 2-periodic with bandwidth 4, so its lower
+    columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame: repeating
+    that slot widens each point, bit for bit the full assembly.  The
+    copy keeps the two slots in front (zero columns, or the point
+    before), which the factor's view reads.  At n <= 5 it is a view.
     """
-    n = frame.n
-    small = frame if n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS, frame.tau)
-    total = build_noise_covariance(small, e2) + _signal(small, d, e1, e2)
-    band = total.ab[:, :total.upper + 1]
-    if small is frame:
-        return _bands.BandedMatrix(band, 0, total.upper)
-    # (row, point, slot, column): slots 0-1 and 3-4 are the two edges
-    rows = total.upper + 1
-    src = band.transpose(1, 0, 2).reshape(rows, -1, _FRAME_SLOTS, 2)
-    wide = np.repeat(src, [1, 1, n - 4, 1, 1], axis=2)
-    return _bands.BandedMatrix(wide.reshape(rows, -1, 2 * n).transpose(1, 0, 2),
-                               0, total.upper)
+    u = cols.shape[1] - 1
+    if n <= _FRAME_SLOTS:
+        low = cols[u:].reshape(-1, 2 * n, u + 1)[start:start + count]
+    else:  # slot s of point p is row 2 + 5 p + s of the slot rows
+        src = cols.reshape(-1, 2 * u + 2)[5 * start:5 * (start + count) + 2]
+        repeats = np.ones(len(src), dtype=np.intp)
+        repeats[4::5] = n - 4  # slot 2, the period
+        low = np.repeat(src, repeats, axis=0).reshape(-1, u + 1)[u:]
+    return _bands.BandedMatrix(low.reshape(-1, 2 * n, u + 1).swapaxes(1, 2),
+                               u, 0)
 
 
 def _signal(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
             e2: np.ndarray) -> _bands.BandedMatrix:
     """Upper band of the symmetric Rhat D Rhat^T at a 1-D batch of points."""
     rhat = _mixing(frame, e1, e2)[1]
-    return rhat.col_scaled(d[:2 * frame.n]).matmul(rhat.T, upper_only=True)
+    left, right = rhat.col_scaled(d[:2 * frame.n]), rhat.T
+    del rhat  # three bands, not four, live during the product
+    return left.matmul(right, upper_only=True)
 
 
 def throughput_loss(link: LinkConfig, frame: FrameConfig,

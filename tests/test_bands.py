@@ -200,6 +200,71 @@ def test_colored_factor_reproduces_covariance(rng):
     assert np.array_equal(_bands.colored_factor_apply(factor, block), rows)
 
 
+def upper_storage_cholesky(a):
+    """Oracle: the factor from LAPACK's upper storage, each matrix's
+    upper band factored by its own pbtrf(lower=0) call."""
+    ab = a.ab[..., :a.upper + 1, :]
+    out = np.empty(ab.shape)
+    for i in np.ndindex(a.batch_shape):
+        out[i], info = _bands._pbtrf(ab[i], lower=0)
+        assert info == 0
+    return out
+
+
+def random_spd_band(rng, batch, n, u):
+    """Symmetric, diagonally dominant (so positive definite) matrices of
+    bandwidth u, given by their upper band alone; slots past the matrix
+    are zero."""
+    ab = np.zeros(batch + (u + 1, n))
+    ab[..., u, :] = 2.0 * u + rng.uniform(size=batch + (n,))
+    for k in range(1, min(u, n - 1) + 1):
+        ab[..., u - k, k:] = rng.uniform(-1.0, 1.0, size=batch + (n - k,))
+    return _bands.BandedMatrix(ab, 0, u)
+
+
+STORAGE_CASES = [(u, n, batch) for u in (1, 2, 3, 4) for n in (1, 2, 3, 600)
+                 for batch in ((), (3,))]
+
+
+@pytest.mark.parametrize("u,n,batch", STORAGE_CASES)
+def test_lower_storage_factor_is_the_upper_storage_factor(rng, u, n, batch):
+    # pbtrf applies the same operations to every entry in both storages,
+    # so the two factors agree bit for bit, out-of-matrix slots included;
+    # a LAPACK/BLAS build that rounds them differently fails here
+    a = random_spd_band(rng, batch, n, u)
+    got = _bands.cholesky_upper(a)
+    want = upper_storage_cholesky(a)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("u,n,batch", STORAGE_CASES)
+def test_kernels_keep_the_bits_of_the_upper_storage_factor(rng, monkeypatch,
+                                                           u, n, batch):
+    a = random_spd_band(rng, batch, n, u)
+    got = [_bands.logdet2_sym_pd(a)]
+    if u == 1 and not batch:
+        got.append(_bands.inverse_bands_tridiagonal(a, 3))
+    monkeypatch.setattr(_bands, "cholesky_upper", upper_storage_cholesky)
+    want = [_bands.logdet2_sym_pd(a)]
+    if u == 1 and not batch:
+        want.append(_bands.inverse_bands_tridiagonal(a, 3))
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 600])
+@pytest.mark.parametrize("count", [None, 3])
+def test_colored_noise_keeps_the_bits_of_the_upper_storage_factor(
+        monkeypatch, n, count):
+    from anoma import waveform as W
+    frame = M.FrameConfig(n, 0.3)
+    got = W.draw_colored_noise(frame, -0.1, np.random.default_rng(5), count)
+    monkeypatch.setattr(_bands, "cholesky_upper", upper_storage_cholesky)
+    want = W.draw_colored_noise(frame, -0.1, np.random.default_rng(5), count)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_upper_only_product_is_upper_band_of_full_product(rng):
     # a batch and a single matrix, as in R_hat D R_hat^T
     a = banded(9, {k: rng.normal(size=(3, 9)) for k in (-2, -1, 0, 1, 2)})

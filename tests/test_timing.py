@@ -181,12 +181,14 @@ class TestBatchedRate:
         assert [s[0] for s in shapes[2:]] == [min(block, 1680 - start)
                                               for start in range(0, 1680, block)]
 
-    def test_peak_memory_of_the_default_grid_at_n_32(self):
-        # a block's widened band is 5 rows of _BLOCK_ENTRIES doubles; it,
-        # LAPACK's copy of it and the log of its pivots are live at once
-        # (about 2.2 bands), next to O(points) vectors of the 1,681-point
-        # grid.  Allow four bands.
-        frame = M.FrameConfig(32, 0.5)
+    @pytest.mark.parametrize("n", [5, 32, 300])
+    def test_peak_memory_of_the_default_grid(self, n):
+        # a block's widened band is 5 rows of _BLOCK_ENTRIES doubles, and a
+        # chunk's five-slot assembly holds about as many entries per row
+        # (at n <= 5 the chunk is the block); its operands and product
+        # (about 3.6 bands) are the peak, next to O(points) vectors of the
+        # 1,681-point grid.  Allow four bands.
+        frame = M.FrameConfig(n, 0.5)
         eps = 0.005 * np.arange(-20, 21)
         err = M.TimingError(*np.meshgrid(eps, eps, indexing="ij"))
         TM.loss_ratio(LINK, frame, err)
@@ -198,6 +200,37 @@ class TestBatchedRate:
             tracemalloc.stop()
         assert peak <= 4 * 5 * 8 * TM._BLOCK_ENTRIES
 
+    @pytest.mark.parametrize("n", [3, 32])
+    def test_lapack_factors_the_widened_band_in_place(self, monkeypatch, n):
+        # the array pbtrf returns factored is the band the sweep built, so
+        # f2py made no copy of it, and cholesky_upper's factor views it
+        built, factored, factors = [], [], []
+
+        def widen(*args, _orig=TM._mistimed_covariance):
+            built.append(_orig(*args))
+            return built[-1]
+
+        def pbtrf(ab, _orig=_bands._pbtrf, **kwargs):
+            out = _orig(ab, **kwargs)
+            factored.append(out[0])
+            return out
+
+        def cholesky(a, _orig=_bands.cholesky_upper):
+            factors.append(_orig(a))
+            return factors[-1]
+
+        monkeypatch.setattr(TM, "_mistimed_covariance", widen)
+        monkeypatch.setattr(_bands, "_pbtrf", pbtrf)
+        monkeypatch.setattr(_bands, "cholesky_upper", cholesky)
+        eps = 0.005 * np.arange(-20, 21)
+        TM.loss_ratio(LINK, M.FrameConfig(n, 0.5),
+                      M.TimingError(*np.meshgrid(eps, eps, indexing="ij")))
+        # the no-error rate and the 41 noise covariances are factored first
+        assert len(built) == len(factored) - 2 == len(factors) - 2 > 1
+        for cov, lapack, factor in zip(built, factored[2:], factors[2:]):
+            assert np.shares_memory(lapack, cov.ab)
+            assert np.shares_memory(factor, cov.ab)
+
 
 def full_mistimed_band(link, frame, err):
     """Upper band of RhatN + Rhat D Rhat^T assembled at full length 2n."""
@@ -205,6 +238,16 @@ def full_mistimed_band(link, frame, err):
     d = TM._hh(link, frame.n)
     total = rhat_n + rhat.col_scaled(d).matmul(rhat.T, upper_only=True)
     return total.ab[:, :total.upper + 1]
+
+
+def lower_rows(upper):
+    """The lower band of symmetric matrices from their upper band: row k
+    holds A[j + k, j] at column j, zero past the matrix."""
+    u, n = upper.shape[-2] - 1, upper.shape[-1]
+    low = np.zeros(upper.shape)
+    for k in range(u + 1):
+        low[..., k, :n - k] = upper[..., u - k, k:]
+    return low
 
 
 # (f1, f2) per point: eps1 = f1 tau or f1 (1 - tau), eps1 + eps2 = f2 (1 -
@@ -235,9 +278,33 @@ class TestFiveSlotAssembly:
         except M.DomainError:
             assume(False)  # rounding carried eps1 + eps2 past a bound
         link = M.LinkConfig.from_gains(*gains)
-        got = TM._mistimed_covariance(frame, TM._hh(link, n), e1, e2)
-        assert got.ab.shape == (len(e1), min(5, 2 * n), 2 * n)
-        assert np.array_equal(got.ab, full_mistimed_band(link, frame, err))
+        cols = TM._five_slot_storage(frame, TM._hh(link, n), e1, e2)
+        want = lower_rows(full_mistimed_band(link, frame, err))
+        u = min(4, 2 * n - 1)
+        assert want.shape == (len(e1), u + 1, 2 * n)
+        # the whole batch, and a part not starting at the first point
+        for start in (0, len(e1) // 2):
+            got = TM._mistimed_covariance(n, cols, start, len(e1))
+            assert (got.lower, got.upper) == (u, 0)
+            assert np.array_equal(got.ab, want[start:])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 40])
+    def test_widened_factor_is_the_upper_storage_factor(self, n):
+        # every slot of the factor's upper view, the first matrix's
+        # out-of-matrix ones too, is that of LAPACK's upper-storage
+        # factor of the full assembly, matrix by matrix
+        frame = M.FrameConfig(n, 0.4)
+        e1, e2 = TestBatchedRate.EPS1, TestBatchedRate.EPS2
+        full = full_mistimed_band(LINK, frame, M.TimingError(e1, e2))
+        for start in (0, 2):
+            # at n <= 5 the band is a view of cols, factored in place
+            cols = TM._five_slot_storage(frame, TM._hh(LINK, n), e1, e2)
+            got = _bands.cholesky_upper(
+                TM._mistimed_covariance(n, cols, start, 4))
+            for b in range(4):
+                want, info = _bands._pbtrf(full[start + b], lower=0)
+                assert info == 0
+                assert got[b].tobytes() == want.tobytes()
 
 
 class TestLoss:
