@@ -7,7 +7,8 @@ tau* has no finite-frame closed form; it is located by an exhaustive
 grid scan over [0, 1) followed by a golden-section refinement inside the
 winning cell.  The grid optimum is the guarantee; refinement only ever
 improves on it.  Both passes evaluate the closed form for a whole ladder
-of frame lengths at once.
+of frame lengths at once, and the refinement evaluates every point its
+next _LOOKAHEAD steps could ask for in one call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ _REFINE_TOL = 1e-6
 # scan (10 frame lengths, 1,000 taus) is one evaluation, and a fine
 # grid_resolution cannot make the temporaries outgrow a few MB
 _GRID_ENTRIES = 1 << 16
+# golden-section steps per objective call in the refinement: a round
+# evaluates 2^4 - 1 = 15 points per frame length, so the default
+# ladder's 16 steps take 4 calls; depth 3 (6 calls) and depth 5 (still
+# 4 calls, on 31-point trees) measured slower (README, "tau* search
+# cost")
+_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,13 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
 
     The brackets and the values at their interior points are kept as
     lists of Python floats, whose + - * and comparisons round exactly as
-    numpy float64's do, so a step costs one call of f and no array
-    indexing.  Both first interior points are evaluated in one call.
+    numpy float64's do.  Both first interior points are evaluated in one
+    call, and then each round takes up to _LOOKAHEAD steps of every open
+    row for one call of f (see _golden_round).  A round whose call
+    raises DomainError is replayed one step per call, so the error
+    raised is that of the first step whose own points f rejects, and a
+    point that only a branch not taken would have asked for is never
+    named.
     """
     m = len(lo)
     a, b = lo.tolist(), hi.tolist()
@@ -67,30 +79,84 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     d = [ai + (bi - ai) * _INV_PHI for ai, bi in zip(a, b)]
     rows = np.arange(m)
     f0 = f(np.concatenate((rows, rows)), np.array(c + d)).tolist()
-    fc, fd = f0[:m], f0[m:]
+    state = (a, b, c, d, f0[:m], f0[m:])
     live = [i for i in range(m) if b[i] - a[i] > tol]
     while live:
-        # each row's new point, and the list its value goes to
-        x, slot = [], []
-        for i in live:
-            if fc[i] > fd[i]:
-                # the maximum lies in [a, d]; d takes c's place
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - (b[i] - a[i]) * _INV_PHI
-                x.append(c[i])
-                slot.append(fc)
-            else:
-                # it lies in [c, b]; c takes d's place
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + (b[i] - a[i]) * _INV_PHI
-                x.append(d[i])
-                slot.append(fd)
-        for i, values, v in zip(live, slot,
-                                f(np.array(live), np.array(x)).tolist()):
-            values[i] = v
-        live = [i for i in live if b[i] - a[i] > tol]
+        try:
+            live = _golden_round(f, state, live, tol, _LOOKAHEAD)
+        except DomainError:
+            for _ in range(_LOOKAHEAD):
+                if live:
+                    live = _golden_round(f, state, live, tol, 1)
     x = np.array([0.5 * (ai + bi) for ai, bi in zip(a, b)])
     return x, f(rows, x)
+
+
+def _golden_round(f, state, live, tol, k):
+    """Up to k golden-section steps of every row in live, for one call
+    of f; returns the rows still open.
+
+    A row's next step is known from its fc > fd, and each later step
+    turns on how the value at the previous step's point compares with
+    the value it is set against.  So the points a row's next k steps
+    can ask for form a binary tree of 2^k - 1 points (see _subtree),
+    each computed with the same float expressions as the step, and f
+    evaluates every row's tree in one call.  The walk then takes each
+    row's real branch at every step, so the values it consumes, and
+    every comparison and bracket, are those of a search that asks f
+    for one point per step.  A row that closes inside the round leaves
+    the rest of its tree unread.  Nothing in state changes before f
+    returns.
+    """
+    a, b, c, d, fc, fd = state
+    x = []
+    for i in live:
+        ai, bi, ci, di = a[i], b[i], c[i], d[i]
+        if fc[i] > fd[i]:
+            # the maximum lies in [a, d]; d takes c's place
+            ai, bi, ci, di = ai, di, di - (di - ai) * _INV_PHI, ci
+            x.append(ci)
+        else:
+            # it lies in [c, b]; c takes d's place
+            ai, bi, ci, di = ci, bi, di, ci + (bi - ci) * _INV_PHI
+            x.append(di)
+        if k > 1:
+            _subtree(x, ai, bi, ci, di, k - 1)
+    size = (1 << k) - 1
+    values = f(np.array(live).repeat(size), np.array(x)).tolist()
+    for row, i in enumerate(live):
+        pos = row * size
+        ai, bi, ci, di, fci, fdi = a[i], b[i], c[i], d[i], fc[i], fd[i]
+        for h in range(k - 1, -1, -1):
+            if fci > fdi:
+                ai, bi, ci, di = ai, di, di - (di - ai) * _INV_PHI, ci
+                fci, fdi = values[pos], fci
+            else:
+                ai, bi, ci, di = ci, bi, di, ci + (bi - ci) * _INV_PHI
+                fci, fdi = fdi, values[pos]
+            if not bi - ai > tol:
+                break
+            # the next step's fc > fd point follows this one, and its
+            # fc <= fd point follows that point's 2^h - 2 descendants
+            pos += 1 if fci > fdi else 1 << h
+        a[i], b[i], c[i], d[i], fc[i], fd[i] = ai, bi, ci, di, fci, fdi
+    return [i for i in live if b[i] - a[i] > tol]
+
+
+def _subtree(x, a, b, c, d, h):
+    """Append to x, in preorder, the 2^(h+1) - 2 points that the next
+    h >= 1 golden-section steps from bracket [a, b] with interior points
+    c < d can ask for: the fc > fd step's point and the points after it,
+    then the fc <= fd step's point and the points after that."""
+    cg = d - (d - a) * _INV_PHI
+    dl = c + (b - c) * _INV_PHI
+    if h == 1:
+        x += cg, dl
+    else:
+        x.append(cg)
+        _subtree(x, a, d, cg, c, h - 1)
+        x.append(dl)
+        _subtree(x, c, b, d, dl, h - 1)
 
 
 def optimal_tau(link: LinkConfig, n,
@@ -111,7 +177,11 @@ def optimal_tau(link: LinkConfig, n,
     if np.ndim(n) > 1:
         raise DomainError(f"n must be an int or a 1-D array, got shape {np.shape(n)}")
     link.require_positive_gains()
-    ns = np.array([FrameConfig(int(v), 0.0).n for v in np.ravel(n)], dtype=int)
+    # each entry as given (an object array keeps a list's bools and
+    # floats): FrameConfig rejects what is not an int, where int()
+    # would truncate it
+    ns = np.array([FrameConfig(v, 0.0).n
+                   for v in np.asarray(n, dtype=object).ravel()], dtype=int)
     mu1, mu2 = link.mu1, link.mu2
 
     def objective(rows, tau):

@@ -381,6 +381,13 @@ DEFAULT_CSV_SHA256 = {
     "scheme_comparison": "3b33c3f241c0e55d796f94c584ee8ca87fb2016f9ccdcf3492d99da81df0f4cb",
 }
 
+# sha256 of one non-default tau_star_vs_n sweep: a gain at 1e300, rows
+# clipped at tau = 0, and golden searches of 18 and 20 steps (res 5e-3)
+TAU_STAR_SETS = ("gains=[[1.0, 0.5], [1e300, 0.03], [0.02, 30.0]]",
+                 "n_values=[1, 2, 3, 7, 40, 1000, 100000]",
+                 "grid_resolution=5e-3")
+TAU_STAR_SHA256 = "ae5d120fc141efe2a2370ee4c3585ffe360d156cca6700e407b65be7e6696b49"
+
 QUERY_LINES = {
     (): ("mu1=1 mu2=0.5 tau=0.5 n=10 eps1=0 eps2=0 anoma_matrix=1.39349260628 "
          "anoma_closed=1.39349260628 anoma_recursion=1.39349260628 "
@@ -404,6 +411,15 @@ def test_default_sweep_bytes_are_pinned(tmp_path, capsys, figure):
     out = tmp_path / f"{figure}.csv"
     assert main(["sweep", figure, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256[figure]
+
+
+def test_non_default_tau_star_bytes_are_pinned(tmp_path):
+    out = tmp_path / "tau_star.csv"
+    sets = [tok for s in TAU_STAR_SETS for tok in ("--set", s)]
+    assert main(["sweep", "tau_star_vs_n", *sets, "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TAU_STAR_SHA256
 
 
 @pytest.mark.parametrize("sets", sorted(QUERY_LINES))

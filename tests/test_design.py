@@ -174,6 +174,78 @@ class TestBatchedSearch:
             D.optimal_tau(LINK, N_LADDER)
         assert str(info.value).endswith(f"n={n}, tau={bad_tau!r}")
 
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("how", ["nan", "raise"])
+    def test_bad_point_off_the_taken_branches_is_never_seen(self, monkeypatch,
+                                                           depth, how):
+        # a point of the lookahead tree that the one-step search never
+        # asks for may be non-finite, or make closed_rate raise: the
+        # round is replayed one step per call, and nothing changes
+        mu1, mu2, n, res = LINK.mu1, LINK.mu2, 20, 1e-3
+        monkeypatch.setattr(D, "_LOOKAHEAD", depth)
+        want = D.optimal_tau(LINK, N_LADDER)
+        taus = np.arange(0.0, 1.0, res)
+        grid_star = float(taus[np.argmax(closed_rate(mu1, mu2, n, taus))])
+        asked = []
+        golden_max_oracle(lambda t: asked.append(t) or closed_rate(mu1, mu2, n, t),
+                          grid_star - res, grid_star + res, REFINE_TOL)
+        seen = []
+
+        def spy(mu1, mu2, n_arr, tau):
+            n_at, tau_at = np.broadcast_arrays(n_arr, tau)
+            seen.extend(tau_at[n_at == n].tolist())
+            return closed_rate(mu1, mu2, n_arr, tau)
+
+        monkeypatch.setattr(D, "closed_rate", spy)
+        D.optimal_tau(LINK, N_LADDER)
+        unread = sorted(set(seen) - set(asked) - set(taus.tolist()))
+        assert unread
+        bad_tau = unread[len(unread) // 2]
+
+        def bad_at_one_point(mu1, mu2, n_arr, tau):
+            rate = closed_rate(mu1, mu2, n_arr, tau)
+            hit = np.broadcast_to((n_arr == n) & (tau == bad_tau), rate.shape)
+            if how == "raise" and hit.any():
+                raise M.DomainError("closed-form rate is not finite")
+            return np.where(hit, np.nan, rate)
+
+        monkeypatch.setattr(D, "closed_rate", bad_at_one_point)
+        got = D.optimal_tau(LINK, N_LADDER)
+        assert np.array_equal(got.tau_star, want.tau_star)
+        assert np.array_equal(got.achieved_throughput, want.achieved_throughput)
+
+    def test_default_ladder_takes_few_objective_calls(self, monkeypatch):
+        # one scan call, the two first interior points, four rounds of
+        # four golden steps and the midpoints: 7, where one call per
+        # step took 19
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return closed_rate(*args)
+
+        monkeypatch.setattr(D, "closed_rate", spy)
+        for mu1, mu2 in DEFAULT_SPEC["gains"]:
+            calls.clear()
+            D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), N_LADDER)
+            assert len(calls) <= 8
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.lists(st.integers(1, 2000), min_size=1, max_size=6),
+           st.sampled_from([1e-3, 5e-3, 1e-2]), st.integers(1, 6))
+    def test_every_depth_equals_one_point_oracle(self, log_mu1, log_mu2,
+                                                 n_values, res, depth):
+        mu1, mu2 = 10.0 ** log_mu1, 10.0 ** log_mu2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_LOOKAHEAD", depth)
+            got = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2),
+                                np.array(n_values), grid_resolution=res)
+        for i, n in enumerate(n_values):
+            tau_star, achieved = optimal_tau_oracle(mu1, mu2, n, res)
+            assert got.tau_star[i] == tau_star
+            assert got.achieved_throughput[i] == achieved
+
     @pytest.mark.parametrize("entries", [1, 7, 333])
     def test_blocked_scan_equals_one_block(self, monkeypatch, entries):
         whole = D.optimal_tau(LINK, N_LADDER)
@@ -199,6 +271,11 @@ class TestBatchedSearch:
             D.optimal_tau(LINK, np.array([[1, 2]]))
         with pytest.raises(M.DomainError):
             D.optimal_tau(LINK, np.array([4, 0]))
+        # FrameConfig's rule for each entry: no truncation, no bools
+        for bad in (10.5, True, "10", math.nan):
+            for n in (bad, [bad], [4, bad], np.array([bad])):
+                with pytest.raises(M.DomainError, match="frame length n"):
+                    D.optimal_tau(LINK, n)
 
     @pytest.mark.parametrize("mu1,mu2", [
         (1e-300, 0.7), (3.0, 1e-300), (1e-300, 1e-300), (1e300, 1e300),
@@ -244,6 +321,14 @@ class TestLockstepGolden:
             want = golden_max_oracle(lambda t: one(i, t), self.LO[i],
                                      self.HI[i], REFINE_TOL)
             assert (x[i], fx[i]) == want
+
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("shape", ["closed", "rising", "falling", "flat"])
+    def test_every_lookahead_depth_follows_the_one_row_search(
+            self, monkeypatch, shape, depth):
+        monkeypatch.setattr(D, "_LOOKAHEAD", depth)
+        self.test_rows_follow_the_one_row_search(shape)
 
 
 class TestFullPower:
