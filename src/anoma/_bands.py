@@ -13,13 +13,17 @@ sweep of same-size matrices, and the algebra and the Cholesky log-det
 run once per batch.  LU (``gbtrf``) reads this array as it is, below
 ``lower`` rows of fill-in space.
 
-Cholesky (``pbtrf``) factors LAPACK's lower storage, a C-ordered
-``(B*n, u+1)`` array that f2py passes uncopied.  At bandwidths 2-4 the
-upper storage costs two to three times as much per column (``dpbtf2``
-calls OpenBLAS's ``dsyr`` with stride u there, unit stride here) for
-the same bits: both scale every entry by 1/a_jj and update it as
-a - x_p * x_q, so the lower factor is the upper one transposed
-(tests/test_bands.py).
+Cholesky (``pbtrf``) factors LAPACK's lower storage of a symmetric
+band with u super-diagonals, a C-ordered ``(..., n, u+1)`` array whose
+row j holds ``A[j + k, j]`` at slot k, which f2py passes uncopied.  The
+factor is handed out as that array read transposed, ``(..., u+1, n)``:
+row k holds diagonal k of the upper factor, ``U[i, i + k]`` at slot i,
+zero past the matrix, the row-aligned layout the inverse's band comes
+in too.  At bandwidths 2-4 the upper storage costs two to three times
+as much per column (``dpbtf2`` calls OpenBLAS's ``dsyr`` with stride u
+there, unit stride here) for the same bits: both scale every entry by
+1/a_jj and update it as a - x_p * x_q, so the lower factor is the upper
+one transposed (tests/test_bands.py).
 
 Summation order: a diagonal of a product ``A @ B`` sums its terms over
 A's offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``).  A sum's
@@ -50,7 +54,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -268,56 +271,45 @@ def diagonal(d) -> BandedMatrix:
 
 
 def lower_storage(a: BandedMatrix) -> np.ndarray:
-    """Symmetric A, read from its upper band, in LAPACK lower storage:
-    C-ordered columns ``(u + B*n, u + 1)``, u zero columns and then the n
-    of each matrix in turn, column j holding ``A[j + k, j]`` at slot k
-    (zero past the matrix).  Raises ValueError unless A is finite."""
+    """Symmetric A, read from its upper band, in LAPACK lower storage
+    (module docstring), zero past the matrix.  Raises ValueError unless
+    A is finite."""
     u, n = a.upper, a.n
     rows = a.ab[..., :u + 1, :]
     if not np.isfinite(rows).all():
         raise ValueError("array must not contain infs or NaNs")
-    cols = np.zeros((u + math.prod(a.batch_shape) * n, u + 1))
-    low = cols[u:].reshape(a.batch_shape + (n, u + 1))
+    low = np.zeros(a.batch_shape + (n, u + 1))
     for k in range(min(u, n - 1) + 1):
         low[..., :n - k, k] = rows[..., u - k, k:]
-    return cols
+    return low
 
 
 def cholesky_upper(a: BandedMatrix) -> np.ndarray:
-    """Banded Cholesky factor in LAPACK upper storage, ``(u+1, n)``.
+    """Banded Cholesky factor U of A = U^T U, ``(..., u+1, n)`` in the
+    layout of the module docstring: the lower storage pbtrf factored,
+    read transposed.
 
-    A batch of B matrices gives ``(B, u+1, n)`` from one LAPACK ``pbtrf``
-    call: the B bands lie end to end along the diagonal of one
-    ``(u+1, B*n)`` band whose couplings between blocks are exactly zero,
-    so each block's factor is bit for bit that of its matrix alone.
-    A band given by its lower rows (``upper == 0 < lower``) must be
-    lower storage with u columns of it in front, and is factored in
-    place, its finiteness left to its builder; else lower_storage copies
-    A's upper band.  The factor is a view of the lower one: upper row
-    u - k is lower row k moved k columns right, so it starts u*u entries
-    early, where only out-of-matrix slots lie, zeros of the columns in
-    front.
+    A band given by its lower rows (``upper == 0 < lower``) is such a
+    transpose and is factored in place, its finiteness left to its
+    builder; else lower_storage copies A's upper band.  A batch is
+    factored by one ``pbtrf`` call: its bands lie end to end along one
+    band whose couplings between blocks are exactly zero, so each
+    block's factor is bit for bit that of its matrix alone.
     Raises NotPositiveDefinite, naming the first failing matrix.
     """
     if a.upper == 0 < a.lower:
-        low, cols = a.ab.swapaxes(-1, -2), a.ab.base
+        low = a.ab.swapaxes(-1, -2)
         if not low.flags.c_contiguous:
             raise ValueError("expected C-ordered lower storage")
-        front = low.ctypes.data - cols.ctypes.data
     else:
-        cols = lower_storage(a)
-        low = cols[a.upper:].reshape(a.batch_shape + (a.n, a.upper + 1))
-        front = a.upper * cols.strides[0]
+        low = lower_storage(a)
     n, u1 = low.shape[-2:]
-    u, size = u1 - 1, low.itemsize
     _, info = _pbtrf(low.reshape(-1, u1).T, lower=1, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefinite((info - 1) // n, (info - 1) % n + 1)
     if info < 0:
         raise ValueError(f"pbtrf: illegal value in argument {-info}")
-    return np.ndarray(low.shape[:-2] + (u1, n), low.dtype, cols,
-                      front - u * u * size,
-                      low.strides[:-2] + (u * size, u1 * size))
+    return low.swapaxes(-1, -2)
 
 
 def logdet2_sym_pd(a: BandedMatrix) -> float | np.ndarray:
@@ -326,7 +318,7 @@ def logdet2_sym_pd(a: BandedMatrix) -> float | np.ndarray:
     A float for one matrix; an array of the batch shape for a batch.
     """
     c = cholesky_upper(a)
-    ld = 2.0 * np.sum(np.log(c[..., -1, :]), axis=-1) / _LN2
+    ld = 2.0 * np.sum(np.log(c[..., 0, :]), axis=-1) / _LN2
     return float(ld) if ld.ndim == 0 else ld
 
 
@@ -375,10 +367,10 @@ def inverse_bands_tridiagonal(a: BandedMatrix, width: int) -> np.ndarray:
         raise ValueError("expected one tridiagonal matrix")
     n = a.n
     c = cholesky_upper(a)
-    diag = c[-1]
+    diag = c[0]
     ratio = np.zeros(n)
-    if n > 1:
-        ratio[:-1] = c[0, 1:] / diag[:-1]  # L[1, :-1] / L[0, :-1], in place
+    if len(c) > 1:  # a diagonal A has no super-diagonal
+        ratio[:-1] = c[1, :-1] / diag[:-1]
     # unit upper bidiagonal system: x_i - r_i^2 x_{i+1} = 1/u_i^2
     ab = np.zeros((2, n))
     ab[0, 1:] = -ratio[:-1] ** 2
@@ -404,15 +396,13 @@ def solve_general(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply U^T to w along its last axis, where U is a banded upper
-    Cholesky factor.
+    Cholesky factor as cholesky_upper returns it.
 
-    With A = U^T U, the vector U^T w has covariance A when w is white.
-    Row u - m of cholesky_upper's factor from column m on is row m of
-    the lower factor L = U^T as LAPACK stores it, read in place.
+    With A = U^T U, the vector U^T w has covariance A when w is white:
+    entry i + m picks up U[i, i + m] w[i] for m = 0..u in turn.
     """
-    u = chol_upper.shape[0] - 1
     n = chol_upper.shape[1]
     out = np.zeros(w.shape, dtype=w.dtype)
-    for m in range(u + 1):
-        out[..., m:] += chol_upper[u - m, m:] * w[..., : n - m]
+    for m in range(chol_upper.shape[0]):
+        out[..., m:] += chol_upper[m, :n - m] * w[..., :n - m]
     return out

@@ -92,8 +92,11 @@ class FrameConfig:
     def __post_init__(self) -> None:
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
                 or not 1 <= self.n <= _N_MAX):
+            # repr shows a string as one; str keeps np.int64(0) as 0
+            got = (self.n if isinstance(self.n, (int, np.integer))
+                   else repr(self.n))
             raise DomainError(f"frame length n must be an int in [1, {_N_MAX}], "
-                              f"got {self.n}")
+                              f"got {got}")
         if not (0.0 <= self.tau < 1.0):
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
         object.__setattr__(self, "n", int(self.n))

@@ -170,7 +170,8 @@ def _noise_logdets(frame: FrameConfig, err: TimingError,
 def _five_slot_storage(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
                        e2: np.ndarray) -> np.ndarray:
     """RhatN + Rhat D Rhat^T at a 1-D batch of points on a frame of
-    min(n, 5) slots, in _bands.lower_storage (checked finite there)."""
+    min(n, 5) slots, in _bands.lower_storage (checked finite there):
+    ``(points, 2 min(n, 5), u + 1)``."""
     small = frame if frame.n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS,
                                                               frame.tau)
     return _bands.lower_storage(_signal(small, d, e1, e2)
@@ -185,20 +186,18 @@ def _mistimed_covariance(n: int, cols: np.ndarray, start: int,
 
     Every band in the sum is 2-periodic with bandwidth 4, so its lower
     columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame: repeating
-    that slot widens each point, bit for bit the full assembly.  The
-    copy keeps the two slots in front (zero columns, or the point
-    before), which the factor's view reads.  At n <= 5 it is a view.
+    that slot widens each point, bit for bit the full assembly.  At
+    n <= 5 it is a view of cols.
     """
-    u = cols.shape[1] - 1
+    u = cols.shape[-1] - 1
     if n <= _FRAME_SLOTS:
-        low = cols[u:].reshape(-1, 2 * n, u + 1)[start:start + count]
-    else:  # slot s of point p is row 2 + 5 p + s of the slot rows
-        src = cols.reshape(-1, 2 * u + 2)[5 * start:5 * (start + count) + 2]
+        low = cols[start:start + count]
+    else:  # slot s of point p is row 5 p + s of the slot rows
+        src = cols.reshape(-1, 2 * u + 2)[5 * start:5 * (start + count)]
         repeats = np.ones(len(src), dtype=np.intp)
-        repeats[4::5] = n - 4  # slot 2, the period
-        low = np.repeat(src, repeats, axis=0).reshape(-1, u + 1)[u:]
-    return _bands.BandedMatrix(low.reshape(-1, 2 * n, u + 1).swapaxes(1, 2),
-                               u, 0)
+        repeats[2::5] = n - 4  # slot 2, the period
+        low = np.repeat(src, repeats, axis=0).reshape(-1, 2 * n, u + 1)
+    return _bands.BandedMatrix(low.swapaxes(1, 2), u, 0)
 
 
 def _signal(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,

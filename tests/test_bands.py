@@ -191,7 +191,7 @@ def test_colored_factor_reproduces_covariance(rng):
     u = factor.shape[0] - 1
     for j in range(n):
         for i in range(max(0, j - u), j + 1):
-            dense_u[i, j] = factor[u + i - j, j]
+            dense_u[i, j] = factor[j - i, i]
     assert np.allclose(dense_u.T @ dense_u, s.to_dense())
     assert np.allclose(_bands.colored_factor_apply(factor, w), dense_u.T @ w)
     # along the last axis of a block, row for row
@@ -200,15 +200,28 @@ def test_colored_factor_reproduces_covariance(rng):
     assert np.array_equal(_bands.colored_factor_apply(factor, block), rows)
 
 
+def upper_storage_rows(upper):
+    """LAPACK upper storage ``(..., u+1, n)``, row u - k holding diagonal
+    k at columns k.., shifted to cholesky_upper's layout, row k holding
+    it at slots ..n-k-1; zero past the matrix.  At u >= n the diagonals
+    k >= n lie wholly outside it."""
+    u, n = upper.shape[-2] - 1, upper.shape[-1]
+    rows = np.zeros(upper.shape)
+    for k in range(min(u, n - 1) + 1):
+        rows[..., k, :n - k] = upper[..., u - k, k:]
+    return rows
+
+
 def upper_storage_cholesky(a):
     """Oracle: the factor from LAPACK's upper storage, each matrix's
-    upper band factored by its own pbtrf(lower=0) call."""
+    upper band factored by its own pbtrf(lower=0) call, in
+    cholesky_upper's layout."""
     ab = a.ab[..., :a.upper + 1, :]
     out = np.empty(ab.shape)
     for i in np.ndindex(a.batch_shape):
         out[i], info = _bands._pbtrf(ab[i], lower=0)
         assert info == 0
-    return out
+    return upper_storage_rows(out)
 
 
 def random_spd_band(rng, batch, n, u):
@@ -236,6 +249,29 @@ def test_lower_storage_factor_is_the_upper_storage_factor(rng, u, n, batch):
     want = upper_storage_cholesky(a)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_plain_lower_storage_is_factored_in_place(rng):
+    # a C-ordered (n, u+1) lower storage, nothing in front of it, given
+    # by its lower rows: LAPACK factors it where it lies
+    a = random_spd_band(rng, (), 6, 2)
+    low = np.ascontiguousarray(upper_storage_rows(a.ab).T)
+    full = _bands.BandedMatrix(np.concatenate([a.ab, low.T[1:]]), 2, 2)
+    assert np.array_equal(full.to_dense(), full.to_dense().T)
+    want = _bands.logdet2_sym_pd(full)
+    got = _bands.logdet2_sym_pd(_bands.BandedMatrix(low.swapaxes(0, 1), 2, 0))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert low.T.tobytes() == _bands.cholesky_upper(full).tobytes()
+
+
+def test_lower_rows_not_in_lower_storage_are_rejected_untouched(rng):
+    # a.T's rows are C-ordered (u+1, n), so their transpose is not
+    low = random_spd_band(rng, (), 6, 2).T
+    assert (low.lower, low.upper) == (2, 0)
+    before = low.ab.copy()
+    with pytest.raises(ValueError, match="expected C-ordered lower storage"):
+        _bands.cholesky_upper(low)
+    assert low.ab.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("u,n,batch", STORAGE_CASES)
@@ -329,6 +365,15 @@ def test_tridiagonal_inverse_rejects_wider_band_and_indefinite():
     with pytest.raises(_bands.NotPositiveDefinite):
         _bands.inverse_bands_tridiagonal(
             _bands.diagonal(-np.ones(4)), 1)
+
+
+def test_tridiagonal_inverse_of_a_diagonal_matrix():
+    # no super-diagonal in the factor: the inverse is diagonal too
+    d = np.array([2.0, 4.0, 5.0])
+    got = _bands.inverse_bands_tridiagonal(_bands.diagonal(d), 2)
+    assert got.shape == (3, 3)
+    assert np.allclose(got[0], 1.0 / d, rtol=1e-15, atol=0.0)
+    assert not got[1:].any()
 
 
 def scipy_lapack_routines():

@@ -276,6 +276,9 @@ class TestBatchedSearch:
             for n in (bad, [bad], [4, bad], np.array([bad])):
                 with pytest.raises(M.DomainError, match="frame length n"):
                     D.optimal_tau(LINK, n)
+        # a string reads as one in the message
+        with pytest.raises(M.DomainError, match="got '10'$"):
+            D.optimal_tau(LINK, ["10"])
 
     @pytest.mark.parametrize("mu1,mu2", [
         (1e-300, 0.7), (3.0, 1e-300), (1e-300, 1e-300), (1e300, 1e300),

@@ -1,5 +1,7 @@
 """Domain types and structured-matrix builders."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,9 +87,10 @@ class TestFrameConfig:
     def test_tau_zero_is_legal(self):
         assert M.FrameConfig(1, 0.0).tau == 0.0
 
-    @pytest.mark.parametrize("n", [True, False, 2.0])
+    @pytest.mark.parametrize("n", [True, False, 2.0, "10"])
     def test_non_int_length_rejected(self, n):
-        with pytest.raises(M.DomainError):
+        # named as given: a string reads as one
+        with pytest.raises(M.DomainError, match=f"got {re.escape(repr(n))}$"):
             M.FrameConfig(n, 0.5)
 
     @pytest.mark.parametrize("n", [2 ** 63, 10 ** 20, np.uint64(2 ** 63)])

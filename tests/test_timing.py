@@ -241,8 +241,10 @@ def full_mistimed_band(link, frame, err):
 
 
 def lower_rows(upper):
-    """The lower band of symmetric matrices from their upper band: row k
-    holds A[j + k, j] at column j, zero past the matrix."""
+    """LAPACK upper storage shifted so that row k holds diagonal k from
+    slot 0 on, zero past the matrix: the lower band of a symmetric
+    matrix (A[j + k, j] at column j), or an upper factor in
+    cholesky_upper's layout (U[i, i + k] at slot i)."""
     u, n = upper.shape[-2] - 1, upper.shape[-1]
     low = np.zeros(upper.shape)
     for k in range(u + 1):
@@ -290,9 +292,9 @@ class TestFiveSlotAssembly:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 40])
     def test_widened_factor_is_the_upper_storage_factor(self, n):
-        # every slot of the factor's upper view, the first matrix's
-        # out-of-matrix ones too, is that of LAPACK's upper-storage
-        # factor of the full assembly, matrix by matrix
+        # every slot of the factor, out-of-matrix ones too, is that of
+        # LAPACK's upper-storage factor of the full assembly, matrix by
+        # matrix
         frame = M.FrameConfig(n, 0.4)
         e1, e2 = TestBatchedRate.EPS1, TestBatchedRate.EPS2
         full = full_mistimed_band(LINK, frame, M.TimingError(e1, e2))
@@ -304,7 +306,7 @@ class TestFiveSlotAssembly:
             for b in range(4):
                 want, info = _bands._pbtrf(full[start + b], lower=0)
                 assert info == 0
-                assert got[b].tobytes() == want.tobytes()
+                assert got[b].tobytes() == lower_rows(want).tobytes()
 
 
 class TestLoss:
