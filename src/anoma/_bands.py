@@ -23,12 +23,14 @@ in too.  At bandwidths 2-4 the upper storage costs two to three times
 as much per column (``dpbtf2`` calls OpenBLAS's ``dsyr`` with stride u
 there, unit stride here) for the same bits: both scale every entry by
 1/a_jj and update it as a - x_p * x_q, so the lower factor is the upper
-one transposed (tests/test_bands.py).
+one transposed (tests/test_bands.py).  Read as a ``(u, 0)`` band, the
+factor is U^T.
 
-Summation order: a diagonal of a product ``A @ B`` sums its terms over
-A's offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``).  A sum's
-bits depend on its order, so this order fixes the bits of every rate
-and loss computed from a product.
+Summation order: a diagonal of a product ``A @ B``, and an entry of
+``matvec``, the one band-times-vector product, sums its terms over A's
+offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``).  A sum's
+bits depend on its order, so this order fixes the bits of every rate,
+loss and output computed from a product.
 
 Everything here is O(bandwidth * n) in time and memory.  The band of a
 tridiagonal inverse comes from the Takahashi, Fagan & Chin (1973)
@@ -236,6 +238,22 @@ class BandedMatrix:
         """A @ diag(d): every entry of column j picks up d[j]."""
         return BandedMatrix(self.ab * d[..., None, :], self.lower, self.upper)
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x along the last axis of x, batch axes broadcast: out[i]
+        sums A[i, i + k] x[i + k] over ``self.offsets`` from zero."""
+        n = self.n
+        if x.shape[-1] != n:
+            raise ValueError("dimension mismatch")
+        shape = (np.broadcast_shapes(self.batch_shape, x.shape[:-1]) + (n,)
+                 if self.batch_shape else x.shape)
+        out = np.zeros(shape, dtype=np.result_type(self.ab, x))
+        for k in self.offsets:
+            j0, j1 = max(k, 0), n + min(k, 0)
+            if j0 < j1:  # a diagonal |k| >= n lies outside the matrix
+                out[..., j0 - k: j1 - k] += (
+                    self.ab[..., self.upper - k, j0:j1] * x[..., j0:j1])
+        return out
+
     def matmul(self, other: "BandedMatrix",
                upper_only: bool = False) -> "BandedMatrix":
         """Banded product; result bandwidths add.
@@ -395,14 +413,6 @@ def solve_general(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply U^T to w along its last axis, where U is a banded upper
-    Cholesky factor as cholesky_upper returns it.
-
-    With A = U^T U, the vector U^T w has covariance A when w is white:
-    entry i + m picks up U[i, i + m] w[i] for m = 0..u in turn.
-    """
-    n = chol_upper.shape[1]
-    out = np.zeros(w.shape, dtype=w.dtype)
-    for m in range(chol_upper.shape[0]):
-        out[..., m:] += chol_upper[m, :n - m] * w[..., :n - m]
-    return out
+    """U^T w along the last axis of w, U a banded upper Cholesky factor
+    as cholesky_upper returns it: for white w, U^T w has covariance U^T U."""
+    return BandedMatrix(chol_upper, chol_upper.shape[0] - 1, 0).matvec(w)

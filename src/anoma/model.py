@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,12 @@ class LinkConfig:
     h2: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
+        # numpy scalars register as numbers, numpy bools do not
+        for name, kind in (("p1", numbers.Real), ("p2", numbers.Real),
+                           ("h1", numbers.Complex), ("h2", numbers.Complex)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise DomainError(f"{name} must be a number, got {v!r}")
         for name in ("p1", "p2"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:

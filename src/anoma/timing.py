@@ -85,11 +85,10 @@ def throughput_with_error(link: LinkConfig, frame: FrameConfig,
 
 
 def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
-                           err: TimingError, base: float | None,
-                           d: np.ndarray | None = None) -> float | np.ndarray:
+                           err: TimingError,
+                           base: float | None) -> float | np.ndarray:
     """throughput_with_error, with base = throughput_matrix(link, frame)
-    and d = _hh(link, frame.n) when the caller already holds them (None:
-    computed here if needed)."""
+    when the caller already holds it (None: computed here if needed)."""
     link.require_positive_gains()
     e1, e2 = err.arrays()
     out = np.empty(e1.shape)
@@ -100,13 +99,12 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
         flat[zero] = throughput_matrix(link, frame) if base is None else base
     moving = ~zero
     if moving.any():
-        flat[moving] = _mistimed_rates(
-            frame, _hh(link, frame.n) if d is None else d,
-            TimingError(e1[moving], e2[moving]))
+        flat[moving] = _mistimed_rates(link, frame,
+                                       TimingError(e1[moving], e2[moving]))
     return float(out) if out.ndim == 0 else out
 
 
-def _mistimed_rates(frame: FrameConfig, d: np.ndarray,
+def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
                     err: TimingError) -> np.ndarray:
     """R_e at a 1-D batch of points, by batched banded log-dets in blocks
     of about _BLOCK_ENTRIES columns.
@@ -122,6 +120,7 @@ def _mistimed_rates(frame: FrameConfig, d: np.ndarray,
     # as fill a block's worth of its columns: memory stays flat in n too
     chunk = max(1, _BLOCK_ENTRIES // (2 * _FRAME_SLOTS * step)) * step
     ld = _noise_logdets(frame, err, step)
+    d = _hh(link, min(frame.n, _FRAME_SLOTS))  # all the five-slot frame reads
     for first in range(0, e1.size, chunk):
         part = slice(first, first + chunk)
         cols = _five_slot_storage(frame, d, e1[part], e2[part])
@@ -257,30 +256,8 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     return -(ld_m - ld_n - ld_a) / (n + tau)
 
 
-def _inverse_bands(link: LinkConfig, frame: FrameConfig,
-                   d: np.ndarray | None = None) -> np.ndarray:
-    """Diagonals 0..2 of A^-1, A = D^-1 + R, from one factorization of A;
-    d = _hh(link, frame.n) when the caller already holds it.
-
-    D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
-    in the last bit, so the rate's factor is never reused for A.
-    """
-    link.require_positive_gains()
-    if frame.tau == 0.0:
-        raise DomainError("sensitivity slopes need tau in (0, 1)")
-    if d is None:
-        d = _hh(link, frame.n)
-    a = build_correlation(frame) + _bands.diagonal(1.0 / d)
-    try:
-        return _bands.inverse_bands_tridiagonal(a, 2)
-    except _bands.NotPositiveDefinite:
-        raise _not_positive_definite(link, frame) from None
-
-
-def _loss_slopes(link: LinkConfig, frame: FrameConfig,
-                 d: np.ndarray | None = None) -> tuple[float, float]:
-    """(c1, c2), both from one factorization of A = D^-1 + R; d as in
-    _inverse_bands.
+def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
+    """(c1, c2), both from one factorization of A = D^-1 + R.
 
     Each slope is -Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n +
     tau) ln 2), Z the derivative of E1 along the error and Z3 that of the
@@ -296,8 +273,18 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig,
     over every i for c1 and over odd i for c2 (inv[2] is zero in its
     last two slots).  B changes sign with the error, so the slope for a
     negative error is -c.  O(n) time and memory.
+
+    D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
+    in the last bit, so the rate's factor is never reused for A.
     """
-    inv = _inverse_bands(link, frame, d)
+    link.require_positive_gains()
+    if frame.tau == 0.0:
+        raise DomainError("sensitivity slopes need tau in (0, 1)")
+    a = build_correlation(frame) + _bands.diagonal(1.0 / _hh(link, frame.n))
+    try:
+        inv = _bands.inverse_bands_tridiagonal(a, 2)
+    except _bands.NotPositiveDefinite:
+        raise _not_positive_definite(link, frame) from None
     scale = (frame.n + frame.tau) * _LN2
     c1 = 2.0 * float(np.sum(inv[0]) - np.sum(inv[2])) / scale
     c2 = 2.0 * float(np.sum(inv[0, 1::2]) - np.sum(inv[2, 1::2])) / scale
@@ -349,15 +336,13 @@ def loss_breakdown(link: LinkConfig, frame: FrameConfig,
 def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
                     base: float) -> LossBreakdown:
     """loss_breakdown given base = throughput_matrix(link, frame), which a
-    caller that reports the rate already holds.  The rate and the slopes
-    share one D = H H^H."""
+    caller that reports the rate already holds."""
     err.require_point("loss_breakdown")
-    d = _hh(link, frame.n)
-    r_e = _throughput_with_error(link, frame, err, base, d)
+    r_e = _throughput_with_error(link, frame, err, base)
     delta = base - r_e
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is zero")
-    c1, c2 = _loss_slopes(link, frame, d)
+    c1, c2 = _loss_slopes(link, frame)
     return LossBreakdown(
         exact_throughput_with_error=r_e,
         delta=delta,

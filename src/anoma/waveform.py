@@ -122,7 +122,9 @@ def draw_colored_noise(frame: FrameConfig, eps2: float,
     Each vector takes 2n real then 2n imaginary standard normals from
     rng, so a block of count vectors equals count one-vector calls.
     """
-    TimingError(0.0, eps2).check_admissible(frame)
+    point = TimingError(0.0, eps2)
+    point.check_admissible(frame)
+    point.require_point("draw_colored_noise")  # count, not eps2, batches
     try:
         factor = _bands.cholesky_upper(build_noise_covariance(frame, eps2))
     except np.linalg.LinAlgError:
@@ -189,17 +191,11 @@ def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
     Rhat (h * x), formed from Rhat's diagonals in O(n)."""
     err = TimingError() if err is None else err
     _, _, rhat, _ = build_error_matrices(frame, err)
-    n2 = 2 * frame.n
-    x = np.empty(n2, dtype=complex)
-    x[0::2] = symbols.s1
-    x[1::2] = symbols.s2
-    hx = build_gain(link, frame.n) * x
-    out = np.zeros(rhat.batch_shape + (n2,), dtype=complex)
-    for k in rhat.offsets:
-        # out[i] += Rhat[i, j] * hx[j] along diagonal k, j = i + k
-        j0, j1 = max(k, 0), n2 + min(k, 0)
-        out[..., j0 - k: j1 - k] += rhat.ab[..., rhat.upper - k, j0:j1] * hx[j0:j1]
-    return out
+    if symbols.n != frame.n:
+        raise DomainError(
+            f"frame carries {frame.n} symbols but got {symbols.n}")
+    x = np.column_stack((symbols.s1, symbols.s2)).ravel()  # interleaved
+    return rhat.matvec(build_gain(link, frame.n) * x)
 
 
 def _interval_weights(frame: FrameConfig, eps2: float) -> np.ndarray:

@@ -200,6 +200,31 @@ def test_colored_factor_reproduces_covariance(rng):
     assert np.array_equal(_bands.colored_factor_apply(factor, block), rows)
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_matvec_matches_dense(rng, n):
+    # at n = 3 the outer diagonals of a (4, 4) band lie outside the matrix
+    x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    for lower in range(5):
+        for upper in range(5):
+            ab = rng.normal(size=(2, lower + upper + 1, n))
+            batch = _bands.BandedMatrix(ab, lower, upper)
+            dense = batch.to_dense()
+            got = batch.matvec(x)
+            assert np.allclose(got, np.einsum("bij,bj->bi", dense, x))
+            for b in range(2):
+                one = _bands.BandedMatrix(ab[b], lower, upper)
+                assert np.allclose(one.matvec(x), x @ dense[b].T)
+                # a batched A and a batch of x, row for row
+                assert got[b].tobytes() == one.matvec(x[b]).tobytes()
+                assert one.matvec(x)[b].tobytes() == one.matvec(x[b]).tobytes()
+
+
+def test_matvec_sums_over_offsets_in_order_0_plus1_minus1():
+    # out[1] = -1e16 (offset 0) + 1e16 (offset +1) + 1 (offset -1)
+    a = banded(3, {0: np.ones(3), 1: np.ones(3), -1: np.ones(3)})
+    assert a.matvec(np.array([1.0, -1e16, 1e16]))[1] == 1.0
+
+
 def upper_storage_rows(upper):
     """LAPACK upper storage ``(..., u+1, n)``, row u - k holding diagonal
     k at columns k.., shifted to cholesky_upper's layout, row k holding

@@ -77,6 +77,28 @@ class TestLinkConfig:
         with pytest.raises(M.DomainError, match="must be finite"):
             M.LinkConfig(p1=1.0, p2=1.0, **channels)
 
+    @pytest.mark.parametrize("fields", [
+        {"p1": "1"}, {"p1": None}, {"p1": "abc"}, {"p1": True},
+        {"p2": np.True_}, {"p2": 1j}, {"p2": [1.0]}, {"p2": np.array(1.0)},
+        {"h1": "1"}, {"h2": None}, {"h1": False}, {"h2": np.array([1.0])},
+    ])
+    def test_non_number_rejected_by_name(self, fields):
+        (name, value), = fields.items()
+        link = {"p1": 1.0, "p2": 1.0} | fields
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"{name} must be a number, got {value!r}")):
+            M.LinkConfig(**link)
+
+    @pytest.mark.parametrize("fields,gain", [
+        ({"p1": 2}, 2.0), ({"p1": np.float64(2.0)}, 2.0),
+        ({"p2": np.int64(2)}, 2.0), ({"p2": np.float32(2.0)}, 2.0),
+        ({"h1": 2}, 4.0), ({"h1": np.float64(2.0)}, 4.0),
+        ({"h2": np.complex128(2.0)}, 4.0), ({"h2": 2.0 + 0.0j}, 4.0),
+    ])
+    def test_numpy_and_int_numbers_accepted(self, fields, gain):
+        link = M.LinkConfig(**({"p1": 1.0, "p2": 1.0} | fields))
+        assert max(link.mu1, link.mu2) == gain
+
 
 class TestFrameConfig:
     @pytest.mark.parametrize("n,tau", [(0, 0.5), (3, 1.0), (3, -0.1)])

@@ -623,20 +623,16 @@ class TestOneFactorizationPerPoint:
         assert cli.main(argv) == cli.EXIT_OK
         assert len(seen) == calls
 
-    @pytest.mark.parametrize("sets,calls", [
-        (["n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"], 1),
-        ([], 1),
-        (["tau=0", "n=300"], 0),
-    ])
-    def test_query_forms_d_once(self, monkeypatch, capsys, sets, calls):
-        # the mistimed rate and the slopes share one D = H H^H; the
-        # zero-error rate and tau = 0 (no slopes) need none
+    def test_mistimed_rate_forms_d_on_five_slots(self, monkeypatch):
+        # the five-slot assembly reads D = H H^H on its own frame only,
+        # once for the whole batch
         seen = []
-        monkeypatch.setattr(TM, "_hh", lambda *a, _orig=TM._hh: seen.append(a)
-                            or _orig(*a))
-        argv = ["query"] + [tok for s in sets for tok in ("--set", s)]
-        assert cli.main(argv) == cli.EXIT_OK
-        assert len(seen) == calls
+        monkeypatch.setattr(TM, "_hh", lambda link, n, _orig=TM._hh:
+                            seen.append(n) or _orig(link, n))
+        err = M.TimingError(np.array([0.03, -0.01, 0.02]),
+                            np.array([-0.05, 0.02, 0.01]))
+        TM.throughput_with_error(LINK, M.FrameConfig(300, 0.4), err)
+        assert seen == [5]
 
     @pytest.mark.parametrize("n", [1, 2, 10, 300])
     @pytest.mark.parametrize("e1,e2", [(0.03, 0.02), (0.03, -0.02),

@@ -173,6 +173,15 @@ class TestModelOutputs:
         got = W.model_outputs(sym, link, frame, err)
         assert np.max(np.abs(got - dense)) <= 1e-14
 
+    @pytest.mark.parametrize("symbols", [1, 3, 5])
+    def test_frame_length_mismatch_rejected(self, symbols):
+        # a short frame is not broadcast into every slot
+        sym = W.generate_symbols(symbols, seed=1)
+        with pytest.raises(M.DomainError,
+                           match=f"frame carries 4 symbols but got {symbols}$"):
+            W.model_outputs(sym, M.LinkConfig.from_gains(1.0, 0.5),
+                            M.FrameConfig(4, 0.5), M.TimingError(0.01, 0.02))
+
 
 class TestNoiseCovariance:
     def test_adjacent_correlation_at_half(self):
@@ -240,6 +249,12 @@ class TestNoiseCovariance:
     def test_draw_rejects_inadmissible_coordination_offset(self):
         with pytest.raises(M.DomainError):
             W.draw_colored_noise(M.FrameConfig(2, 0.5), 0.6,
+                                 np.random.default_rng(0))
+
+    def test_draw_rejects_a_batch_of_offsets(self):
+        # one factor per eps2 would share one white draw across them all
+        with pytest.raises(M.DomainError, match="takes one timing point"):
+            W.draw_colored_noise(M.FrameConfig(4, 0.5), np.array([0.0, 0.01]),
                                  np.random.default_rng(0))
 
 
