@@ -55,11 +55,15 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
         raise UsageError(f"{step_key} must be > 0")
     if hi < lo:
         raise UsageError(f"{hi_key} must be >= {lo_key}")
-    q0, q1 = lo / step, hi / step
-    if abs(q0 - round(q0)) < 1e-9 and abs(q1 - round(q1)) < 1e-9:
-        return step * np.arange(round(q0), round(q1) + 1)
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    try:
+        q0, q1 = lo / step, hi / step
+        if abs(q0 - round(q0)) < 1e-9 and abs(q1 - round(q1)) < 1e-9:
+            return step * np.arange(round(q0), round(q1) + 1)
+        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        return lo + step * np.arange(count)
+    except (OverflowError, ValueError):  # numpy: "Maximum allowed size"
+        raise UsageError(f"{lo_key}, {hi_key} and {step_key} span more grid "
+                         "points than an array can index") from None
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,10 @@ def _fig_rate_vs_gain(p: dict):
     h2_list = list(p["h2_sq_values"])
     if not h2_list:
         raise UsageError("h2_sq_values must be non-empty")
+    # each channel is the square root of its |h|^2
+    for key, v in (("h1_sq_min", h1_grid[0]), ("h2_sq_values", min(h2_list))):
+        if v < 0:
+            raise UsageError(f"{key} must be >= 0, got {v}")
     frame = FrameConfig(p["n"], p["tau"])
     header = ["h1_sq"]
     for h2 in h2_list:

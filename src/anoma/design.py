@@ -14,7 +14,7 @@ next _LOOKAHEAD steps could ask for in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class PowerSweepReport:
     """Finite-difference monotonicity scan of the (p1, p2) throughput grid."""
 
     throughput: np.ndarray
-    violations: list[tuple[str, int, int]] = field(default_factory=list)
-    argmax: tuple[float, float] = (0.0, 0.0)
+    violations: list[tuple[str, int, int]]
+    argmax: tuple[float, float]
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):

@@ -32,6 +32,20 @@ class DomainError(ValueError):
     """Raised when inputs leave the admissible parameter region."""
 
 
+def _require_number(name: str, v, kind: type = numbers.Real,
+                    batch: bool = False) -> None:
+    """DomainError unless v is a number of the given kind, or with batch
+    anything numpy reads as an int or float array.  A bool is no number:
+    numpy scalars register as numbers, numpy bools do not."""
+    if batch:
+        ok = np.asarray(v).dtype.kind in "iuf"
+    else:
+        ok = isinstance(v, kind) and not isinstance(v, bool)
+    if not ok:
+        noun = "an int" if kind is numbers.Integral else "a number"
+        raise DomainError(f"{name} must be {noun}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Per-user transmit powers and complex channel coefficients.
@@ -47,12 +61,9 @@ class LinkConfig:
     h2: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        # numpy scalars register as numbers, numpy bools do not
         for name, kind in (("p1", numbers.Real), ("p2", numbers.Real),
                            ("h1", numbers.Complex), ("h2", numbers.Complex)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, kind):
-                raise DomainError(f"{name} must be a number, got {v!r}")
+            _require_number(name, getattr(self, name), kind)
         for name in ("p1", "p2"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
@@ -104,6 +115,7 @@ class FrameConfig:
                    else repr(self.n))
             raise DomainError(f"frame length n must be an int in [1, {_N_MAX}], "
                               f"got {got}")
+        _require_number("tau", self.tau)
         if not (0.0 <= self.tau < 1.0):
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
         object.__setattr__(self, "n", int(self.n))
@@ -123,7 +135,9 @@ class TimingError:
     eps2: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        for name, v in zip(("eps1", "eps2"), self.arrays()):
+        for name in ("eps1", "eps2"):
+            v = getattr(self, name)
+            _require_number(name, v, batch=True)
             if not np.isfinite(v).all():
                 raise DomainError(f"{name} must be finite")
 
@@ -165,14 +179,6 @@ class TimingError:
         else:
             what = f"eps1+eps2={float(s.flat[i])} outside [-tau, 1-tau]"
         raise DomainError(f"{what} for tau={tau} at {self.point(i)}")
-
-
-@dataclass(frozen=True)
-class RootPair:
-    """Characteristic roots of the banded determinant recursion."""
-
-    r1: float
-    r2: float
 
 
 def _stencil(n2: int, diagonals) -> BandedMatrix:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bands
-from .model import (DomainError, FrameConfig, LinkConfig, RootPair,
-                    build_correlation)
+from .model import DomainError, FrameConfig, LinkConfig, build_correlation
 
 _LN2 = math.log(2.0)
 # broadcast size from which closed_rate tests which powers underflow
@@ -84,15 +83,6 @@ def _require_finite(value, what: str, **point) -> None:
     raise DomainError(f"{what} is not finite at {coords}")
 
 
-def roots(mu1: float, mu2: float, tau: float) -> RootPair:
-    """Characteristic roots of the determinant recursion."""
-    if not (mu1 > 0.0 and mu2 > 0.0):
-        raise DomainError("roots need mu1, mu2 > 0")
-    with np.errstate(all="ignore"):
-        r1, r2, _ = _char_roots(np.float64(mu1), np.float64(mu2), tau)
-    return RootPair(float(r1), float(r2))
-
-
 def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
     """log2 det(I + H H^H R), the shared numerator of all rate variants.
 
@@ -125,16 +115,6 @@ def _not_positive_definite(link: LinkConfig, frame: FrameConfig) -> DomainError:
 def throughput_matrix(link: LinkConfig, frame: FrameConfig) -> float:
     """Log-det route: log2 det(I + H H^H R) / (n + tau)."""
     return log2_det_no_error(link, frame) / (frame.n + frame.tau)
-
-
-def throughput_existing_definition(link: LinkConfig, frame: FrameConfig) -> float:
-    """Same numerator normalized by n rather than n + tau."""
-    return log2_det_no_error(link, frame) / frame.n
-
-
-def throughput_n_plus_1(link: LinkConfig, frame: FrameConfig) -> float:
-    """Same numerator normalized by n + 1 (whole-slot padding)."""
-    return log2_det_no_error(link, frame) / (frame.n + 1)
 
 
 def _power(q, n):
@@ -238,16 +218,6 @@ def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> fl
     if d_curr <= 0.0:
         raise DomainError("determinant recursion left the positive cone")
     return math.log2(d_curr) + shift
-
-
-def determinant_recursion(link: LinkConfig, frame: FrameConfig) -> float:
-    """det((H H^H)^-1 + R) as a plain float (inf once past float range)."""
-    link.require_positive_gains()
-    ld = determinant_recursion_log2(link.mu1, link.mu2, frame.tau, frame.n)
-    try:
-        return 2.0 ** ld
-    except OverflowError:
-        return math.inf
 
 
 def throughput_recursion(link: LinkConfig, frame: FrameConfig) -> float:

@@ -284,6 +284,8 @@ def test_sweep_cancelled_tau0_pivot_writes_no_csv(tmp_path, capsys):
     (["sweep", "tau_star_vs_n", "--set", 'grid_resolution="x"'], "grid_resolution"),
     (["sweep", "loss_heatmap", "--set", "eps_step=NaN"], "eps_step"),
     (["sweep", "loss_heatmap", "--set", "eps_max=Infinity"], "eps_max"),
+    (["sweep", "rate_vs_gain", "--set", "h2_sq_values=[-1]"], "h2_sq_values"),
+    (["sweep", "rate_vs_gain", "--set", "h1_sq_min=-1"], "h1_sq_min"),
 ])
 def test_malformed_value_is_usage_error(tmp_path, capsys, argv, field):
     out = tmp_path / "out.csv"
@@ -292,6 +294,22 @@ def test_malformed_value_is_usage_error(tmp_path, capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sets", [
+    ["eps_max=1e300"],
+    # eps_min / eps_step overflows to inf on an empty span
+    ["eps_min=1e300", "eps_max=1e300", "eps_step=1e-10"],
+])
+def test_grid_beyond_array_size_is_usage_error(tmp_path, capsys, sets):
+    # a grid numpy cannot index names its keys, not a traceback
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "loss_heatmap", *(t for s in sets for t in ("--set", s))]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps_min, eps_max and eps_step ")
     assert not out.exists()
 
 

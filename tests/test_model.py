@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anoma import model as M
-from anoma.throughput import roots
+from anoma.throughput import _char_roots
 
 
 def rhat_from_display(n, tau, e1, e2):
@@ -123,6 +123,18 @@ class TestFrameConfig:
     def test_int64_maximum_is_legal(self):
         assert M.FrameConfig(2 ** 63 - 1, 0.5).n == 2 ** 63 - 1
 
+    @pytest.mark.parametrize("tau", ["0.5", None, False, np.True_, 0.5j])
+    def test_non_number_tau_rejected(self, tau):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"tau must be a number, got {tau!r}")):
+            M.FrameConfig(4, tau)
+
+    @pytest.mark.parametrize("tau", [0, np.int64(0), np.float64(0.25),
+                                     np.float32(0.25)])
+    def test_int_and_numpy_tau_accepted(self, tau):
+        frame = M.FrameConfig(4, tau)
+        assert type(frame.tau) is float and frame.tau == float(tau)
+
 
 class TestTimingError:
     def test_admissible_ranges(self):
@@ -144,6 +156,22 @@ class TestTimingError:
     def test_batch_must_be_finite(self):
         with pytest.raises(M.DomainError, match="eps2"):
             M.TimingError(np.zeros(3), np.array([0.0, np.nan, 0.0]))
+
+    @pytest.mark.parametrize("eps", [
+        "0.1", True, None, np.True_, np.array([0.1, True]) > 0,
+        np.array(["0.1"]), np.array([0.1j]), np.array([0.1, None]),
+    ])
+    @pytest.mark.parametrize("name", ["eps1", "eps2"])
+    def test_non_number_rejected_by_name(self, name, eps):
+        with pytest.raises(M.DomainError, match=f"^{name} must be a number"):
+            M.TimingError(**{name: eps})
+
+    @pytest.mark.parametrize("name", ["eps1", "eps2"])
+    def test_numbers_and_float_batches_accepted(self, name):
+        for eps in (0, np.int64(0), np.float32(0.25), [0.1, -0.2],
+                    np.array([0.1, -0.2]), np.array([[0.1], [0.2]])):
+            got = M.TimingError(**{name: eps}).arrays()[name == "eps2"]
+            assert np.array_equal(got, np.asarray(eps, dtype=float))
 
 
 class TestCorrelation:
@@ -277,20 +305,20 @@ class TestErrorMatrices:
             M.build_error_matrices(M.FrameConfig(2, 0.5), M.TimingError(0.7, 0.0))
 
 
-class TestRootPair:
+class TestCharRoots:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
            st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
            st.sampled_from([round(0.1 * k, 1) for k in range(10)]))
     def test_identities(self, mu1, mu2, tau):
-        rp = roots(mu1, mu2, tau)
+        r1, r2, _ = _char_roots(np.float64(mu1), np.float64(mu2), tau)
         s = 1 / mu1 + 1 / mu2 + 1 / (mu1 * mu2) + 2 * tau * (1 - tau)
         p = (tau * (1 - tau)) ** 2
-        assert abs(rp.r1 + rp.r2 - s) <= 1e-12 * s
+        assert abs(r1 + r2 - s) <= 1e-12 * s
         if tau == 0.0:
-            assert rp.r2 == 0.0
+            assert r2 == 0.0
         else:
-            assert rp.r1 >= rp.r2 > 0.0
-            assert abs(rp.r1 * rp.r2 - p) <= 1e-12 * p
+            assert r1 >= r2 > 0.0
+            assert abs(r1 * r2 - p) <= 1e-12 * p
         # discriminant stays strictly positive for positive gains
         assert (s - 2 * tau * (1 - tau)) > 0.0

@@ -51,6 +51,18 @@ def dense_rate_oracle(mu1, mu2, tau, n):
 LINK = M.LinkConfig.from_gains(1.0, 0.5)
 
 
+def within_log2(got, want, rel_tol):
+    """got and want are log2s: whether 2^got lies within rel_tol,
+    relative, of 2^want, the bound carried to the log domain (no looser)."""
+    return abs(got - want) <= math.log2(1.0 + rel_tol)
+
+
+def char_roots(mu1, mu2, tau):
+    """(r1, r2) from the closed form's root kernel."""
+    r1, r2, _ = T._char_roots(np.float64(mu1), np.float64(mu2), tau)
+    return r1, r2
+
+
 class TestMatrixRoute:
     def test_tau0_single_symbol(self):
         assert math.isclose(T.throughput_matrix(LINK, M.FrameConfig(1, 0.0)),
@@ -326,49 +338,39 @@ class TestPowerShortcut:
         assert str(info.value) == text
 
 
-class TestRoots:
+class TestCharRoots:
     def test_tau0_collapses_root(self):
-        rp = T.roots(1.0, 0.5, 0.0)
-        assert (rp.r1, rp.r2) == (5.0, 0.0)
+        assert char_roots(1.0, 0.5, 0.0) == (5.0, 0.0)
 
     def test_quadratic_oracle(self):
         # x^2 - 3.5 x + 0.0625 = 0
         big, small = np.sort(np.roots([1.0, -3.5, 0.0625]))[::-1]
-        rp = T.roots(1.0, 1.0, 0.5)
-        assert math.isclose(rp.r1, big, rel_tol=1e-12)
-        assert math.isclose(rp.r2, small, rel_tol=1e-12)
-
-    def test_rejects_zero_gain(self):
-        with pytest.raises(M.DomainError):
-            T.roots(0.0, 1.0, 0.5)
+        r1, r2 = char_roots(1.0, 1.0, 0.5)
+        assert math.isclose(r1, big, rel_tol=1e-12)
+        assert math.isclose(r2, small, rel_tol=1e-12)
 
 
 class TestRecursion:
     def test_d2_values(self):
-        assert math.isclose(
-            T.determinant_recursion(LINK, M.FrameConfig(1, 0.5)), 5.75,
-            rel_tol=1e-14)
-        link11 = M.LinkConfig.from_gains(1.0, 1.0)
-        assert T.determinant_recursion(link11, M.FrameConfig(1, 0.5)) == 3.75
+        assert within_log2(T.determinant_recursion_log2(1.0, 0.5, 0.5, 1),
+                           math.log2(5.75), rel_tol=1e-14)
+        assert T.determinant_recursion_log2(1.0, 1.0, 0.5, 1) == math.log2(3.75)
 
     def test_d2_equals_root_sum_plus_tau_sq(self):
-        rp = T.roots(1.0, 1.0, 0.5)
-        assert math.isclose(rp.r1 + rp.r2 + 0.25, 3.75, rel_tol=1e-14)
+        r1, r2 = char_roots(1.0, 1.0, 0.5)
+        assert math.isclose(r1 + r2 + 0.25, 3.75, rel_tol=1e-14)
 
     def test_matches_dense_lu(self):
-        link = M.LinkConfig.from_gains(1.0, 0.5)
-        frame = M.FrameConfig(3, 0.3)
-        r = M.build_correlation(frame).to_dense()
+        r = M.build_correlation(M.FrameConfig(3, 0.3)).to_dense()
         dinv = np.diag([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
         ref = np.linalg.det(dinv + r)
-        assert math.isclose(T.determinant_recursion(link, frame), ref,
-                            rel_tol=1e-10)
+        assert within_log2(T.determinant_recursion_log2(1.0, 0.5, 0.3, 3),
+                           math.log2(ref), rel_tol=1e-10)
 
     def test_huge_frame_stays_finite_in_log_form(self):
         ld = T.determinant_recursion_log2(1.0, 0.5, 0.5, 2000)
         assert math.isfinite(ld)
         assert ld > 4000  # ~ N log2 r1 with r1 ~ 5.49
-        assert T.determinant_recursion(LINK, M.FrameConfig(2000, 0.5)) == math.inf
 
     def test_tiny_determinant_underflow_guard(self):
         # high SNR drives r1 below 1: the plain product underflows float64
@@ -384,9 +386,8 @@ class TestRecursion:
     ])
     def test_exact_rational_oracle(self, mu1, mu2, tau, n):
         exact = exact_rational_det(mu1, mu2, tau, n)
-        link = M.LinkConfig.from_gains(float(mu1), float(mu2))
-        got = T.determinant_recursion(link, M.FrameConfig(n, float(tau)))
-        assert math.isclose(got, float(exact), rel_tol=1e-13)
+        got = T.determinant_recursion_log2(float(mu1), float(mu2), float(tau), n)
+        assert within_log2(got, math.log2(float(exact)), rel_tol=1e-13)
 
     # one step multiplies the rolling pair by 1 + 1/mu; below about 1e-154
     # that left a fixed 2^512 rescaling window and the recursion gave NaN
@@ -460,16 +461,12 @@ class TestNormalizationVariants:
     def test_shared_numerator_identities(self, tau, n):
         frame = M.FrameConfig(n, tau)
         rm = T.throughput_matrix(LINK, frame)
-        rex = T.throughput_existing_definition(LINK, frame)
-        rp1 = T.throughput_n_plus_1(LINK, frame)
-        assert math.isclose(rex * n, rm * (n + tau), rel_tol=1e-14)
+        rp1 = T.throughput_report(LINK, frame).anoma_n_plus_1
         assert math.isclose(rp1, (n + tau) / (n + 1) * rm, rel_tol=1e-14)
-        if tau == 0.0:
-            assert math.isclose(rex, rm, rel_tol=1e-15)
 
     def test_spec_point(self):
         frame = M.FrameConfig(10, 0.5)
-        assert math.isclose(T.throughput_n_plus_1(LINK, frame),
+        assert math.isclose(T.throughput_report(LINK, frame).anoma_n_plus_1,
                             (10.5 / 11.0) * T.throughput_matrix(LINK, frame),
                             rel_tol=1e-14)
 

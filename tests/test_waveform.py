@@ -1,6 +1,7 @@
 """Waveform simulator: overlap integrals, symbols, noise coloring."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestGenerateSymbols:
     def test_unknown_constellation(self):
         with pytest.raises(M.DomainError):
             W.generate_symbols(4, "qam64", seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_non_int_count_rejected(self, n):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"n must be an int, got {n!r}")):
+            W.generate_symbols(n)
+
+    def test_numpy_int_count_accepted(self):
+        assert W.generate_symbols(np.int64(3), seed=0).n == 3
 
 
 class TestMatchedFilterOutputs:
@@ -196,12 +206,12 @@ class TestNoiseCovariance:
         assert abs(rep.empirical[0, 1].real - 0.65) <= 0.02
         assert rep.max_abs_deviation <= 0.03
 
-    def test_expected_matrix_is_model_covariance(self):
+    def test_deviation_is_from_model_covariance(self):
         rep = W.noise_covariance_mc(M.FrameConfig(2, 0.5), eps2=0.1,
                                     trials=10_000, seed=4)
         model_cov = M.build_error_matrices(
             M.FrameConfig(2, 0.5), M.TimingError(0.0, 0.1))[3].to_dense()
-        assert np.array_equal(rep.expected, model_cov)
+        assert rep.max_abs_deviation == np.max(np.abs(rep.empirical - model_cov))
 
     def test_misaligned_windows_carry_no_bias(self):
         # tau + eps2 = 0.3123 falls on no dyadic grid: the estimate still
@@ -213,6 +223,12 @@ class TestNoiseCovariance:
     def test_trial_floor_enforced(self):
         with pytest.raises(M.DomainError):
             W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=100)
+
+    @pytest.mark.parametrize("trials", [10_000.5, 1e4, "10000", True])
+    def test_non_int_trials_rejected(self, trials):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"trials must be an int, got {trials!r}")):
+            W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=trials)
 
     def test_stat_bound_is_three_sigma(self):
         rep = W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=10_000,
