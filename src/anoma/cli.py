@@ -1,11 +1,14 @@
 """Command-line front end: figure sweeps to CSV, validation suites, queries.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
-Sweep grids are evaluated and written in axis order, so the output is
-byte-for-byte deterministic for a fixed spec.  The timing-error figures
-evaluate their whole grid in one batched call, and the closed-form
-figures (power_surface, rate_vs_gain, tau_star_vs_n) one closed_rate
-evaluation per grid or gain pair.
+Each figure returns its header and its whole columns, in header order,
+to one writer, which checks every cell before it opens the file and
+formats an integer column as %d and any other as %.12g.  Sweep grids are
+evaluated and written in axis order, so the output is byte-for-byte
+deterministic for a fixed spec.  The timing-error figures evaluate their
+whole grid in one batched call, and the closed-form figures
+(power_surface, rate_vs_gain, tau_star_vs_n) one closed_rate evaluation
+per grid or gain pair.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -90,18 +92,17 @@ def _fig_rate_vs_gain(p: dict):
                          h2=math.sqrt(h2_sq)) for h2_sq in h2_list]
              for h1_sq in h1_grid]
     # the log-det route checks every gain before the closed form runs
-    matrix = [[throughput_matrix(link, frame) for link in row] for row in links]
+    matrix = np.array([[throughput_matrix(link, frame) for link in row]
+                       for row in links])
     # one gain per h1 row and one per h2 column, as LinkConfig computes them
     mu1 = np.array([row[0].mu1 for row in links])
     mu2 = np.array([link.mu2 for link in links[0]])
     closed = closed_rate(mu1[:, None], mu2, frame.n, frame.tau)
-    rows = []
-    for h1_sq, row, row_matrix, row_closed in zip(h1_grid, links, matrix, closed):
-        out = [float(h1_sq)]
-        for link, rm, rc in zip(row, row_matrix, row_closed):
-            out += [rm, rc, throughput_noma(link.mu1, link.mu2)]
-        rows.append(out)
-    return header, rows
+    columns = [h1_grid]
+    for j, b in enumerate(mu2):
+        columns += [matrix[:, j], closed[:, j],
+                    [throughput_noma(a, b) for a in mu1]]
+    return header, columns
 
 
 def _fig_rate_vs_n(p: dict):
@@ -110,22 +111,18 @@ def _fig_rate_vs_n(p: dict):
         raise UsageError("tau_values must be non-empty")
     if p["n_points"] < 1 or p["n_min"] < 1 or p["n_max"] < p["n_min"]:
         raise UsageError("n_min/n_max/n_points must define a non-empty range")
-    # whole floats: FrameConfig checks each, where an int64 cast would wrap
-    ns = np.unique(np.round(np.logspace(math.log10(p["n_min"]),
-                                        math.log10(p["n_max"]),
-                                        p["n_points"])))
+    # Python ints: FrameConfig checks each, where an int64 cast would wrap
+    ns = [int(v) for v in np.unique(np.round(np.logspace(
+        math.log10(p["n_min"]), math.log10(p["n_max"]), p["n_points"])))]
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     header = (["N"] + [f"anoma_tau{_fmt(t)}" for t in taus] + ["noma"]
               + [f"asymptote_{_fmt(t)}" for t in taus])
-
-    def row(n: int):
-        out = [n]
-        out += [throughput_matrix(link, FrameConfig(n, t)) for t in taus]
-        out.append(throughput_noma(link.mu1, link.mu2))
-        out += [throughput_asymptotic(link.mu1, link.mu2, t) for t in taus]
-        return out
-
-    return header, [row(int(v)) for v in ns]
+    matrix = np.array([[throughput_matrix(link, FrameConfig(n, t)) for t in taus]
+                       for n in ns])
+    # neither baseline depends on N: one value per column
+    flat = [throughput_noma(link.mu1, link.mu2)]
+    flat += [throughput_asymptotic(link.mu1, link.mu2, t) for t in taus]
+    return header, [ns, *matrix.T, *(np.full(len(ns), v) for v in flat)]
 
 
 def _fig_power_surface(p: dict):
@@ -134,8 +131,7 @@ def _fig_power_surface(p: dict):
     rate = design.verify_full_power(pg, pg, p["h1_sq"], p["h2_sq"],
                                     frame).throughput
     header = ["p1", "p2", "throughput"]
-    return header, [[float(a), float(b), rate[i, j]]
-                    for i, a in enumerate(pg) for j, b in enumerate(pg)]
+    return header, [np.repeat(pg, len(pg)), np.tile(pg, len(pg)), rate.ravel()]
 
 
 def _fig_tau_star_vs_n(p: dict):
@@ -151,7 +147,7 @@ def _fig_tau_star_vs_n(p: dict):
     stars = [design.optimal_tau(LinkConfig.from_gains(mu1, mu2), n_values,
                                 grid_resolution=res).tau_star
              for mu1, mu2 in gains]
-    return header, [[n, *col] for n, col in zip(n_values, zip(*stars))]
+    return header, [n_values, *stars]
 
 
 def _fig_loss_heatmap(p: dict):
@@ -161,7 +157,7 @@ def _fig_loss_heatmap(p: dict):
     header = ["eps1", "eps2", "gamma"]
     e1, e2 = (v.ravel() for v in np.meshgrid(eps, eps, indexing="ij"))
     gamma = timing.loss_ratio(link, frame, TimingError(e1, e2))
-    return header, [list(r) for r in zip(e1, e2, gamma)]
+    return header, [e1, e2, gamma]
 
 
 def _slices(eps: np.ndarray) -> TimingError:
@@ -180,10 +176,8 @@ def _fig_loss_slices(p: dict):
     header = ["eps", "gamma_sync_exact", "gamma_sync_linear",
               "gamma_coord_exact", "gamma_coord_linear"]
     gamma = timing._loss_ratio(link, frame, _slices(eps), base)
-    rows = []
-    for e, gs, gc in zip(eps, gamma[:len(eps)], gamma[len(eps):]):
-        rows.append([e, gs, abs(e) * c1 / base, gc, abs(e) * c2 / base])
-    return header, rows
+    return header, [eps, gamma[:len(eps)], np.abs(eps) * c1 / base,
+                    gamma[len(eps):], np.abs(eps) * c2 / base]
 
 
 def _fig_scheme_comparison(p: dict):
@@ -194,8 +188,8 @@ def _fig_scheme_comparison(p: dict):
     oma = throughput_oma(link.mu1, link.mu2)
     header = ["eps", "anoma_sync_error", "anoma_coord_error", "noma", "oma"]
     rate = timing.throughput_with_error(link, frame, _slices(eps))
-    return header, [[e, sync, coord, noma, oma] for e, sync, coord
-                    in zip(eps, rate[:len(eps)], rate[len(eps):])]
+    return header, [eps, rate[:len(eps)], rate[len(eps):],
+                    np.full(len(eps), noma), np.full(len(eps), oma)]
 
 
 FIGURES = {
@@ -305,29 +299,27 @@ def _merge_params(defaults: dict, config_path: str | None,
     return params
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Header, then one line per row, each cell as _fmt writes it.
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Header, then row i holding entry i of each column (equal-length
+    1-D arrays or lists, in header order).
 
     A non-finite cell raises DomainError naming its row and column
-    before the file is opened, so no partial CSV is left.  A column's
-    format follows the type of its cell in the first row (every figure
-    keeps one type per column), so a whole row is formatted by one
-    %-operation.
+    before the file is opened, so no partial CSV is left.  An integer
+    column prints as %d and any other as %.12g, _fmt's two formats, so a
+    whole row is formatted by one %-operation.
     """
-    cells = np.fromiter(itertools.chain.from_iterable(rows), float,
-                        len(rows) * len(header)).reshape(len(rows), len(header))
+    columns = [np.asarray(c) for c in columns]
+    cells = np.column_stack(columns)
     bad = np.argwhere(~np.isfinite(cells))
     if len(bad):
         i, j = bad[0]
         raise DomainError(f"not writing {path}: row {i + 1}, column "
                           f"{header[j]!r} is {cells[i, j]}")
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.12g"
+                    for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        if rows:
-            line = ",".join("%d" if isinstance(v, (int, np.integer))
-                            and not isinstance(v, bool) else "%.12g"
-                            for v in rows[0]) + "\n"
-            f.write("".join(line % tuple(row) for row in rows))
+        f.write("".join(line % row for row in zip(*(c.tolist() for c in columns))))
 
 
 def _cmd_sweep(args) -> int:
@@ -336,10 +328,10 @@ def _cmd_sweep(args) -> int:
                          f"choose from {', '.join(sorted(FIGURES))}")
     fn, defaults = FIGURES[args.figure_id]
     params = _merge_params(defaults, args.config, _parse_set(args.set))
-    header, rows = fn(params)
+    header, columns = fn(params)
     out = args.out or f"{args.figure_id}.csv"
-    _write_csv(out, header, rows)
-    print(f"wrote {out}: {len(rows)} rows")
+    _write_csv(out, header, columns)
+    print(f"wrote {out}: {len(columns[0])} rows")
     return EXIT_OK
 
 

@@ -192,7 +192,11 @@ def optimal_tau(link: LinkConfig, n,
                         n=ns[rows], tau=tau)
         return rate
 
-    taus = np.arange(0.0, 1.0, grid_resolution)
+    try:
+        taus = np.arange(0.0, 1.0, grid_resolution)
+    except ValueError:  # numpy: "Maximum allowed size exceeded"
+        raise DomainError(f"grid_resolution {grid_resolution} spans more tau "
+                          "grid points than an array can index") from None
     rows = np.arange(len(ns))
     # the grid is scanned in column blocks of at most _GRID_ENTRIES
     # points, one evaluation each; a later block must beat the best so
@@ -235,6 +239,9 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
     if np.any(np.diff(p1_values) <= 0.0) or np.any(np.diff(p2_values) <= 0.0):
         raise DomainError("power grids must be strictly increasing")
 
+    for name, v in (("h1_sq", h1_sq), ("h2_sq", h2_sq)):
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {v}")
     h1, h2 = math.sqrt(h1_sq), math.sqrt(h2_sq)
     # each gain rises with its power, so the two corner links bound them all
     for k in (0, -1):

@@ -256,15 +256,15 @@ def throughput_asymptotic(mu1, mu2, tau):
 
 def throughput_noma(mu1: float, mu2: float) -> float:
     """Synchronous baseline with ideal interference cancellation."""
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise DomainError("noma needs mu1, mu2 >= 0")
+    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
+        raise DomainError(f"noma needs finite mu1, mu2 >= 0, got {mu1}, {mu2}")
     return float(_sync_rate(mu1, mu2))
 
 
 def throughput_oma(mu1: float, mu2: float) -> float:
     """Equal time-split TDMA at full per-user power."""
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise DomainError("oma needs mu1, mu2 >= 0")
+    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
+        raise DomainError(f"oma needs finite mu1, mu2 >= 0, got {mu1}, {mu2}")
     return 0.5 * math.log2(1.0 + mu1) + 0.5 * math.log2(1.0 + mu2)
 
 

@@ -124,6 +124,10 @@ def draw_colored_noise(frame: FrameConfig, eps2: float,
     Each vector takes 2n real then 2n imaginary standard normals from
     rng, so a block of count vectors equals count one-vector calls.
     """
+    if count is not None:
+        _require_number("count", count, numbers.Integral)
+        if count < 0:
+            raise DomainError(f"count must be >= 0, got {count}")
     point = TimingError(0.0, eps2)
     point.check_admissible(frame)
     point.require_point("draw_colored_noise")  # count, not eps2, batches

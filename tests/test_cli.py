@@ -70,30 +70,34 @@ def test_byte_determinism(tmp_path, figure):
 
 
 def test_csv_rows_are_formatted_as_fmt_formats_each_cell(tmp_path):
-    rows = [[1, 0.1, np.float64(-0.0), 2.0 / 3.0, 1e-300, np.int64(7)],
-            [1000, -0.30000000000000004, 1e300, 12345678901234.0,
-             -1e-300, np.int64(-3)],
-            [2, 5e-324, 1.7976931348623157e308, -1.5, 0.0, np.int64(0)]]
+    # whole columns, as the figures hand them over: lists or arrays
+    columns = [[1, 1000, 2],
+               [0.1, -0.30000000000000004, 5e-324],
+               [np.float64(-0.0), 1e300, 1.7976931348623157e308],
+               np.array([2.0 / 3.0, 12345678901234.0, -1.5]),
+               [1e-300, -1e-300, 0.0],
+               np.array([7, -3, 0], dtype=np.int64)]
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), ["a", "b", "c", "d", "e", "f"], rows)
+    cli._write_csv(str(out), ["a", "b", "c", "d", "e", "f"], columns)
     want = "a,b,c,d,e,f\n" + "".join(
-        ",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        ",".join(cli._fmt(col[i]) for col in columns) + "\n" for i in range(3))
     assert out.read_text(encoding="utf-8") == want
-    cli._write_csv(str(out), ["a"], [])
+    cli._write_csv(str(out), ["a"], [[]])
     assert out.read_text(encoding="utf-8") == "a\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
 def test_csv_writer_refuses_non_finite_cell_before_opening(tmp_path, bad):
-    rows = [[1, 0.5, 2.0], [2, 0.25, bad], [3, bad, 1.0]]
+    # columns n, b, c; the first bad cell in row order is row 2's c
+    columns = [[1, 2, 3], [0.5, 0.25, bad], [2.0, bad, 1.0]]
     fresh = tmp_path / "fresh.csv"
     with pytest.raises(DomainError, match=r"row 2, column 'c'"):
-        cli._write_csv(str(fresh), ["n", "b", "c"], rows)
+        cli._write_csv(str(fresh), ["n", "b", "c"], columns)
     assert not fresh.exists()
     kept = tmp_path / "kept.csv"
     kept.write_text("old\n", encoding="utf-8")
     with pytest.raises(DomainError):
-        cli._write_csv(str(kept), ["n", "b", "c"], rows)
+        cli._write_csv(str(kept), ["n", "b", "c"], columns)
     assert kept.read_text(encoding="utf-8") == "old\n"
 
 
@@ -286,6 +290,8 @@ def test_sweep_cancelled_tau0_pivot_writes_no_csv(tmp_path, capsys):
     (["sweep", "loss_heatmap", "--set", "eps_max=Infinity"], "eps_max"),
     (["sweep", "rate_vs_gain", "--set", "h2_sq_values=[-1]"], "h2_sq_values"),
     (["sweep", "rate_vs_gain", "--set", "h1_sq_min=-1"], "h1_sq_min"),
+    (["sweep", "power_surface", "--set", "h1_sq=-1"], "h1_sq"),
+    (["sweep", "power_surface", "--set", "h2_sq=-1"], "h2_sq"),
 ])
 def test_malformed_value_is_usage_error(tmp_path, capsys, argv, field):
     out = tmp_path / "out.csv"
@@ -310,6 +316,16 @@ def test_grid_beyond_array_size_is_usage_error(tmp_path, capsys, sets):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: eps_min, eps_max and eps_step ")
+    assert not out.exists()
+
+
+def test_tau_grid_beyond_array_size_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "tau_star_vs_n", "--set", "grid_resolution=1e-300",
+                 "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid_resolution 1e-300 ")
     assert not out.exists()
 
 

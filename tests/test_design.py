@@ -104,6 +104,10 @@ class TestOptimalTau:
             D.optimal_tau(LINK, 10, grid_resolution=0.05)
         with pytest.raises(M.DomainError):
             D.optimal_tau(LINK, 10, grid_resolution=0.0)
+        # a tau grid numpy cannot index
+        for res in (1e-300, 5e-324):
+            with pytest.raises(M.DomainError, match=f"^grid_resolution {res} "):
+                D.optimal_tau(LINK, 10, grid_resolution=res)
 
     def test_result_fields(self):
         res = D.optimal_tau(LINK, 10, grid_resolution=1e-3)
@@ -372,6 +376,14 @@ class TestFullPower:
             D.verify_full_power([0.0, 0.5], [0.5, 1.0], 1.0, 1.0, frame)
         with pytest.raises(M.DomainError):
             D.verify_full_power([1.0, 0.5], [0.5, 1.0], 1.0, 1.0, frame)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["h1_sq", "h2_sq"])
+    def test_gain_validation(self, key, bad):
+        gains = {"h1_sq": 1.0, "h2_sq": 0.5, key: bad}
+        with pytest.raises(M.DomainError, match=f"^{key} must be "):
+            D.verify_full_power([0.5, 1.0], [0.5, 1.0], frame=M.FrameConfig(4, 0.5),
+                                **gains)
 
     def test_throughput_grid_shape(self):
         rep = D.verify_full_power([0.5, 1.0], [0.25, 0.5, 1.0], 1.0, 1.0,

@@ -455,6 +455,13 @@ class TestBaselines:
         assert T.throughput_oma(0.0, 0.0) == 0.0
         assert T.throughput_oma(3.0, 3.0) == pytest.approx(math.log2(4.0), rel=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("fn", [T.throughput_noma, T.throughput_oma])
+    def test_baselines_refuse_non_finite_or_negative_gain(self, fn, bad):
+        for mu1, mu2 in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(M.DomainError, match="needs finite mu1, mu2 >= 0"):
+                fn(mu1, mu2)
+
 
 class TestNormalizationVariants:
     @pytest.mark.parametrize("tau,n", [(0.5, 10), (0.3, 4), (0.0, 7)])

@@ -257,6 +257,9 @@ class TestNoiseCovariance:
         block = W.draw_colored_noise(frame, eps2, np.random.default_rng(4), 37)
         assert block.shape == (37, 2 * n)
         assert np.array_equal(block.view(float), one_by_one.view(float))
+        numpy_count = W.draw_colored_noise(frame, eps2, np.random.default_rng(4),
+                                           np.int64(37))
+        assert np.array_equal(numpy_count.view(float), block.view(float))
         # the generator is left where 37 one-vector calls leave it
         again = np.random.default_rng(4)
         W.draw_colored_noise(frame, eps2, again, 37)
@@ -266,6 +269,17 @@ class TestNoiseCovariance:
         with pytest.raises(M.DomainError):
             W.draw_colored_noise(M.FrameConfig(2, 0.5), 0.6,
                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("count,message", [
+        (-1, "count must be >= 0, got -1"),
+        (2.5, "count must be an int, got 2.5"),
+        (True, "count must be an int, got True"),
+        ("3", "count must be an int, got '3'"),
+    ])
+    def test_draw_rejects_a_bad_count(self, count, message):
+        with pytest.raises(M.DomainError, match=re.escape(message)):
+            W.draw_colored_noise(M.FrameConfig(2, 0.5), 0.0,
+                                 np.random.default_rng(0), count)
 
     def test_draw_rejects_a_batch_of_offsets(self):
         # one factor per eps2 would share one white draw across them all
