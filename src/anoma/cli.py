@@ -47,10 +47,10 @@ def _fmt(v) -> str:
 def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
     """Inclusive grid over [lo, hi] with the given step.
 
-    When both endpoints are whole multiples of the step the grid is
-    built as step * k, so symmetric ranges hit 0.0 exactly; otherwise it
-    is anchored at lo.  Either way each point is a single product, never
-    an accumulated sum.
+    When step * k lands within 1e-9 |v| of each endpoint v for a whole k,
+    the grid is built as step * k, so symmetric ranges hit 0.0 exactly;
+    otherwise it is anchored at lo, so it never starts below lo.  Either
+    way each point is a single product, never an accumulated sum.
     """
     lo, hi, step = params[lo_key], params[hi_key], params[step_key]
     if step <= 0:
@@ -58,9 +58,10 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
     if hi < lo:
         raise UsageError(f"{hi_key} must be >= {lo_key}")
     try:
-        q0, q1 = lo / step, hi / step
-        if abs(q0 - round(q0)) < 1e-9 and abs(q1 - round(q1)) < 1e-9:
-            return step * np.arange(round(q0), round(q1) + 1)
+        k0, k1 = round(lo / step), round(hi / step)
+        if all(abs(step * k - v) <= 1e-9 * abs(v)
+               for k, v in ((k0, lo), (k1, hi))):
+            return step * np.arange(k0, k1 + 1)
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return lo + step * np.arange(count)
     except (OverflowError, ValueError):  # numpy: "Maximum allowed size"

@@ -7,18 +7,18 @@ RhatN, so the achievable rate is
 
 evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
 banded Cholesky factorizations (D = H H^H).  A batch of points is
-evaluated in blocks: RhatN, which depends on eps2 alone, is factored once
-per distinct eps2, and RhatN + Rhat D Rhat^T is assembled on a frame of
-five slots, many blocks at a time, and widened to 2n columns in LAPACK's
-lower storage, bit for bit the full-length assembly (every band is
-2-periodic).  The loss Delta is computed from the definition R - R_e;
-the rearranged log-det expression for Delta, assembled from its own
-banded terms, is kept alongside as a cross-check.  To first order the
-loss is V-shaped in each error, c1 |eps1| (sync) and c2 |eps2|
-(coordination); the trace models give the slopes, and loss_breakdown
-reports both terms next to the exact loss.  Every kernel here is O(n)
-in the frame length.  Exact losses are always the primary quantity; the
-linear terms are diagnostics only.
+evaluated in blocks: both matrices are assembled on a frame of five
+slots and widened by one helper to 2n columns in LAPACK's lower storage,
+bit for bit the full-length assembly (every band is 2-periodic); RhatN,
+which depends on eps2 alone, is factored once per distinct eps2.  The
+loss Delta is computed from the definition R - R_e; the rearranged
+log-det expression for Delta, assembled from its own banded terms, is
+kept alongside as a cross-check.  To first order the loss is V-shaped
+in each error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace
+models give the slopes, and loss_breakdown reports both terms next to
+the exact loss.  Every kernel here is O(n) in the frame length.  Exact
+losses are always the primary quantity; the linear terms are
+diagnostics only.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
 
 def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
                     err: TimingError) -> np.ndarray:
-    """R_e at a 1-D batch of points, by batched banded log-dets in blocks
-    of about _BLOCK_ENTRIES columns.
+    """R_e at a 1-D batch of points, both log-dets by _widened_logdets:
+    RhatN, which depends on eps2 alone, once per distinct eps2 in the
+    order of first occurrence, and RhatN + Rhat D Rhat^T per point.
 
     Errors name the batch's first failing point: every point is checked
     for admissibility, then every noise covariance, then every mistimed
@@ -115,38 +116,12 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
     """
     err.check_admissible(frame)
     e1, e2 = err.arrays()
-    step = max(1, _BLOCK_ENTRIES // (2 * frame.n))
+    n, tau = frame.n, frame.tau
+    small = frame if n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS, tau)
+    step = max(1, _BLOCK_ENTRIES // (2 * n))
     # the five-slot frame is assembled for as many whole blocks at once
     # as fill a block's worth of its columns: memory stays flat in n too
     chunk = max(1, _BLOCK_ENTRIES // (2 * _FRAME_SLOTS * step)) * step
-    ld = _noise_logdets(frame, err, step)
-    d = _hh(link, min(frame.n, _FRAME_SLOTS))  # all the five-slot frame reads
-    for first in range(0, e1.size, chunk):
-        part = slice(first, first + chunk)
-        cols = _five_slot_storage(frame, d, e1[part], e2[part])
-        for start in range(first, min(first + chunk, e1.size), step):
-            block = slice(start, start + step)
-            try:
-                ld[block] = (_bands.logdet2_sym_pd(_mistimed_covariance(
-                    frame.n, cols, start - first, step)) - ld[block])
-            except _bands.NotPositiveDefinite as exc:
-                raise DomainError("mistimed covariance not positive definite "
-                                  f"at tau={frame.tau}, "
-                                  f"{err.point(start + exc.index)}") from None
-        del cols  # the next chunk is assembled without it
-    return ld / (frame.n + frame.tau)
-
-
-def _noise_logdets(frame: FrameConfig, err: TimingError,
-                   step: int) -> np.ndarray:
-    """log2 det RhatN at each point of a 1-D batch, in blocks of step.
-
-    RhatN depends on eps2 alone, so it is factored once per distinct
-    eps2.  The distinct values are factored in the order of their first
-    occurrence, so the first one that fails names the batch's first
-    failing point.
-    """
-    _, e2 = err.arrays()
     if e2.size > 1:
         values, first, inverse = np.unique(e2, return_index=True,
                                            return_inverse=True)
@@ -155,38 +130,51 @@ def _noise_logdets(frame: FrameConfig, err: TimingError,
         values, first = e2, np.zeros(1, dtype=np.intp)
         inverse = order = first
     ld = np.empty(values.size)
-    for start in range(0, values.size, step):
-        part = order[start:start + step]
+    ld[order] = _widened_logdets(frame, _bands.lower_storage(
+        build_noise_covariance(small, values[order])), step, err,
+        first[order], "noise covariance singular")
+    ld = ld[inverse]
+    del values, first, inverse, order  # not held through the chunks
+    d = _hh(link, small.n)  # all the five-slot frame reads
+    for start in range(0, e1.size, chunk):
+        part = slice(start, start + chunk)
+        ld[part] = _widened_logdets(frame, _bands.lower_storage(
+            _signal(small, d, e1[part], e2[part])
+            + build_noise_covariance(small, e2[part])), step, err,
+            range(start, e1.size),
+            "mistimed covariance not positive definite") - ld[part]
+    return ld / (n + tau)
+
+
+def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
+                     err: TimingError, points, what: str) -> np.ndarray:
+    """log2 det at full length 2n of each point of cols, a symmetric
+    2-periodic band on min(n, 5) slots in _bands.lower_storage, widened
+    and factored step points per call.
+
+    Point i of cols is point points[i] of err's batch; the first that is
+    not positive definite is named in a DomainError after what.
+    """
+    ld = np.empty(len(cols))
+    for start in range(0, len(cols), step):
         try:
-            ld[part] = _bands.logdet2_sym_pd(
-                build_noise_covariance(frame, values[part]))
+            ld[start:start + step] = _bands.logdet2_sym_pd(
+                _widen(frame.n, cols, start, step))
         except _bands.NotPositiveDefinite as exc:
-            raise DomainError(f"noise covariance singular at tau={frame.tau}, "
-                              f"{err.point(first[part[exc.index]])}") from None
-    return ld[inverse]
+            point = err.point(points[start + exc.index])
+            raise DomainError(f"{what} at tau={frame.tau}, {point}") from None
+    return ld
 
 
-def _five_slot_storage(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
-                       e2: np.ndarray) -> np.ndarray:
-    """RhatN + Rhat D Rhat^T at a 1-D batch of points on a frame of
-    min(n, 5) slots, in _bands.lower_storage (checked finite there):
-    ``(points, 2 min(n, 5), u + 1)``."""
-    small = frame if frame.n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS,
-                                                              frame.tau)
-    return _bands.lower_storage(_signal(small, d, e1, e2)
-                                + build_noise_covariance(small, e2))
+def _widen(n: int, cols: np.ndarray, start: int,
+           count: int) -> _bands.BandedMatrix:
+    """count points from start of cols at full length 2n, as a band given
+    by its lower rows for an in-place Cholesky.
 
-
-def _mistimed_covariance(n: int, cols: np.ndarray, start: int,
-                         count: int) -> _bands.BandedMatrix:
-    """count points from start of RhatN + Rhat D Rhat^T at full length,
-    from _five_slot_storage's cols, as a band given by its lower rows for
-    an in-place Cholesky.
-
-    Every band in the sum is 2-periodic with bandwidth 4, so its lower
-    columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame: repeating
-    that slot widens each point, bit for bit the full assembly.  At
-    n <= 5 it is a view of cols.
+    Each band widened here is 2-periodic with bandwidth at most 4, so its
+    lower columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame:
+    repeating that slot widens each point, bit for bit the full assembly.
+    At n <= 5 it is a view of cols.
     """
     u = cols.shape[-1] - 1
     if n <= _FRAME_SLOTS:
@@ -235,7 +223,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     link.require_positive_gains()
     err.require_point("throughput_loss_display")
     n, tau = frame.n, frame.tau
-    e1m, e2m, _, rhat_n = build_error_matrices(frame, err)
+    e1m, e2m, rhat, rhat_n = build_error_matrices(frame, err)
     r = build_correlation(frame)
     d = _hh(link, n)
 
@@ -247,7 +235,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
         ) from None
     rhat_n_d = rhat_n.col_scaled(d)
     m = (rhat_n + rhat_n_d.matmul(r) + rhat_n_d.matmul(e1m.T)
-         + (e1m - e2m).col_scaled(d).matmul(r + e1m.T))
+         + (e1m - e2m).col_scaled(d).matmul(rhat.T))
     sign_m, ld_m = _bands.slogdet2_general(m)
     sign_a, ld_a = _bands.slogdet2_general(
         _bands.diagonal(np.ones(2 * n)) + r.row_scaled(d))

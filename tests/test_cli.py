@@ -319,6 +319,21 @@ def test_grid_beyond_array_size_is_usage_error(tmp_path, capsys, sets):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("figure,sets,column", [
+    ("loss_slices", ["eps_min=1e-12", "eps_max=0.01"], "eps"),
+    ("power_surface", ["p_min=1e-12"], "p1"),
+])
+def test_grid_starts_at_a_tiny_positive_lo(tmp_path, figure, sets, column):
+    # 1e-12 is a whole multiple of the step to within 1e-9 steps, but 0,
+    # the multiple, is not within 1e-9 |lo| of it: the grid is anchored
+    # at lo, not moved to 0 (outside the range, and not a positive power)
+    out = tmp_path / "out.csv"
+    argv = ["sweep", figure, *(t for s in sets for t in ("--set", s))]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    header, first = out.read_text(encoding="utf-8").splitlines()[:2]
+    assert first.split(",")[header.split(",").index(column)] == "1e-12"
+
+
 def test_tau_grid_beyond_array_size_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["sweep", "tau_star_vs_n", "--set", "grid_resolution=1e-300",
