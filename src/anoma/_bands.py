@@ -228,12 +228,6 @@ class BandedMatrix:
             ab[..., self.lower + k, :] = _shifted(self.ab[..., self.upper - k, :], k)
         return BandedMatrix(ab, self.upper, self.lower)
 
-    def row_scaled(self, d: np.ndarray) -> "BandedMatrix":
-        """diag(d) @ A: entry (i, i + k), at column i + k, picks up d[i]."""
-        rows = np.stack([_shifted(d, -k) for k in
-                         range(self.upper, -self.lower - 1, -1)], axis=-2)
-        return BandedMatrix(rows * self.ab, self.lower, self.upper)
-
     def col_scaled(self, d: np.ndarray) -> "BandedMatrix":
         """A @ diag(d): every entry of column j picks up d[j]."""
         return BandedMatrix(self.ab * d[..., None, :], self.lower, self.upper)

@@ -49,8 +49,9 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
 
     When step * k lands within 1e-9 |v| of each endpoint v for a whole k,
     the grid is built as step * k, so symmetric ranges hit 0.0 exactly;
-    otherwise it is anchored at lo, so it never starts below lo.  Either
-    way each point is a single product, never an accumulated sum.
+    otherwise it is anchored at lo and clamped to hi, so it never leaves
+    [lo, hi].  Either way each point is a single product (or hi itself),
+    never an accumulated sum.
     """
     lo, hi, step = params[lo_key], params[hi_key], params[step_key]
     if step <= 0:
@@ -63,7 +64,7 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
                for k, v in ((k0, lo), (k1, hi))):
             return step * np.arange(k0, k1 + 1)
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(count)
+        return np.minimum(lo + step * np.arange(count), hi)
     except (OverflowError, ValueError):  # numpy: "Maximum allowed size"
         raise UsageError(f"{lo_key}, {hi_key} and {step_key} span more grid "
                          "points than an array can index") from None
@@ -176,7 +177,7 @@ def _fig_loss_slices(p: dict):
     c1, c2 = timing._loss_slopes(link, frame)
     header = ["eps", "gamma_sync_exact", "gamma_sync_linear",
               "gamma_coord_exact", "gamma_coord_linear"]
-    gamma = timing._loss_ratio(link, frame, _slices(eps), base)
+    gamma = timing._exact_loss(link, frame, _slices(eps), base)[2]
     return header, [eps, gamma[:len(eps)], np.abs(eps) * c1 / base,
                     gamma[len(eps):], np.abs(eps) * c2 / base]
 
@@ -357,16 +358,15 @@ def _cmd_query(args) -> int:
     # the report's log-det rate is the base of every loss below
     base = fields["anoma_matrix"]
     if frame.tau > 0.0:
-        fields.update(dataclasses.asdict(
-            timing._loss_breakdown(link, frame, err, base)))
+        loss = timing._loss_breakdown(link, frame, err, base)
     else:
         # sensitivity slopes need tau in (0, 1); the loss itself is still defined
-        r_e = timing._throughput_with_error(link, frame, err, base)
-        fields.update({"exact_throughput_with_error": r_e,
-                       "delta": base - r_e,
-                       "delta_lin_sync": math.nan, "delta_lin_coord": math.nan,
-                       "c1": math.nan, "c2": math.nan,
-                       "gamma": (base - r_e) / base})
+        r_e, delta, gamma = timing._exact_loss(link, frame, err, base)
+        loss = timing.LossBreakdown(
+            exact_throughput_with_error=r_e, delta=delta,
+            delta_lin_sync=math.nan, delta_lin_coord=math.nan,
+            c1=math.nan, c2=math.nan, gamma=gamma)
+    fields.update(dataclasses.asdict(loss))
     point = " ".join(f"{k}={_fmt(v)}" for k, v in params.items())
     values = " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
     print(f"{point} {values}")

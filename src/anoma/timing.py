@@ -11,9 +11,10 @@ evaluated in blocks: both matrices are assembled on a frame of five
 slots and widened by one helper to 2n columns in LAPACK's lower storage,
 bit for bit the full-length assembly (every band is 2-periodic); RhatN,
 which depends on eps2 alone, is factored once per distinct eps2.  The
-loss Delta is computed from the definition R - R_e; the rearranged
-log-det expression for Delta, assembled from its own banded terms, is
-kept alongside as a cross-check.  To first order the loss is V-shaped
+loss Delta is R - R_e by definition, and only _exact_loss forms (R_e,
+Delta, gamma = Delta / R), after checking R > 0; the rearranged log-det
+expression for Delta, assembled from its own banded terms, is kept
+alongside as a cross-check.  To first order the loss is V-shaped
 in each error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace
 models give the slopes, and loss_breakdown reports both terms next to
 the exact loss.  Every kernel here is O(n) in the frame length.  Exact
@@ -218,7 +219,8 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
 
     where every factor is banded (M has bandwidth 4), so each log-det
     is one banded factorization: Cholesky for RhatN, LU for M and
-    I + D R.  O(n) time and memory.
+    I + D R, with D R formed as (R D)^T (R is symmetric bit for bit).
+    O(n) time and memory.
     """
     link.require_positive_gains()
     err.require_point("throughput_loss_display")
@@ -238,7 +240,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
          + (e1m - e2m).col_scaled(d).matmul(rhat.T))
     sign_m, ld_m = _bands.slogdet2_general(m)
     sign_a, ld_a = _bands.slogdet2_general(
-        _bands.diagonal(np.ones(2 * n)) + r.row_scaled(d))
+        _bands.diagonal(np.ones(2 * n)) + r.col_scaled(d).T)
     if sign_m <= 0.0 or sign_a <= 0.0:
         raise DomainError("loss determinant left the positive cone")
     return -(ld_m - ld_n - ld_a) / (n + tau)
@@ -302,16 +304,20 @@ def loss_ratio(link: LinkConfig, frame: FrameConfig,
     A float for one point, an array for a batched err; exactly 0.0 where
     both errors are zero.
     """
-    return _loss_ratio(link, frame, err, throughput_matrix(link, frame))
+    return _exact_loss(link, frame, err, throughput_matrix(link, frame))[2]
 
 
-def _loss_ratio(link: LinkConfig, frame: FrameConfig, err: TimingError,
-                base: float) -> float | np.ndarray:
-    """loss_ratio given base = throughput_matrix(link, frame), which a
-    caller that also needs the rate already holds."""
+def _exact_loss(link: LinkConfig, frame: FrameConfig, err: TimingError,
+                base: float) -> tuple[float | np.ndarray, ...]:
+    """(R_e, Delta, gamma) at err, a point or a batch, given base =
+    throughput_matrix(link, frame), which is checked to be positive first
+    (the log-det route gives 0.0 or a negative residue at tiny gains)."""
     if base <= 0.0:
-        raise DomainError("loss ratio undefined: no-error throughput is zero")
-    return (base - _throughput_with_error(link, frame, err, base)) / base
+        raise DomainError("loss ratio undefined: no-error throughput is "
+                          f"{base:.12g}, not positive (raise the gains)")
+    r_e = _throughput_with_error(link, frame, err, base)
+    delta = base - r_e
+    return r_e, delta, delta / base
 
 
 def loss_breakdown(link: LinkConfig, frame: FrameConfig,
@@ -326,10 +332,7 @@ def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
     """loss_breakdown given base = throughput_matrix(link, frame), which a
     caller that reports the rate already holds."""
     err.require_point("loss_breakdown")
-    r_e = _throughput_with_error(link, frame, err, base)
-    delta = base - r_e
-    if base <= 0.0:
-        raise DomainError("loss ratio undefined: no-error throughput is zero")
+    r_e, delta, gamma = _exact_loss(link, frame, err, base)
     c1, c2 = _loss_slopes(link, frame)
     return LossBreakdown(
         exact_throughput_with_error=r_e,
@@ -338,5 +341,5 @@ def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
         delta_lin_coord=abs(err.eps2) * c2,
         c1=c1,
         c2=c2,
-        gamma=delta / base,
+        gamma=gamma,
     )

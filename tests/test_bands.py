@@ -54,7 +54,6 @@ def test_algebra_matches_dense(rng):
         assert np.allclose(a.matmul(b).to_dense(), ad @ bd)
         assert np.allclose(a.T.to_dense(), ad.T)
         d = rng.normal(size=n)
-        assert np.allclose(a.row_scaled(d).to_dense(), np.diag(d) @ ad)
         assert np.allclose(a.col_scaled(d).to_dense(), ad @ np.diag(d))
 
 
@@ -124,7 +123,7 @@ def test_model_sums_keep_their_dense_bytes():
         for a, b, op in ((r, e1m, np.add), (e1m, e2m, np.subtract),
                          (r, e1m.T, np.add), (e1m.T, e1m, np.add),
                          (rhat_n, rhat_n.col_scaled(d).matmul(r), np.add),
-                         (identity(10), r.row_scaled(d), np.add)):
+                         (identity(10), r.col_scaled(d).T, np.add)):
             got = a + b if op is np.add else a - b
             assert_padded_bits(got, a, b, op)
             lower, upper = got.lower, got.upper
@@ -132,6 +131,20 @@ def test_model_sums_keep_their_dense_bytes():
                 op(zero_padded(a, lower, upper), zero_padded(b, lower, upper)),
                 lower, upper)
             assert got.to_dense().tobytes() == want.to_dense().tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 37])
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 0.73])
+def test_correlation_is_symmetric_bit_for_bit(n, tau):
+    # so D R, which the display route forms as (R D)^T, keeps the bits
+    # of d[i] R[i, j] entry by entry
+    r = M.build_correlation(M.FrameConfig(n, tau))
+    link = M.LinkConfig(p1=0.7, p2=1.3, h1=0.8 - 0.3j, h2=-0.2 + 1.1j)
+    d = np.abs(M.build_gain(link, n)) ** 2
+    dense = r.to_dense()
+    assert dense.tobytes() == dense.T.tobytes()
+    assert (r.col_scaled(d).T.to_dense().tobytes()
+            == (d[:, None] * dense).tobytes())
 
 
 def random_spd_batch(rng, batch, n):
@@ -329,7 +342,7 @@ def test_colored_noise_keeps_the_bits_of_the_upper_storage_factor(
 def test_upper_only_product_is_upper_band_of_full_product(rng):
     # a batch and a single matrix, as in R_hat D R_hat^T
     a = banded(9, {k: rng.normal(size=(3, 9)) for k in (-2, -1, 0, 1, 2)})
-    b = a.T.row_scaled(rng.normal(size=9))
+    b = a.T.col_scaled(rng.normal(size=9))
     full = a.matmul(b)
     upper = a.matmul(b, upper_only=True)
     assert (upper.lower, upper.upper) == (0, full.upper)

@@ -1,6 +1,8 @@
 """CLI contract: CSV schemas, determinism, exit codes, config precedence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anoma import cli
 from anoma.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
@@ -251,6 +254,21 @@ def test_query_linear_loss_agrees_at_small_offset(capsys):
     assert abs(lin - delta) / delta <= 0.1
 
 
+@pytest.mark.parametrize("sets,rate", [
+    # the log-det rate is exactly 0.0 here, with and without the slopes
+    (["mu1=1e-18", "mu2=1e-18", "n=1", "tau=0"], "0"),
+    (["mu1=1e-18", "mu2=1e-18", "n=1", "tau=0.001"], "0"),
+    # and a negative rounding residue here
+    (["mu1=1e-300", "mu2=1e-300", "n=10", "tau=0"], "-3.63797880709e-13"),
+])
+def test_query_without_a_positive_rate_is_usage_error(capsys, sets, rate):
+    assert main(["query", *(t for s in sets for t in ("--set", s))]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: loss ratio undefined: no-error throughput "
+                            f"is {rate}, not positive (raise the gains)\n")
+
+
 def test_query_subnormal_gain_is_usage_error(capsys):
     assert main(["query", "--set", "mu1=1e-310"]) == EXIT_USAGE
     assert "mu1" in capsys.readouterr().err
@@ -332,6 +350,19 @@ def test_grid_starts_at_a_tiny_positive_lo(tmp_path, figure, sets, column):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     header, first = out.read_text(encoding="utf-8").splitlines()[:2]
     assert first.split(",")[header.split(",").index(column)] == "1e-12"
+
+
+def test_anchored_grid_never_passes_hi(tmp_path):
+    # (0.01 - 1e-12) / 0.005 is 2 less 2e-10 steps: inside the 1e-9-step
+    # slack, so the third point lands on hi, not 1e-12 past it
+    grid = cli._axis({"lo": 1e-12, "hi": 0.01, "step": 0.005},
+                     "lo", "hi", "step")
+    assert len(grid) == 3
+    assert np.all((grid >= 1e-12) & (grid <= 0.01)) and grid[-1] == 0.01
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "loss_slices", "--set", "eps_min=1e-12",
+                 "--set", "eps_max=0.01", "--out", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("0.01,")
 
 
 def test_tau_grid_beyond_array_size_is_usage_error(tmp_path, capsys):
@@ -438,6 +469,21 @@ TAU_STAR_SETS = ("gains=[[1.0, 0.5], [1e300, 0.03], [0.02, 30.0]]",
 TAU_STAR_SHA256 = "ae5d120fc141efe2a2370ee4c3585ffe360d156cca6700e407b65be7e6696b49"
 
 QUERY_LINES = {
+    ("tau=0",): (
+        "mu1=1 mu2=0.5 tau=0 n=10 eps1=0 eps2=0 anoma_matrix=1.32192809489 "
+        "anoma_closed=1.32192809489 anoma_recursion=1.32192809489 "
+        "anoma_n_plus_1=1.20175281353 noma=1.32192809489 oma=0.792481250361 "
+        "asymptotic=1.32192809489 exact_throughput_with_error=1.32192809489 "
+        "delta=0 delta_lin_sync=nan delta_lin_coord=nan c1=nan c2=nan "
+        "gamma=0\n"),
+    ("tau=0", "n=300", "eps2=0.05"): (
+        "mu1=1 mu2=0.5 tau=0 n=300 eps1=0 eps2=0.05 "
+        "anoma_matrix=1.32192809489 anoma_closed=1.32192809489 "
+        "anoma_recursion=1.32192809489 anoma_n_plus_1=1.3175363072 "
+        "noma=1.32192809489 oma=0.792481250361 asymptotic=1.32192809489 "
+        "exact_throughput_with_error=1.32192809489 delta=2.99538172044e-13 "
+        "delta_lin_sync=nan delta_lin_coord=nan c1=nan c2=nan "
+        "gamma=2.26591879848e-13\n"),
     (): ("mu1=1 mu2=0.5 tau=0.5 n=10 eps1=0 eps2=0 anoma_matrix=1.39349260628 "
          "anoma_closed=1.39349260628 anoma_recursion=1.39349260628 "
          "anoma_n_plus_1=1.33015203326 noma=1.32192809489 oma=0.792481250361 "
@@ -474,3 +520,42 @@ def test_non_default_tau_star_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("sets", sorted(QUERY_LINES))
 def test_query_line_is_pinned(capsys, sets):
     assert query_line(capsys, *sets) == QUERY_LINES[sets]
+
+
+def query_gains():
+    """Log-uniform over the whole gain range, or over [1e-25, 1e3], where
+    the rate runs from rounding residue up to ordinary values."""
+    return st.one_of(st.floats(-300.0, 300.0), st.floats(-25.0, 3.0)).map(
+        lambda e: 10.0 ** e)
+
+
+@st.composite
+def query_points(draw):
+    """--set tokens for one query: gains, tau, n and an admissible error
+    pair (eps1 in [tau - 1, tau], eps1 + eps2 in [-tau, 1 - tau]), (0, 0)
+    included."""
+    tau = draw(st.one_of(st.sampled_from([0.0, 1e-9, 0.001]),
+                         st.floats(0.0, 1.0, exclude_max=True)))
+    if draw(st.booleans()):
+        e1 = e2 = 0.0
+    else:
+        e1 = tau - 1.0 + draw(st.floats(0.0, 1.0))
+        e2 = draw(st.floats(0.0, 1.0)) - tau - e1
+    keys = {"mu1": draw(query_gains()), "mu2": draw(query_gains()),
+            "n": draw(st.sampled_from([1, 2, 3, 5, 10, 50])), "tau": tau,
+            "eps1": e1, "eps2": e2}
+    return [tok for k, v in keys.items() for tok in ("--set", f"{k}={v!r}")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(query_points())
+@example(["--set", "mu1=1e-18", "--set", "mu2=1e-18", "--set", "n=1",
+          "--set", "tau=0.0", "--set", "eps1=0.0", "--set", "eps2=0.0"])
+def test_query_prints_one_line_or_exits_2(argv):
+    # an exception escaping main fails the test by itself
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["query", *argv])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert out.getvalue().count("\n") == (code == EXIT_OK)
+    assert err.getvalue().startswith("error: ") == (code == EXIT_USAGE)

@@ -1,6 +1,7 @@
 """Timing-error throughput, losses, and linear sensitivity models."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -42,9 +43,9 @@ def trace_coefficient_dense_oracle(link, frame, z_signal, z_noise):
     mixing = z_signal if z_noise is None else z_signal - z_noise
     inner = mixing.col_scaled(d).matmul(r)
     solved = _bands.solve_sym_pd(r, inner.to_dense())
-    rhs = z_signal.T.row_scaled(d).to_dense() + solved
-    a = _bands.diagonal(np.ones(n2)) + r.row_scaled(d)
-    f = _bands.solve_general(a, rhs)
+    rhs = np.diag(d) @ z_signal.T.to_dense() + solved
+    a = np.eye(n2) + np.diag(d) @ r.to_dense()
+    f = np.linalg.solve(a, rhs)
     return -float(np.trace(f)) / ((n + tau) * math.log(2.0))
 
 
@@ -71,9 +72,9 @@ def display_dense_oracle(link, frame, err):
     d = np.abs(M.build_gain(link, n)) ** 2
     inner = (e1m - e2m).col_scaled(d).matmul(r + e1m.T)
     mid = _bands.solve_sym_pd(rhat_n, inner.to_dense())
-    rhs = e1m.T.row_scaled(d).to_dense() + mid
-    a = _bands.diagonal(np.ones(n2)) + r.row_scaled(d)
-    v = _bands.solve_general(a, rhs)
+    rhs = np.diag(d) @ e1m.T.to_dense() + mid
+    a = np.eye(n2) + np.diag(d) @ r.to_dense()
+    v = np.linalg.solve(a, rhs)
     sign, ld = np.linalg.slogdet(np.eye(n2) + v)
     assert sign > 0.0
     return -ld / math.log(2.0) / (n + tau)
@@ -585,6 +586,39 @@ class TestLossRatio:
                 assert jump < prev + 1e-12
             prev = jump
         assert prev < 1e-6
+
+
+class TestNoPositiveRate:
+    """gamma = Delta / R is undefined where the log-det rate is not
+    positive: exactly 0.0 at (1e-18, n = 1) and a negative rounding
+    residue at (1e-300, n = 10)."""
+
+    CASES = [(1e-18, 1, 0.001), (1e-300, 10, 0.5)]
+
+    @pytest.mark.parametrize("mu,n,tau", CASES)
+    def test_ratio_and_breakdown_raise(self, mu, n, tau):
+        link, frame = M.LinkConfig.from_gains(mu, mu), M.FrameConfig(n, tau)
+        base = T.throughput_matrix(link, frame)
+        assert base <= 0.0
+        message = re.escape(
+            f"loss ratio undefined: no-error throughput is {base:.12g}, ")
+        batch = M.TimingError(np.array([0.0, 0.01]), np.array([0.0, -0.01]))
+        for fn, err in ((TM.loss_ratio, M.TimingError(0.01, 0.0)),
+                        (TM.loss_ratio, batch),
+                        (TM.loss_breakdown, M.TimingError(0.01, 0.0))):
+            with pytest.raises(M.DomainError, match=message):
+                fn(link, frame, err)
+
+    @pytest.mark.parametrize("fn", [TM.loss_ratio, TM.loss_breakdown])
+    def test_rate_is_named_before_an_inadmissible_point(self, fn):
+        link = M.LinkConfig.from_gains(1e-18, 1e-18)
+        with pytest.raises(M.DomainError, match="loss ratio undefined"):
+            fn(link, M.FrameConfig(1, 0.001), M.TimingError(0.9, 0.0))
+
+    @pytest.mark.parametrize("mu,n,tau", CASES)
+    def test_the_loss_itself_is_defined(self, mu, n, tau):
+        link, frame = M.LinkConfig.from_gains(mu, mu), M.FrameConfig(n, tau)
+        assert TM.throughput_loss(link, frame, M.TimingError(0.0, 0.0)) == 0.0
 
 
 class TestBreakdown:
