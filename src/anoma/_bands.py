@@ -13,6 +13,18 @@ sweep of same-size matrices, and the algebra and the Cholesky log-det
 run once per batch.  LU (``gbtrf``) reads this array as it is, below
 ``lower`` rows of fill-in space.
 
+Memory order: a band built here (``band_array``) keeps that logical
+shape, but a batch lies with its batch axes fastest, ``(rows, n,
+*batch)`` in memory, and a single matrix is C-ordered.  The sweeps'
+bands are short (the mistimed rate assembles ten columns) and their
+batches long, so each numpy operation of the algebra runs over
+contiguous runs of points, not over a few entries of every matrix in
+turn.  Only the order of memory differs: every entry is formed by the
+same operations either way.  ``band_array``, ``gram_upper`` and
+``lower_storage`` can write to the front of a flat work array, and
+``add_into`` into its first operand, so that a sweep reuses its buffers
+from block to block instead of allocating (and faulting in) new ones.
+
 Cholesky (``pbtrf``) factors LAPACK's lower storage of a symmetric
 band with u super-diagonals, a C-ordered ``(..., n, u+1)`` array whose
 row j holds ``A[j + k, j]`` at slot k, which f2py passes uncopied.  The
@@ -26,11 +38,11 @@ there, unit stride here) for the same bits: both scale every entry by
 one transposed (tests/test_bands.py).  Read as a ``(u, 0)`` band, the
 factor is U^T.
 
-Summation order: a diagonal of a product ``A @ B``, and an entry of
-``matvec``, the one band-times-vector product, sums its terms over A's
-offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``).  A sum's
-bits depend on its order, so this order fixes the bits of every rate,
-loss and output computed from a product.
+Summation order: a diagonal of a product ``A @ B`` (``gram_upper``'s
+A D A^T too), and an entry of ``matvec``, the one band-times-vector
+product, sums its terms over A's offsets in the fixed order 0, +1, -1,
++2, -2 (``offsets``).  A sum's bits depend on its order, so this order
+fixes the bits of every rate, loss and output computed from a product.
 
 Everything here is O(bandwidth * n) in time and memory.  The band of a
 tridiagonal inverse comes from the Takahashi, Fagan & Chin (1973)
@@ -56,6 +68,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -130,13 +143,34 @@ class NotPositiveDefinite(np.linalg.LinAlgError):
         self.index = index
 
 
-def _shifted(v: np.ndarray, k: int) -> np.ndarray:
-    """out[..., j] = v[..., j + k] along the last axis, zero where j + k
-    falls outside it."""
-    n = v.shape[-1]
-    out = np.zeros(v.shape, dtype=v.dtype)
-    out[..., max(-k, 0): n - max(k, 0)] = v[..., max(k, 0): n - max(-k, 0)]
-    return out
+def band_array(batch_shape: tuple[int, ...], rows: int, n: int,
+               zero: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """A band array of shape ``batch_shape + (rows, n)``, zero-filled with
+    zero, else uninitialized: C-ordered for one matrix, and with its batch
+    axes fastest in memory for a batch (module docstring).  It is new, or
+    with out, a flat float array, a view of out's front."""
+    a = _c_array((rows, n) + tuple(batch_shape), zero, out)
+    return a.transpose(*range(2, a.ndim), 0, 1) if batch_shape else a
+
+
+def _broadcast(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """np.broadcast_shapes(s, t), without its few microseconds of array
+    set-up where one shape is empty or both are equal."""
+    if s == t or not t:
+        return s
+    return t if not s else np.broadcast_shapes(s, t)
+
+
+def _c_array(shape: tuple[int, ...], zero: bool,
+             out: np.ndarray | None) -> np.ndarray:
+    """A C-ordered float array of shape, zero-filled with zero: new, or
+    the front of out, a flat float array, reshaped."""
+    if out is None:
+        return (np.zeros if zero else np.empty)(shape)
+    a = out[:math.prod(shape)].reshape(shape)
+    if zero:
+        a.fill(0.0)
+    return a
 
 
 @dataclass(frozen=True)
@@ -186,8 +220,10 @@ class BandedMatrix:
         shift = self.upper - upper
         return self.ab[..., r0 + shift: r1 + shift, :]
 
-    def _combine(self, other: "BandedMatrix", op) -> "BandedMatrix":
-        """op(A, B) written row by row from the operand rows each needs.
+    def _combine(self, other: "BandedMatrix", op,
+                 out: np.ndarray | None = None) -> "BandedMatrix":
+        """op(A, B) written row by row from the operand rows each needs,
+        into a new band or into out, a band array of the result's shape.
 
         A diagonal only one operand holds is ``x op 0.0`` or ``0.0 op y``,
         as if the other were padded with zeros, so every entry keeps the
@@ -197,8 +233,8 @@ class BandedMatrix:
             raise ValueError("dimension mismatch")
         lower = max(self.lower, other.lower)
         upper = max(self.upper, other.upper)
-        shape = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        ab = np.empty(shape + (lower + upper + 1, self.n))
+        shape = _broadcast(self.batch_shape, other.batch_shape)
+        ab = band_array(shape, lower + upper + 1, self.n) if out is None else out
         # the rows both hold, then the diagonals only the wider one holds
         lo = upper - min(self.upper, other.upper)
         hi = upper + min(self.lower, other.lower) + 1
@@ -222,15 +258,23 @@ class BandedMatrix:
 
     @property
     def T(self) -> "BandedMatrix":
-        # A[i, i + k] at column i + k becomes A^T[i + k, i] at column i
-        ab = np.empty(self.ab.shape)
+        # A[i, i + k] at column i + k becomes A^T[i + k, i] at column i,
+        # zero where i + k falls outside the matrix
+        n = self.n
+        ab = band_array(self.batch_shape, self.lower + self.upper + 1, n,
+                        zero=True)
         for k in range(-self.lower, self.upper + 1):
-            ab[..., self.lower + k, :] = _shifted(self.ab[..., self.upper - k, :], k)
+            ab[..., self.lower + k, max(-k, 0): n - max(k, 0)] = (
+                self.ab[..., self.upper - k, max(k, 0): n - max(-k, 0)])
         return BandedMatrix(ab, self.upper, self.lower)
 
     def col_scaled(self, d: np.ndarray) -> "BandedMatrix":
         """A @ diag(d): every entry of column j picks up d[j]."""
-        return BandedMatrix(self.ab * d[..., None, :], self.lower, self.upper)
+        d = np.asarray(d)
+        shape = _broadcast(self.batch_shape, d.shape[:-1])
+        ab = band_array(shape, self.lower + self.upper + 1, self.n)
+        np.multiply(self.ab, d[..., None, :], out=ab)
+        return BandedMatrix(ab, self.lower, self.upper)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x along the last axis of x, batch axes broadcast: out[i]
@@ -248,22 +292,19 @@ class BandedMatrix:
                     self.ab[..., self.upper - k, j0:j1] * x[..., j0:j1])
         return out
 
-    def matmul(self, other: "BandedMatrix",
-               upper_only: bool = False) -> "BandedMatrix":
+    def matmul(self, other: "BandedMatrix") -> "BandedMatrix":
         """Banded product; result bandwidths add.
 
         Each diagonal of the product sums its terms over this matrix's
-        offsets in the order ``self.offsets``.  With upper_only, only the
-        diagonals k >= 0 are formed, each summed as in the full product:
-        for a product known to be symmetric that is all a Cholesky reads.
+        offsets in the order ``self.offsets``.
         """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         n = self.n
-        lower = 0 if upper_only else min(self.lower + other.lower, n - 1)
+        lower = min(self.lower + other.lower, n - 1)
         upper = min(self.upper + other.upper, n - 1)
-        shape = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        ab = np.zeros(shape + (lower + upper + 1, n))
+        shape = _broadcast(self.batch_shape, other.batch_shape)
+        ab = band_array(shape, lower + upper + 1, n, zero=True)
         for ka in self.offsets:
             for kb in range(-other.lower, other.upper + 1):
                 kc = ka + kb
@@ -279,18 +320,62 @@ class BandedMatrix:
 
 def diagonal(d) -> BandedMatrix:
     """diag(d); a ``(B, n)`` array gives a batch of B diagonal matrices."""
-    return BandedMatrix(np.array(d, dtype=float)[..., None, :], 0, 0)
+    d = np.asarray(d, dtype=float)
+    ab = band_array(d.shape[:-1], 1, d.shape[-1])
+    ab[..., 0, :] = d
+    return BandedMatrix(ab, 0, 0)
 
 
-def lower_storage(a: BandedMatrix) -> np.ndarray:
+def add_into(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
+    """A + B, bit for bit, written into A's array: A must hold every
+    diagonal of B, at A's batch shape."""
+    if (b.lower > a.lower or b.upper > a.upper
+            or _broadcast(a.batch_shape, b.batch_shape) != a.batch_shape):
+        raise ValueError("A does not hold every diagonal of B")
+    return a._combine(b, np.add, out=a.ab)
+
+
+def gram_upper(a: BandedMatrix, d: np.ndarray,
+               out: np.ndarray | None = None) -> BandedMatrix:
+    """Upper band of the symmetric A diag(d) A^T, bit for bit that of
+    ``a.col_scaled(d).matmul(a.T)``, formed without A^T or A D: row ka of
+    A D is scaled when its turn in ``a.offsets`` comes, and A^T's
+    diagonal kb is A's diagonal -kb, read shifted by kb.  Written to the
+    front of out, a flat float array, when given.
+    """
+    n = a.n
+    upper = min(a.upper + a.lower, n - 1)
+    d = np.asarray(d)
+    shape = _broadcast(a.batch_shape, d.shape[:-1])
+    ab = band_array(shape, upper + 1, n, zero=True, out=out)
+    scaled = band_array(shape, 1, n)[..., 0, :]
+    term = np.empty_like(scaled)
+    for ka in a.offsets:
+        np.multiply(a.ab[..., a.upper - ka, :], d, out=scaled)
+        for kb in range(-a.upper, a.lower + 1):
+            kc = ka + kb
+            if not 0 <= kc <= upper:
+                continue
+            # C[i, j] += (A D)[i, i + ka] * A[j, i + ka], j = i + kc, at
+            # column j, the slot of A's diagonal -kb at column j - kb
+            j0, j1 = max(0, kc, kb), min(n, n + kc, n + kb)
+            prod = term[..., :j1 - j0]
+            np.multiply(scaled[..., j0 - kb: j1 - kb],
+                        a.ab[..., a.upper + kb, j0 - kb: j1 - kb], out=prod)
+            ab[..., upper - kc, j0:j1] += prod
+    return BandedMatrix(ab, 0, upper)
+
+
+def lower_storage(a: BandedMatrix, out: np.ndarray | None = None) -> np.ndarray:
     """Symmetric A, read from its upper band, in LAPACK lower storage
-    (module docstring), zero past the matrix.  Raises ValueError unless
-    A is finite."""
+    (module docstring), zero past the matrix; a new array, or with out, a
+    flat float array, a view of out's front.  Raises ValueError unless A
+    is finite."""
     u, n = a.upper, a.n
     rows = a.ab[..., :u + 1, :]
     if not np.isfinite(rows).all():
         raise ValueError("array must not contain infs or NaNs")
-    low = np.zeros(a.batch_shape + (n, u + 1))
+    low = _c_array(a.batch_shape + (n, u + 1), True, out)
     for k in range(min(u, n - 1) + 1):
         low[..., :n - k, k] = rows[..., u - k, k:]
     return low

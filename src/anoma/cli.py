@@ -34,6 +34,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+# a CSV column this long formats each distinct value once (_cell_texts)
+_DISTINCT_MIN = 256
+
+
 class UsageError(Exception):
     pass
 
@@ -307,8 +311,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 
     A non-finite cell raises DomainError naming its row and column
     before the file is opened, so no partial CSV is left.  An integer
-    column prints as %d and any other as %.12g, _fmt's two formats, so a
-    whole row is formatted by one %-operation.
+    column prints as %d and any other as %.12g, _fmt's two formats.
     """
     columns = [np.asarray(c) for c in columns]
     cells = np.column_stack(columns)
@@ -317,11 +320,25 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
         i, j = bad[0]
         raise DomainError(f"not writing {path}: row {i + 1}, column "
                           f"{header[j]!r} is {cells[i, j]}")
-    line = ",".join("%d" if c.dtype.kind in "iu" else "%.12g"
-                    for c in columns) + "\n"
+    lines = [",".join(header), *map(",".join, zip(*map(_cell_texts, columns)))]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        f.write("".join(line % row for row in zip(*(c.tolist() for c in columns))))
+        f.write("\n".join(lines) + "\n")
+
+
+def _cell_texts(column: np.ndarray) -> list[str]:
+    """The cells of one column as _write_csv prints them.  A long column
+    formats each distinct value once, floats told apart by their bits,
+    so -0.0 still prints as -0; below _DISTINCT_MIN cells, finding them
+    costs more than it saves."""
+    fmt = "%d" if column.dtype.kind in "iu" else "%.12g"
+    if len(column) < _DISTINCT_MIN:
+        return [fmt % v for v in column.tolist()]
+    keys = column if fmt == "%d" else column.astype(float).view(np.int64)
+    distinct, index = np.unique(keys, return_inverse=True)
+    if fmt != "%d":
+        distinct = distinct.view(float)
+    texts = np.array([fmt % v for v in distinct.tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 def _cmd_sweep(args) -> int:

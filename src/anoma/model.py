@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bands import BandedMatrix
+from ._bands import BandedMatrix, band_array
 
 
 class DomainError(ValueError):
@@ -181,21 +181,23 @@ class TimingError:
         raise DomainError(f"{what} for tau={tau} at {self.point(i)}")
 
 
-def _stencil(n2: int, diagonals) -> BandedMatrix:
+def _stencil(n2: int, diagonals, out: np.ndarray | None = None) -> BandedMatrix:
     """2-periodic n2 x n2 band (n2 even) in band layout: diagonal k of each
     (k, even, odd) holds even on the even rows, odd on the odd rows; other
     diagonals, and any with |k| >= n2, are zero.  Array values broadcast
-    to one matrix per batch entry."""
+    to one matrix per batch entry.  With out, a flat float array, the
+    band is written to its front (band_array)."""
     shape = np.broadcast(*(v for _, *pair in diagonals for v in pair)).shape
     width = min(max(abs(k) for k, _, _ in diagonals), n2 - 1)
-    period = np.zeros(shape + (2 * width + 1, 2))
+    period = band_array(shape, 2 * width + 1, 2, zero=True)
     for k, even, odd in diagonals:
         if abs(k) <= width:
             # column j holds row j - k: even when j and k agree mod 2
             period[..., width - k, k % 2] = even
             period[..., width - k, 1 - k % 2] = odd
-    ab = np.repeat(period[..., None, :], n2 // 2, axis=-2).reshape(
-        shape + (2 * width + 1, n2))
+    ab = band_array(shape, 2 * width + 1, n2, out=out)
+    ab[..., 0::2] = period[..., :1]
+    ab[..., 1::2] = period[..., 1:]
     for k in range(1, width + 1):
         ab[..., width - k, :k] = ab[..., width + k, n2 - k:] = 0.0
     return BandedMatrix(ab, width, width)
@@ -231,13 +233,16 @@ def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
     the +-2 slots.  Equal-shape array offsets give one matrix per batch
     entry.
     """
-    return _stencil(n2, (
-        (0, -np.abs(a_even), -np.abs(a_odd)),
-        (1, a_even, a_odd),
-        (-1, -a_even, -a_odd),
-        (2, np.maximum(a_even, 0.0), np.maximum(a_odd, 0.0)),
-        (-2, np.maximum(-a_even, 0.0), np.maximum(-a_odd, 0.0)),
-    ))
+    return _stencil(n2, _unit_step_diagonals(a_even, a_odd))
+
+
+def _unit_step_diagonals(a_even, a_odd) -> tuple:
+    """E1's diagonals as _stencil takes them."""
+    return ((0, -np.abs(a_even), -np.abs(a_odd)),
+            (1, a_even, a_odd),
+            (-1, -a_even, -a_odd),
+            (2, np.maximum(a_even, 0.0), np.maximum(a_odd, 0.0)),
+            (-2, np.maximum(-a_even, 0.0), np.maximum(-a_odd, 0.0)))
 
 
 def _coordination_step(n2: int, eps2) -> BandedMatrix:
@@ -256,10 +261,14 @@ def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
     forming either.  Admissibility is left to the caller; a 1-D array
     eps2 gives one matrix per entry.
     """
-    tau, e2 = frame.tau, np.asarray(eps2, dtype=float)
+    return _stencil(2 * frame.n, _noise_diagonals(frame.tau, eps2))
+
+
+def _noise_diagonals(tau: float, eps2) -> tuple:
+    """RhatN's diagonals as _stencil takes them."""
+    e2 = np.asarray(eps2, dtype=float)
     first, second = (1.0 - tau) - e2, tau + e2
-    return _stencil(2 * frame.n, ((0, 1.0, 1.0), (1, first, second),
-                                  (-1, second, first)))
+    return ((0, 1.0, 1.0), (1, first, second), (-1, second, first))
 
 
 def build_error_matrices(
@@ -279,13 +288,24 @@ def build_error_matrices(
     e1, e2 = err.arrays()
     if e1.ndim > 1:
         e1, e2 = e1.ravel(), e2.ravel()
-    e1_mat, rhat = _mixing(frame, e1, e2)
-    return (e1_mat, _coordination_step(2 * frame.n, e2), rhat,
+    return (_unit_step(2 * frame.n, e1, e1 + e2),
+            _coordination_step(2 * frame.n, e2), _mixing(frame, e1, e2),
             build_noise_covariance(frame, e2))
 
 
-def _mixing(frame: FrameConfig, eps1, eps2) -> tuple[BandedMatrix, BandedMatrix]:
-    """(E1, Rhat = R + E1) at offsets eps1, eps2 (scalars or equal-shape
-    1-D arrays); admissibility is left to the caller."""
-    e1_mat = _unit_step(2 * frame.n, eps1, eps1 + eps2)
-    return e1_mat, build_correlation(frame) + e1_mat
+def _mixing(frame: FrameConfig, eps1, eps2,
+            out: np.ndarray | None = None) -> BandedMatrix:
+    """Rhat = R + E1 at offsets eps1, eps2 (scalars or equal-shape 1-D
+    arrays), written to the front of out when given; admissibility is
+    left to the caller.
+
+    One stencil whose diagonals are R's plus E1's, each summed as the
+    band sum pads it (R's entry + E1's; 0.0 + E1's where R has none): bit
+    for bit build_correlation(frame) + E1, without forming either.
+    """
+    r = {k: (even, odd) for k, even, odd in _noise_diagonals(frame.tau, 0.0)}
+    diagonals = []
+    for k, even, odd in _unit_step_diagonals(eps1, eps1 + eps2):
+        r_even, r_odd = r.get(k, (0.0, 0.0))
+        diagonals.append((k, r_even + even, r_odd + odd))
+    return _stencil(2 * frame.n, diagonals, out)

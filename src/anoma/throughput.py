@@ -234,9 +234,14 @@ def throughput_asymptotic(mu1, mu2, tau):
         (s + m g)/2 + sqrt(s^2 + 2 s m g)/2,
         s = 1 + mu1 + mu2,  m = mu1 mu2,  g = 2 tau (1 - tau),
 
-    which is cancellation-free and manifestly >= s.  Elementwise over the
-    broadcast of mu1, mu2 and tau: a float for one point, else an array;
-    a point whose limit is not finite raises DomainError naming it.
+    which is cancellation-free and manifestly >= s.  Where it overflows
+    (s^2 does once s passes about 1.3e154), it is evaluated scaled by s,
+
+        log2 s + log2((1 + m')/2 + sqrt(1 + 2 m')/2),  m' = (mu1/s) mu2 g,
+
+    so the limit is finite wherever s is.  Elementwise over the broadcast
+    of mu1, mu2 and tau: a float for one point, else an array; a point
+    whose limit is not finite raises DomainError naming it.
     """
     mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
     if not ((mu1 > 0.0) & (mu2 > 0.0)).all():
@@ -249,7 +254,13 @@ def throughput_asymptotic(mu1, mu2, tau):
         s = 1.0 + mu1 + mu2
         mg = mu1 * mu2 * 2.0 * tau * (1.0 - tau)
         val = 0.5 * (s + mg) + 0.5 * np.sqrt(s * s + 2.0 * s * mg)
-        rate = np.where(tau == 0.0, _sync_rate(mu1, mu2), np.log2(val))
+        log_val = np.log2(val)
+        over = ~np.isfinite(val)
+        if over.any():
+            m = (mu1 / s) * mu2 * 2.0 * tau * (1.0 - tau)
+            log_val = np.where(over, np.log2(s) + np.log2(
+                0.5 * (1.0 + m) + 0.5 * np.sqrt(1.0 + 2.0 * m)), log_val)
+        rate = np.where(tau == 0.0, _sync_rate(mu1, mu2), log_val)
     _require_finite(rate, "asymptotic rate", mu1=mu1, mu2=mu2, tau=tau)
     return rate[()]
 

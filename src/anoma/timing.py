@@ -130,28 +130,41 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
     else:  # one point: nothing to share; np.unique costs a tenth of a call
         values, first = e2, np.zeros(1, dtype=np.intp)
         inverse = order = first
+    # one flat work array in two halves, reused by every chunk, so that no
+    # chunk allocates (and faults in) a band: the front holds Rhat, then
+    # the lower storage; the back RhatN + Rhat D Rhat^T, then each step's
+    # widened band.  Every band here has at most 5 rows (bandwidth 4).
+    points = min(chunk, e1.size)
+    band = points * 5 * 2 * small.n
+    wide = min(step, points) * 5 * 2 * n if n > _FRAME_SLOTS else 0
+    work = np.empty(band + max(band, wide))
+    front, back = work[:band], work[band:]
     ld = np.empty(values.size)
     ld[order] = _widened_logdets(frame, _bands.lower_storage(
         build_noise_covariance(small, values[order])), step, err,
-        first[order], "noise covariance singular")
+        first[order], "noise covariance singular", back)
     ld = ld[inverse]
     del values, first, inverse, order  # not held through the chunks
     d = _hh(link, small.n)  # all the five-slot frame reads
     for start in range(0, e1.size, chunk):
         part = slice(start, start + chunk)
-        ld[part] = _widened_logdets(frame, _bands.lower_storage(
-            _signal(small, d, e1[part], e2[part])
-            + build_noise_covariance(small, e2[part])), step, err,
-            range(start, e1.size),
-            "mistimed covariance not positive definite") - ld[part]
+        total = _bands.gram_upper(_mixing(small, e1[part], e2[part], front),
+                                  d, back)
+        _bands.add_into(total, _upper(build_noise_covariance(small, e2[part])))
+        ld[part] = _widened_logdets(
+            frame, _bands.lower_storage(total, front), step, err,
+            range(start, e1.size), "mistimed covariance not positive definite",
+            back) - ld[part]
     return ld / (n + tau)
 
 
 def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
-                     err: TimingError, points, what: str) -> np.ndarray:
+                     err: TimingError, points, what: str,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """log2 det at full length 2n of each point of cols, a symmetric
     2-periodic band on min(n, 5) slots in _bands.lower_storage, widened
-    and factored step points per call.
+    (into work, a flat float array, when given) and factored step points
+    per call.
 
     Point i of cols is point points[i] of err's batch; the first that is
     not positive definite is named in a DomainError after what.
@@ -160,41 +173,43 @@ def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
     for start in range(0, len(cols), step):
         try:
             ld[start:start + step] = _bands.logdet2_sym_pd(
-                _widen(frame.n, cols, start, step))
+                _widen(frame.n, cols, start, step, work))
         except _bands.NotPositiveDefinite as exc:
             point = err.point(points[start + exc.index])
             raise DomainError(f"{what} at tau={frame.tau}, {point}") from None
     return ld
 
 
-def _widen(n: int, cols: np.ndarray, start: int,
-           count: int) -> _bands.BandedMatrix:
+def _widen(n: int, cols: np.ndarray, start: int, count: int,
+           work: np.ndarray | None = None) -> _bands.BandedMatrix:
     """count points from start of cols at full length 2n, as a band given
     by its lower rows for an in-place Cholesky.
 
     Each band widened here is 2-periodic with bandwidth at most 4, so its
     lower columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame:
     repeating that slot widens each point, bit for bit the full assembly.
-    At n <= 5 it is a view of cols.
+    At n <= 5 it is a view of cols; else it is written to the front of
+    work, a flat float array, or to a new array.
     """
     u = cols.shape[-1] - 1
     if n <= _FRAME_SLOTS:
         low = cols[start:start + count]
-    else:  # slot s of point p is row 5 p + s of the slot rows
-        src = cols.reshape(-1, 2 * u + 2)[5 * start:5 * (start + count)]
-        repeats = np.ones(len(src), dtype=np.intp)
-        repeats[2::5] = n - 4  # slot 2, the period
-        low = np.repeat(src, repeats, axis=0).reshape(-1, 2 * n, u + 1)
+    else:  # slot s of a point is its columns 2 s and 2 s + 1
+        src = cols[start:start + count].reshape(-1, _FRAME_SLOTS, 2, u + 1)
+        size = len(src) * 2 * n * (u + 1)
+        slots = (np.empty(size) if work is None else work[:size]).reshape(
+            len(src), n, 2, u + 1)
+        slots[:, :2] = src[:, :2]
+        slots[:, 2:n - 2] = src[:, 2:3]  # slot 2, the period
+        slots[:, n - 2:] = src[:, 3:]
+        low = slots.reshape(len(src), 2 * n, u + 1)
     return _bands.BandedMatrix(low.swapaxes(1, 2), u, 0)
 
 
-def _signal(frame: FrameConfig, d: np.ndarray, e1: np.ndarray,
-            e2: np.ndarray) -> _bands.BandedMatrix:
-    """Upper band of the symmetric Rhat D Rhat^T at a 1-D batch of points."""
-    rhat = _mixing(frame, e1, e2)[1]
-    left, right = rhat.col_scaled(d[:2 * frame.n]), rhat.T
-    del rhat  # three bands, not four, live during the product
-    return left.matmul(right, upper_only=True)
+def _upper(a: _bands.BandedMatrix) -> _bands.BandedMatrix:
+    """The upper band of a, a view: all that lower_storage reads of a
+    symmetric band."""
+    return _bands.BandedMatrix(a.ab[..., :a.upper + 1, :], 0, a.upper)
 
 
 def throughput_loss(link: LinkConfig, frame: FrameConfig,

@@ -339,14 +339,67 @@ def test_colored_noise_keeps_the_bits_of_the_upper_storage_factor(
     assert got.tobytes() == want.tobytes()
 
 
-def test_upper_only_product_is_upper_band_of_full_product(rng):
-    # a batch and a single matrix, as in R_hat D R_hat^T
-    a = banded(9, {k: rng.normal(size=(3, 9)) for k in (-2, -1, 0, 1, 2)})
-    b = a.T.col_scaled(rng.normal(size=9))
-    full = a.matmul(b)
-    upper = a.matmul(b, upper_only=True)
-    assert (upper.lower, upper.upper) == (0, full.upper)
-    assert np.array_equal(upper.ab, full.ab[..., :full.upper + 1, :])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_gram_upper_is_upper_band_of_full_product(rng, batch):
+    # A D A^T as in R_hat D R_hat^T, a batch of A and one d; signed zeros
+    # and terms 1e16 apart show any other summation order
+    values = np.array([-0.0, 0.0, 1.0, -1.0, 1e16, -1e16, 0.3])
+    for n in (1, 2, 3, 5, 9):
+        for lower, upper in ((2, 2), (0, 1), (1, 0), (2, 1), (0, 0)):
+            a = _bands.BandedMatrix(
+                rng.choice(values, size=batch + (lower + upper + 1, n)),
+                lower, upper)
+            d = rng.choice(values, size=n)
+            full = a.col_scaled(d).matmul(a.T)
+            got = _bands.gram_upper(a, d)
+            assert (got.lower, got.upper) == (0, full.upper)
+            assert (got.ab.tobytes()
+                    == full.ab[..., :full.upper + 1, :].tobytes())
+
+
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_batch_axes_are_fastest_in_memory(rng, batch):
+    # every band constructor allocates through band_array: one matrix is
+    # C-ordered, a batch has its batch axes at the smallest strides, in a
+    # new array or in a work array's front
+    a = random_banded(rng, 6, 2, 1)
+    b = _bands.BandedMatrix(rng.normal(size=batch + (3, 6)), 1, 1)
+    a_batch = a + b
+    ones = np.ones(6)
+    work = np.full(1000, np.nan)
+    for m in (a_batch, a_batch.T, a_batch.matmul(a), a.matmul(a_batch),
+              a_batch - a, a_batch.col_scaled(ones),
+              a.col_scaled(np.ones(batch + (6,))), _bands.diagonal(
+                  np.ones(batch + (6,))), _bands.gram_upper(a_batch, ones),
+              _bands.gram_upper(a_batch, ones, work)):
+        assert m.batch_shape == batch
+        strides = m.ab.strides
+        assert max(strides[:len(batch)]) < min(strides[len(batch):])
+        assert strides[len(batch) - 1] == m.ab.itemsize
+    assert np.shares_memory(_bands.gram_upper(a_batch, ones, work).ab, work)
+    for m in (a, a.T, a.matmul(a), a.col_scaled(ones), _bands.diagonal(ones),
+              _bands.gram_upper(a, ones), _bands.gram_upper(a, ones, work)):
+        assert m.ab.flags.c_contiguous
+
+
+def test_add_into_keeps_the_bits_of_the_sum(rng):
+    values = np.array([-0.0, 0.0, 1.5, -2.25])
+    for lower, upper in ((0, 4), (1, 2), (2, 2)):
+        a = _bands.BandedMatrix(rng.choice(values, size=(3, lower + upper + 1, 7)),
+                                lower, upper)
+        for b in (_bands.BandedMatrix(rng.choice(values, size=(3, 2, 7)), 0, 1),
+                  _bands.BandedMatrix(rng.choice(values, size=(2, 7)), 0, 1)):
+            want = (a + b).ab.tobytes()
+            copy = _bands.BandedMatrix(a.ab.copy(), lower, upper)
+            got = _bands.add_into(copy, b)
+            assert got.ab is copy.ab
+            assert got.ab.tobytes() == want
+    with pytest.raises(ValueError, match="every diagonal"):
+        _bands.add_into(_bands.BandedMatrix(np.zeros((2, 7)), 0, 1),
+                        _bands.BandedMatrix(np.zeros((3, 7)), 1, 1))
+    with pytest.raises(ValueError, match="every diagonal"):
+        _bands.add_into(_bands.BandedMatrix(np.zeros((2, 7)), 0, 1),
+                        _bands.BandedMatrix(np.zeros((3, 2, 7)), 0, 1))
 
 
 def test_product_sums_over_offsets_in_order_0_plus1_minus1():
@@ -357,9 +410,9 @@ def test_product_sums_over_offsets_in_order_0_plus1_minus1():
     a = banded(3, {0: ones, 1: ones, -1: ones})
     b = banded(3, {0: np.full(3, -1e16), -1: np.full(3, 1e16), 1: ones})
     assert a.offsets == [0, 1, -1]
-    for c in (a.matmul(b), a.matmul(b, upper_only=True)):
-        assert c.ab[c.upper, 1] == 1.0
-        assert c.to_dense()[1, 1] == 1.0
+    c = a.matmul(b)
+    assert c.ab[c.upper, 1] == 1.0
+    assert c.to_dense()[1, 1] == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])

@@ -89,6 +89,25 @@ def test_csv_rows_are_formatted_as_fmt_formats_each_cell(tmp_path):
     assert out.read_text(encoding="utf-8") == "a\n"
 
 
+@pytest.mark.parametrize("rows", [3, cli._DISTINCT_MIN, 3 * cli._DISTINCT_MIN + 1])
+def test_csv_cells_print_as_fmt_prints_each_one(tmp_path, rows):
+    # repeats with 0.0 and -0.0 among them, distinct floats and integers,
+    # in columns shorter and longer than those that format each distinct
+    # value once
+    rng = np.random.default_rng(rows)
+    pool = np.array([0.0, -0.0, 0.1, -0.30000000000000004, 5e-324, 1e300,
+                     2.0 / 3.0, 12345678901234.0])
+    columns = [rng.choice(pool, size=rows), rng.normal(size=rows),
+               rng.integers(-5, 5, size=rows), rng.choice(pool, size=rows).tolist(),
+               rng.integers(-5, 5, size=rows).tolist()]
+    assert {"0", "-0"} <= {cli._fmt(v) for v in columns[0]}
+    out = tmp_path / "cells.csv"
+    cli._write_csv(str(out), ["a", "b", "c", "d", "e"], columns)
+    want = "a,b,c,d,e\n" + "".join(
+        ",".join(cli._fmt(col[i]) for col in columns) + "\n" for i in range(rows))
+    assert out.read_text(encoding="utf-8") == want
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
 def test_csv_writer_refuses_non_finite_cell_before_opening(tmp_path, bad):
     # columns n, b, c; the first bad cell in row order is row 2's c
@@ -267,6 +286,15 @@ def test_query_without_a_positive_rate_is_usage_error(capsys, sets, rate):
     assert captured.out == ""
     assert captured.err == ("error: loss ratio undefined: no-error throughput "
                             f"is {rate}, not positive (raise the gains)\n")
+
+
+def test_query_at_a_gain_past_the_squared_overflow(capsys):
+    # s = 1 + mu1 + mu2 squared overflows; the asymptote is still finite
+    assert main(["query", "--set", "mu1=1e200", "--set", "mu2=1e-5",
+                 "--set", "n=3", "--set", "tau=0.4"]) == EXIT_OK
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert math.isfinite(float(fields["asymptotic"]))
+    assert float(fields["asymptotic"]) >= float(fields["anoma_matrix"])
 
 
 def test_query_subnormal_gain_is_usage_error(capsys):

@@ -300,6 +300,21 @@ class TestErrorMatrices:
             assert (alone.lower, alone.upper) == (ref.lower, ref.upper)
             assert np.array_equal(alone.ab, ref.ab)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 0.77])
+    def test_rhat_is_the_band_sum_r_plus_e1_bit_for_bit(self, n, tau):
+        # Rhat is one stencil of R's diagonals plus E1's: the bytes of the
+        # band sum, signed zeros at zero offsets included, batch and point
+        eps1 = np.array([0.0, -0.0, 0.05, -0.05, 0.02, -0.03, 0.0, tau])
+        eps2 = np.array([0.0, 0.0, 0.03, 0.08, -0.06, -0.02, 0.1, -tau])
+        frame = M.FrameConfig(n, tau)
+        r = M.build_correlation(frame)
+        for e1, e2 in [(eps1, eps2), *zip(eps1, eps2)]:
+            want = r + M._unit_step(2 * n, e1, e1 + e2)
+            got = M._mixing(frame, e1, e2)
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            assert got.ab.tobytes() == want.ab.tobytes()
+
     def test_inadmissible_error_raises(self):
         with pytest.raises(M.DomainError):
             M.build_error_matrices(M.FrameConfig(2, 0.5), M.TimingError(0.7, 0.0))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,9 +236,10 @@ class TestClosedKernel:
             assert math.isfinite(T.throughput_closed(link, M.FrameConfig(n, tau)))
 
     def test_asymptote_non_finite_is_named(self):
+        # s = 1 + mu1 + mu2 itself overflows
         with pytest.raises(M.DomainError,
-                           match=r"asymptotic rate is not finite at mu1=1e\+300"):
-            T.throughput_asymptotic(1e300, 1e300, 0.5)
+                           match=r"asymptotic rate is not finite at mu1=1e\+308"):
+            T.throughput_asymptotic(1e308, 1e308, 0.5)
         with pytest.raises(M.DomainError, match=r"got 1.5"):
             T.throughput_asymptotic(1.0, 1.0, np.array([0.5, 1.5]))
 
@@ -421,7 +423,26 @@ class TestRecursion:
         assert math.isclose(got, ref, rel_tol=1e-14)
 
 
+def asymptotic_mp(mu1, mu2, tau):
+    """The expanded limit of throughput_asymptotic at 60 digits."""
+    with mpmath.workdps(60):
+        s = 1 + mpmath.mpf(mu1) + mpmath.mpf(mu2)
+        mg = mpmath.mpf(mu1) * mpmath.mpf(mu2) * 2 * mpmath.mpf(tau) * (1 - mpmath.mpf(tau))
+        return float(mpmath.log((s + mg) / 2 + mpmath.sqrt(s * s + 2 * s * mg) / 2, 2))
+
+
 class TestAsymptotic:
+    @pytest.mark.parametrize("mu1,mu2,tau", [
+        (1e154, 1.0, 0.5), (1e300, 1e300, 0.5), (1e-300, 1e300, 0.9),
+        (1e200, 1e-5, 0.4), (1.3e154, 1.3e154, 0.01)])
+    def test_finite_where_the_expanded_form_overflows(self, mu1, mu2, tau):
+        got = T.throughput_asymptotic(mu1, mu2, tau)
+        assert math.isclose(got, asymptotic_mp(mu1, mu2, tau), rel_tol=1e-15)
+        # a batch takes the scaled form at its overflowing points alone
+        batch = T.throughput_asymptotic(np.array([mu1, 1.0]), np.array([mu2, 0.5]), tau)
+        assert batch[0] == got
+        assert batch[1] == T.throughput_asymptotic(1.0, 0.5, tau)
+
     def test_hand_value(self):
         # s = 2.5, m g = 0.25: (2.75 + sqrt(7.5)) / 2
         expect = math.log2((2.75 + math.sqrt(7.5)) / 2.0)

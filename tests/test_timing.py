@@ -139,6 +139,74 @@ class TestBatchedRate:
                                     M.TimingError(float(eps[i]), float(eps[j])))
                 assert got[i, j] == ref
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40),
+           tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           gains=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+           entries=st.integers(2, 30), size=st.sampled_from(
+               ["step", "step+1", "chunk-1", "chunk", "chunk+1", "2chunk+1"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=5, tau=0.5, gains=(1.0, 0.5), entries=30, size="chunk+1", seed=0)
+    @example(n=6, tau=0.3, gains=(1e3, 1e-3), entries=30, size="2chunk+1", seed=1)
+    @example(n=40, tau=0.7, gains=(0.5, 8.0), entries=30, size="chunk+1", seed=2)
+    def test_batched_rates_equal_point_calls_bitwise(self, n, tau, gains,
+                                                     entries, size, seed):
+        # blocks of entries * 2n band entries make a step of `entries`
+        # points, so that batches straddle a step and a chunk at every n;
+        # the points run through every sign branch of (eps1, eps1 + eps2)
+        frame = M.FrameConfig(n, tau)
+        link = M.LinkConfig.from_gains(*gains)
+        with mock.patch.object(TM, "_BLOCK_ENTRIES", entries * 2 * n):
+            step = entries
+            chunk = max(1, TM._BLOCK_ENTRIES // (2 * TM._FRAME_SLOTS * step)) * step
+            count = {"step": step, "step+1": step + 1, "chunk-1": max(chunk - 1, 1),
+                     "chunk": chunk, "chunk+1": chunk + 1,
+                     "2chunk+1": 2 * chunk + 1}[size]
+            rng = np.random.default_rng(seed)
+            f1, f2 = np.array([SIGN_BRANCHES[i % 9] for i in range(count)]).T
+            # |eps1| and |eps1 + eps2| below half their bounds keep eps2
+            # inside (-tau, 1 - tau), where RhatN is positive definite
+            f1 = f1 * rng.uniform(0.02, 0.98, count)
+            f2 = f2 * rng.uniform(0.02, 0.98, count)
+            e1 = np.where(f1 > 0, f1 * tau, f1 * (1.0 - tau))
+            e2 = np.where(f2 > 0, f2 * (1.0 - tau), f2 * tau) - e1
+            err = M.TimingError(e1, e2)
+            try:
+                err.check_admissible(frame)
+            except M.DomainError:
+                assume(False)  # rounding carried eps1 + eps2 past a bound
+            try:
+                got = TM.throughput_with_error(link, frame, err)
+            except M.DomainError:
+                # a covariance too ill-conditioned to factor: the point
+                # calls must fail at the point the batch names
+                assume(False)
+            for i in range(count):
+                one = TM.throughput_with_error(
+                    link, frame, M.TimingError(float(e1[i]), float(e2[i])))
+                assert np.float64(one).tobytes() == got[i].tobytes()
+
+    def test_assembled_bands_have_the_batch_axis_fastest(self):
+        # every band of the five-slot assembly, so that a C-ordered
+        # allocation cannot slip back in; pbtrf's lower storage alone is
+        # C-ordered, a band given by its lower rows
+        seen = []
+
+        def post_init(band, _orig=_bands.BandedMatrix.__post_init__):
+            _orig(band)
+            seen.append(band)
+
+        eps = 0.005 * np.arange(-20, 21)
+        err = M.TimingError(*(v.ravel() for v in np.meshgrid(eps, eps)))
+        with mock.patch.object(_bands.BandedMatrix, "__post_init__", post_init):
+            TM._mistimed_rates(LINK, M.FrameConfig(20, 0.45), err)
+        assembled = [b for b in seen if b.batch_shape and not b.upper == 0 < b.lower]
+        # Rhat, its gram, RhatN and its upper band per chunk, and the
+        # distinct eps2's RhatN
+        assert len(assembled) >= 4 * 3 + 1
+        for band in assembled:
+            assert band.ab.strides[0] == band.ab.itemsize
+
     def test_gamma_exactly_zero_at_origin_of_a_batch(self):
         err = M.TimingError(np.array([0.01, 0.0, -0.01]), 0.0)
         gamma = TM.loss_ratio(LINK, FRAME, err)
@@ -188,9 +256,12 @@ class TestBatchedRate:
     def test_peak_memory_of_the_default_grid(self, n):
         # a block's widened band is 5 rows of _BLOCK_ENTRIES doubles, and a
         # chunk's five-slot assembly holds about as many entries per row
-        # (at n <= 5 the chunk is the block); its operands and product
-        # (about 3.6 bands) are the peak, next to O(points) vectors of the
-        # 1,681-point grid.  Allow four bands.
+        # (at n <= 5 the chunk is the block).  The chunks reuse one work
+        # array of two such bands: Rhat, then the lower storage, in one;
+        # RhatN + Rhat D Rhat^T, then each widened band, in the other.
+        # With RhatN's 3 rows added in, or the product's two row
+        # temporaries, that is the peak (about 2.8 bands), next to
+        # O(points) vectors of the 1,681-point grid.  Allow four bands.
         frame = M.FrameConfig(n, 0.5)
         eps = 0.005 * np.arange(-20, 21)
         err = M.TimingError(*np.meshgrid(eps, eps, indexing="ij"))
@@ -240,7 +311,7 @@ def full_mistimed_band(link, frame, err):
     """Upper band of RhatN + Rhat D Rhat^T assembled at full length 2n."""
     _, _, rhat, rhat_n = M.build_error_matrices(frame, err)
     d = TM._hh(link, frame.n)
-    total = rhat_n + rhat.col_scaled(d).matmul(rhat.T, upper_only=True)
+    total = rhat_n + rhat.col_scaled(d).matmul(rhat.T)
     return total.ab[:, :total.upper + 1]
 
 
