@@ -20,7 +20,7 @@ bands are short (the mistimed rate assembles ten columns) and their
 batches long, so each numpy operation of the algebra runs over
 contiguous runs of points, not over a few entries of every matrix in
 turn.  Only the order of memory differs: every entry is formed by the
-same operations either way.  ``band_array``, ``gram_upper`` and
+same operations either way.  ``band_array``, ``product`` and
 ``lower_storage`` can write to the front of a flat work array, and
 ``add_into`` into its first operand, so that a sweep reuses its buffers
 from block to block instead of allocating (and faulting in) new ones.
@@ -38,11 +38,12 @@ there, unit stride here) for the same bits: both scale every entry by
 one transposed (tests/test_bands.py).  Read as a ``(u, 0)`` band, the
 factor is U^T.
 
-Summation order: a diagonal of a product ``A @ B`` (``gram_upper``'s
-A D A^T too), and an entry of ``matvec``, the one band-times-vector
-product, sums its terms over A's offsets in the fixed order 0, +1, -1,
-+2, -2 (``offsets``).  A sum's bits depend on its order, so this order
-fixes the bits of every rate, loss and output computed from a product.
+Summation order: ``product``, the one banded product of matrices
+(A diag(d) B^T, or the upper band of A diag(d) A^T), sums each diagonal
+over A's offsets in the fixed order 0, +1, -1, +2, -2 (``offsets``), and
+so does an entry of ``matvec``, the one band-times-vector product.  A
+sum's bits depend on its order, so this order fixes the bits of every
+rate, loss and output computed from a product.
 
 Everything here is O(bandwidth * n) in time and memory.  The band of a
 tridiagonal inverse comes from the Takahashi, Fagan & Chin (1973)
@@ -256,26 +257,6 @@ class BandedMatrix:
     def __sub__(self, other: "BandedMatrix") -> "BandedMatrix":
         return self._combine(other, np.subtract)
 
-    @property
-    def T(self) -> "BandedMatrix":
-        # A[i, i + k] at column i + k becomes A^T[i + k, i] at column i,
-        # zero where i + k falls outside the matrix
-        n = self.n
-        ab = band_array(self.batch_shape, self.lower + self.upper + 1, n,
-                        zero=True)
-        for k in range(-self.lower, self.upper + 1):
-            ab[..., self.lower + k, max(-k, 0): n - max(k, 0)] = (
-                self.ab[..., self.upper - k, max(k, 0): n - max(-k, 0)])
-        return BandedMatrix(ab, self.upper, self.lower)
-
-    def col_scaled(self, d: np.ndarray) -> "BandedMatrix":
-        """A @ diag(d): every entry of column j picks up d[j]."""
-        d = np.asarray(d)
-        shape = _broadcast(self.batch_shape, d.shape[:-1])
-        ab = band_array(shape, self.lower + self.upper + 1, self.n)
-        np.multiply(self.ab, d[..., None, :], out=ab)
-        return BandedMatrix(ab, self.lower, self.upper)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x along the last axis of x, batch axes broadcast: out[i]
         sums A[i, i + k] x[i + k] over ``self.offsets`` from zero."""
@@ -291,31 +272,6 @@ class BandedMatrix:
                 out[..., j0 - k: j1 - k] += (
                     self.ab[..., self.upper - k, j0:j1] * x[..., j0:j1])
         return out
-
-    def matmul(self, other: "BandedMatrix") -> "BandedMatrix":
-        """Banded product; result bandwidths add.
-
-        Each diagonal of the product sums its terms over this matrix's
-        offsets in the order ``self.offsets``.
-        """
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        lower = min(self.lower + other.lower, n - 1)
-        upper = min(self.upper + other.upper, n - 1)
-        shape = _broadcast(self.batch_shape, other.batch_shape)
-        ab = band_array(shape, lower + upper + 1, n, zero=True)
-        for ka in self.offsets:
-            for kb in range(-other.lower, other.upper + 1):
-                kc = ka + kb
-                if not -lower <= kc <= upper:
-                    continue
-                # C[i, j] += A[i, i + ka] * B[i + ka, j] at column j = i + kc
-                j0, j1 = max(0, kc, kb), min(n, n + kc, n + kb)
-                ab[..., upper - kc, j0:j1] += (
-                    self.ab[..., self.upper - ka, j0 - kb: j1 - kb]
-                    * other.ab[..., other.upper - kb, j0:j1])
-        return BandedMatrix(ab, lower, upper)
 
 
 def diagonal(d) -> BandedMatrix:
@@ -335,35 +291,47 @@ def add_into(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     return a._combine(b, np.add, out=a.ab)
 
 
-def gram_upper(a: BandedMatrix, d: np.ndarray,
-               out: np.ndarray | None = None) -> BandedMatrix:
-    """Upper band of the symmetric A diag(d) A^T, bit for bit that of
-    ``a.col_scaled(d).matmul(a.T)``, formed without A^T or A D: row ka of
-    A D is scaled when its turn in ``a.offsets`` comes, and A^T's
-    diagonal kb is A's diagonal -kb, read shifted by kb.  Written to the
-    front of out, a flat float array, when given.
+def product(a: BandedMatrix, d: np.ndarray, b: BandedMatrix | None = None,
+            out: np.ndarray | None = None) -> BandedMatrix:
+    """A diag(d) B^T, the one banded product of matrices; result bandwidths
+    (a.lower + b.upper, a.upper + b.lower), at most n - 1.  Without b,
+    B = A: the product is symmetric and only its upper band is formed,
+    ``(0, upper)``, all that the Cholesky reads.
+
+    Each diagonal sums its terms over ``a.offsets`` in order (module
+    docstring): row ka of A D is scaled when its turn comes, and B^T's
+    diagonal kb is B's diagonal -kb, read shifted by kb, so neither A D
+    nor B^T is formed.  Written to the front of out, a flat float array,
+    when given.
     """
+    if b is None:
+        b, lower = a, 0
+    elif b.n != a.n:
+        raise ValueError("dimension mismatch")
+    else:
+        lower = min(a.lower + b.upper, a.n - 1)
     n = a.n
-    upper = min(a.upper + a.lower, n - 1)
+    upper = min(a.upper + b.lower, n - 1)
     d = np.asarray(d)
-    shape = _broadcast(a.batch_shape, d.shape[:-1])
-    ab = band_array(shape, upper + 1, n, zero=True, out=out)
-    scaled = band_array(shape, 1, n)[..., 0, :]
-    term = np.empty_like(scaled)
+    scaled_shape = _broadcast(a.batch_shape, d.shape[:-1])
+    shape = _broadcast(scaled_shape, b.batch_shape)
+    ab = band_array(shape, lower + upper + 1, n, zero=True, out=out)
+    scaled = band_array(scaled_shape, 1, n)[..., 0, :]
+    term = band_array(shape, 1, n)[..., 0, :]
     for ka in a.offsets:
         np.multiply(a.ab[..., a.upper - ka, :], d, out=scaled)
-        for kb in range(-a.upper, a.lower + 1):
+        for kb in range(-b.upper, b.lower + 1):
             kc = ka + kb
-            if not 0 <= kc <= upper:
-                continue
-            # C[i, j] += (A D)[i, i + ka] * A[j, i + ka], j = i + kc, at
-            # column j, the slot of A's diagonal -kb at column j - kb
             j0, j1 = max(0, kc, kb), min(n, n + kc, n + kb)
+            if not -lower <= kc <= upper or j0 >= j1:
+                continue
+            # C[i, j] += (A D)[i, i + ka] * B[j, i + ka], j = i + kc, at
+            # column j, the slot of B's diagonal -kb at column j - kb
             prod = term[..., :j1 - j0]
             np.multiply(scaled[..., j0 - kb: j1 - kb],
-                        a.ab[..., a.upper + kb, j0 - kb: j1 - kb], out=prod)
+                        b.ab[..., b.upper + kb, j0 - kb: j1 - kb], out=prod)
             ab[..., upper - kc, j0:j1] += prod
-    return BandedMatrix(ab, 0, upper)
+    return BandedMatrix(ab, lower, upper)
 
 
 def lower_storage(a: BandedMatrix, out: np.ndarray | None = None) -> np.ndarray:

@@ -148,8 +148,8 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
     d = _hh(link, small.n)  # all the five-slot frame reads
     for start in range(0, e1.size, chunk):
         part = slice(start, start + chunk)
-        total = _bands.gram_upper(_mixing(small, e1[part], e2[part], front),
-                                  d, back)
+        total = _bands.product(_mixing(small, e1[part], e2[part], front),
+                               d, out=back)
         _bands.add_into(total, _upper(build_noise_covariance(small, e2[part])))
         ld[part] = _widened_logdets(
             frame, _bands.lower_storage(total, front), step, err,
@@ -234,8 +234,9 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
 
     where every factor is banded (M has bandwidth 4), so each log-det
     is one banded factorization: Cholesky for RhatN, LU for M and
-    I + D R, with D R formed as (R D)^T (R is symmetric bit for bit).
-    O(n) time and memory.
+    I + D R.  Every product is one _bands.product, A D B^T: RhatN D R
+    reads R^T for R (R is symmetric bit for bit), and D R is I D R^T,
+    entry (1.0 d[i]) R[j, i].  O(n) time and memory.
     """
     link.require_positive_gains()
     err.require_point("throughput_loss_display")
@@ -250,12 +251,11 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
         raise DomainError(
             f"noise covariance singular at tau={tau}, eps2={err.eps2}"
         ) from None
-    rhat_n_d = rhat_n.col_scaled(d)
-    m = (rhat_n + rhat_n_d.matmul(r) + rhat_n_d.matmul(e1m.T)
-         + (e1m - e2m).col_scaled(d).matmul(rhat.T))
+    m = (rhat_n + _bands.product(rhat_n, d, r) + _bands.product(rhat_n, d, e1m)
+         + _bands.product(e1m - e2m, d, rhat))
     sign_m, ld_m = _bands.slogdet2_general(m)
-    sign_a, ld_a = _bands.slogdet2_general(
-        _bands.diagonal(np.ones(2 * n)) + r.col_scaled(d).T)
+    eye = _bands.diagonal(np.ones(2 * n))
+    sign_a, ld_a = _bands.slogdet2_general(eye + _bands.product(eye, d, r))
     if sign_m <= 0.0 or sign_a <= 0.0:
         raise DomainError("loss determinant left the positive cone")
     return -(ld_m - ld_n - ld_a) / (n + tau)

@@ -28,6 +28,28 @@ def identity(n):
     return _bands.diagonal(np.ones(n))
 
 
+def from_dense(dense, lower, upper):
+    """The band of dense with the given bandwidths, every entry copied as
+    it is, signed zeros included."""
+    n = dense.shape[-1]
+    ab = np.zeros(dense.shape[:-2] + (lower + upper + 1, n))
+    for k in range(-lower, upper + 1):
+        cols = np.arange(max(k, 0), n + min(k, 0))
+        ab[..., upper - k, cols] = dense[..., cols - k, cols]
+    return _bands.BandedMatrix(ab, lower, upper)
+
+
+def transposed(m):
+    """A^T, entry for entry."""
+    return from_dense(np.swapaxes(m.to_dense(), -1, -2), m.upper, m.lower)
+
+
+def spd(a):
+    """A A^T + n I: symmetric positive definite, full band."""
+    return (_bands.product(a, np.ones(a.n), a)
+            + _bands.diagonal(np.full(a.n, float(a.n))))
+
+
 def random_banded(rng, n, lower, upper):
     diags = {}
     for k in range(-lower, upper + 1):
@@ -51,10 +73,9 @@ def test_algebra_matches_dense(rng):
         ad, bd = a.to_dense(), b.to_dense()
         assert np.allclose((a + b).to_dense(), ad + bd)
         assert np.allclose((a - b).to_dense(), ad - bd)
-        assert np.allclose(a.matmul(b).to_dense(), ad @ bd)
-        assert np.allclose(a.T.to_dense(), ad.T)
         d = rng.normal(size=n)
-        assert np.allclose(a.col_scaled(d).to_dense(), ad @ np.diag(d))
+        assert np.allclose(_bands.product(a, d, b).to_dense(),
+                           ad @ np.diag(d) @ bd.T)
 
 
 def test_out_of_band_slots_are_zeroed():
@@ -70,7 +91,7 @@ def test_spd_logdet_and_solves(rng):
     for _ in range(10):
         n = int(rng.integers(2, 30))
         a = random_banded(rng, n, 2, 2)
-        s = a.matmul(a.T) + _bands.diagonal(np.full(n, float(n)))
+        s = spd(a)
         sd = s.to_dense()
         assert np.isclose(_bands.logdet2_sym_pd(s),
                           np.linalg.slogdet(sd)[1] / np.log(2))
@@ -118,12 +139,15 @@ def test_model_sums_keep_their_dense_bytes():
     frame = M.FrameConfig(5, 0.3)
     r = M.build_correlation(frame)
     for err in (M.TimingError(0.0, 0.0), M.TimingError(0.02, -0.01)):
-        e1m, e2m, _, rhat_n = M.build_error_matrices(frame, err)
+        e1m, e2m, rhat, rhat_n = M.build_error_matrices(frame, err)
+        e1t = transposed(e1m)
         d = np.abs(M.build_gain(M.LinkConfig.from_gains(1.0, 0.5), 5)) ** 2
         for a, b, op in ((r, e1m, np.add), (e1m, e2m, np.subtract),
-                         (r, e1m.T, np.add), (e1m.T, e1m, np.add),
-                         (rhat_n, rhat_n.col_scaled(d).matmul(r), np.add),
-                         (identity(10), r.col_scaled(d).T, np.add)):
+                         (r, e1t, np.add), (e1t, e1m, np.add),
+                         (rhat_n, _bands.product(rhat_n, d, r), np.add),
+                         (rhat_n, _bands.product(e1m - e2m, d, rhat), np.add),
+                         (identity(10), _bands.product(identity(10), d, r),
+                          np.add)):
             got = a + b if op is np.add else a - b
             assert_padded_bits(got, a, b, op)
             lower, upper = got.lower, got.upper
@@ -136,20 +160,20 @@ def test_model_sums_keep_their_dense_bytes():
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 37])
 @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 0.73])
 def test_correlation_is_symmetric_bit_for_bit(n, tau):
-    # so D R, which the display route forms as (R D)^T, keeps the bits
+    # so D R, which the display route forms as I D R^T, keeps the bits
     # of d[i] R[i, j] entry by entry
     r = M.build_correlation(M.FrameConfig(n, tau))
     link = M.LinkConfig(p1=0.7, p2=1.3, h1=0.8 - 0.3j, h2=-0.2 + 1.1j)
     d = np.abs(M.build_gain(link, n)) ** 2
     dense = r.to_dense()
     assert dense.tobytes() == dense.T.tobytes()
-    assert (r.col_scaled(d).T.to_dense().tobytes()
+    assert (_bands.product(identity(2 * n), d, r).to_dense().tobytes()
             == (d[:, None] * dense).tobytes())
 
 
 def random_spd_batch(rng, batch, n):
-    a = banded(n, {k: rng.normal(size=(batch, n)) for k in (-1, 0, 1, 2)})
-    return a.matmul(a.T) + _bands.diagonal(np.full(n, float(n)))
+    return spd(banded(n, {k: rng.normal(size=(batch, n))
+                          for k in (-1, 0, 1, 2)}))
 
 
 def test_batched_algebra_matches_dense(rng):
@@ -159,12 +183,11 @@ def test_batched_algebra_matches_dense(rng):
     ad, bd = a.to_dense(), b.to_dense()
     assert ad.shape == (batch, n, n)
     assert np.allclose((a + b).to_dense(), ad + bd)
-    assert np.allclose(a.matmul(b).to_dense(), ad @ bd)
-    assert np.allclose(b.matmul(a).to_dense(), bd @ ad)
-    assert np.allclose(a.T.to_dense(), np.swapaxes(ad, 1, 2))
     d = rng.normal(size=(batch, n))
-    assert np.allclose(a.col_scaled(d).to_dense(), ad * d[:, None, :])
-    assert np.allclose(b.col_scaled(d).to_dense(), bd * d[:, None, :])
+    assert np.allclose(_bands.product(a, d, b).to_dense(),
+                       ad * d[:, None, :] @ bd.T)
+    assert np.allclose(_bands.product(b, d, a).to_dense(),
+                       bd * d[:, None, :] @ np.swapaxes(ad, 1, 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
@@ -197,7 +220,8 @@ def test_logdet_rejects_indefinite():
 def test_colored_factor_reproduces_covariance(rng):
     n = 6
     a = random_banded(rng, n, 1, 1)
-    s = a.matmul(a.T) + _bands.diagonal(np.full(n, 3.0))
+    s = (_bands.product(a, np.ones(n), a)
+         + _bands.diagonal(np.full(n, 3.0)))
     factor = _bands.cholesky_upper(s)
     w = rng.normal(size=n)
     dense_u = np.zeros((n, n))
@@ -303,8 +327,10 @@ def test_plain_lower_storage_is_factored_in_place(rng):
 
 
 def test_lower_rows_not_in_lower_storage_are_rejected_untouched(rng):
-    # a.T's rows are C-ordered (u+1, n), so their transpose is not
-    low = random_spd_band(rng, (), 6, 2).T
+    # the lower rows of a symmetric band, C-ordered (u+1, n), so their
+    # transpose is not
+    upper = random_spd_band(rng, (), 6, 2)
+    low = _bands.BandedMatrix(upper_storage_rows(upper.ab), 2, 0)
     assert (low.lower, low.upper) == (2, 0)
     before = low.ab.copy()
     with pytest.raises(ValueError, match="expected C-ordered lower storage"):
@@ -339,22 +365,87 @@ def test_colored_noise_keeps_the_bits_of_the_upper_storage_factor(
     assert got.tobytes() == want.tobytes()
 
 
+def product_reference(a, d, b):
+    """A diag(d) B^T from dense entries: C[i, j] starts at 0.0 and adds
+    (A[i, i + ka] d[i + ka]) B[j, i + ka] for ka in a.offsets, skipping
+    only the terms outside the matrix."""
+    ad, bd = a.to_dense(), b.to_dense()
+    shape = np.broadcast_shapes(a.batch_shape, np.shape(d)[:-1], b.batch_shape)
+    n = a.n
+    c = np.zeros(shape + (n, n))
+    for i in range(n):
+        for ka in a.offsets:
+            m = i + ka
+            if 0 <= m < n:
+                scaled = ad[..., i, m] * d[..., m]
+                c[..., i, :] += scaled[..., None] * bd[..., :, m]
+    return c
+
+
+PRODUCT_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 1e16, -1e16, 0.3])
+# (A, B) bandwidths: the display route's four products (RhatN D R^T,
+# RhatN D E1^T, (E1 - E2) D Rhat^T and I D R^T), a wide A times a narrow
+# B, and pairs drawn at random, some wider than the smallest matrices
+PRODUCT_BANDWIDTHS = [((1, 1), (1, 1)), ((1, 1), (2, 2)), ((2, 2), (2, 2)),
+                      ((0, 0), (1, 1)), ((2, 2), (1, 1))] + [
+    ((int(p[0]), int(p[1])), (int(p[2]), int(p[3])))
+    for p in np.random.default_rng(11).integers(0, 4, size=(6, 4))]
+# (A, d, B) batch shapes: one matrix, a batch, and operands of mixed shapes
+PRODUCT_BATCHES = [((), (), ()), ((3,), (), (3,)), ((3,), (), ()),
+                   ((), (), (3,)), ((), (3,), ()), ((2, 1), (3,), ())]
+
+
+def random_values_band(rng, batch, lower, upper, n):
+    return _bands.BandedMatrix(
+        rng.choice(PRODUCT_VALUES, size=batch + (lower + upper + 1, n)),
+        lower, upper)
+
+
+@pytest.mark.parametrize("batches", PRODUCT_BATCHES)
+@pytest.mark.parametrize("bandwidths", PRODUCT_BANDWIDTHS)
+def test_product_is_the_dense_sum_in_offsets_order(rng, bandwidths, batches):
+    # signed zeros and terms 1e16 apart show any other summation order
+    (la, ua), (lb, ub) = bandwidths
+    for n in range(1, 10):
+        a = random_values_band(rng, batches[0], la, ua, n)
+        d = rng.choice(PRODUCT_VALUES, size=batches[1] + (n,))
+        b = random_values_band(rng, batches[2], lb, ub, n)
+        got = _bands.product(a, d, b)
+        assert (got.lower, got.upper) == (min(la + ub, n - 1),
+                                          min(ua + lb, n - 1))
+        want = product_reference(a, d, b)
+        assert got.to_dense().tobytes() == want.tobytes()
+        # nothing but zeros past the matrix
+        assert got.ab.tobytes() == from_dense(want, got.lower,
+                                              got.upper).ab.tobytes()
+
+
 @pytest.mark.parametrize("batch", [(), (3,)])
-def test_gram_upper_is_upper_band_of_full_product(rng, batch):
-    # A D A^T as in R_hat D R_hat^T, a batch of A and one d; signed zeros
-    # and terms 1e16 apart show any other summation order
-    values = np.array([-0.0, 0.0, 1.0, -1.0, 1e16, -1e16, 0.3])
-    for n in (1, 2, 3, 5, 9):
+def test_product_without_b_is_the_upper_band_of_the_full_product(rng, batch):
+    # A D A^T as in Rhat D Rhat^T, a batch of A and one d
+    for n in range(1, 10):
         for lower, upper in ((2, 2), (0, 1), (1, 0), (2, 1), (0, 0)):
-            a = _bands.BandedMatrix(
-                rng.choice(values, size=batch + (lower + upper + 1, n)),
-                lower, upper)
-            d = rng.choice(values, size=n)
-            full = a.col_scaled(d).matmul(a.T)
-            got = _bands.gram_upper(a, d)
+            a = random_values_band(rng, batch, lower, upper, n)
+            d = rng.choice(PRODUCT_VALUES, size=n)
+            full = _bands.product(a, d, a)
+            got = _bands.product(a, d)
             assert (got.lower, got.upper) == (0, full.upper)
             assert (got.ab.tobytes()
                     == full.ab[..., :full.upper + 1, :].tobytes())
+            # into the front of a work array, which it leaves as it found
+            # it past the band
+            for b, want in ((None, got), (a, full)):
+                work = np.full(want.ab.size + 3, np.nan)
+                into = _bands.product(a, d, b, out=work)
+                assert np.shares_memory(into.ab, work)
+                assert into.ab.tobytes() == want.ab.tobytes()
+                assert np.isnan(work[want.ab.size:]).all()
+
+
+def test_product_rejects_a_size_mismatch(rng):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _bands.product(random_banded(rng, 4, 1, 1), np.ones(4),
+                       random_banded(rng, 5, 1, 1))
 
 
 @pytest.mark.parametrize("batch", [(4,), (2, 3)])
@@ -367,18 +458,19 @@ def test_batch_axes_are_fastest_in_memory(rng, batch):
     a_batch = a + b
     ones = np.ones(6)
     work = np.full(1000, np.nan)
-    for m in (a_batch, a_batch.T, a_batch.matmul(a), a.matmul(a_batch),
-              a_batch - a, a_batch.col_scaled(ones),
-              a.col_scaled(np.ones(batch + (6,))), _bands.diagonal(
-                  np.ones(batch + (6,))), _bands.gram_upper(a_batch, ones),
-              _bands.gram_upper(a_batch, ones, work)):
+    for m in (a_batch, _bands.product(a_batch, ones, a),
+              _bands.product(a, ones, a_batch), a_batch - a,
+              _bands.product(a, np.ones(batch + (6,)), a),
+              _bands.diagonal(np.ones(batch + (6,))),
+              _bands.product(a_batch, ones),
+              _bands.product(a_batch, ones, out=work)):
         assert m.batch_shape == batch
         strides = m.ab.strides
         assert max(strides[:len(batch)]) < min(strides[len(batch):])
         assert strides[len(batch) - 1] == m.ab.itemsize
-    assert np.shares_memory(_bands.gram_upper(a_batch, ones, work).ab, work)
-    for m in (a, a.T, a.matmul(a), a.col_scaled(ones), _bands.diagonal(ones),
-              _bands.gram_upper(a, ones), _bands.gram_upper(a, ones, work)):
+    assert np.shares_memory(_bands.product(a_batch, ones, out=work).ab, work)
+    for m in (a, _bands.product(a, ones, a), _bands.diagonal(ones),
+              _bands.product(a, ones), _bands.product(a, ones, out=work)):
         assert m.ab.flags.c_contiguous
 
 
@@ -403,14 +495,14 @@ def test_add_into_keeps_the_bits_of_the_sum(rng):
 
 
 def test_product_sums_over_offsets_in_order_0_plus1_minus1():
-    # C[1, 1] = A[1, 1] B[1, 1] + A[1, 2] B[2, 1] + A[1, 0] B[0, 1]
+    # C[1, 1] = A[1, 1] B[1, 1] + A[1, 2] B[1, 2] + A[1, 0] B[1, 0]
     #         = -1e16 (offset 0) + 1e16 (offset +1) + 1 (offset -1);
     # in the order 0, +1, -1 that is exactly 1.0, in 0, -1, +1 it is 0.0
     ones = np.ones(3)
     a = banded(3, {0: ones, 1: ones, -1: ones})
-    b = banded(3, {0: np.full(3, -1e16), -1: np.full(3, 1e16), 1: ones})
+    b = banded(3, {0: np.full(3, -1e16), 1: np.full(3, 1e16), -1: ones})
     assert a.offsets == [0, 1, -1]
-    c = a.matmul(b)
+    c = _bands.product(a, ones, b)
     assert c.ab[c.upper, 1] == 1.0
     assert c.to_dense()[1, 1] == 1.0
 

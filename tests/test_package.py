@@ -54,7 +54,7 @@ from anoma import _bands
 rng = np.random.default_rng(3)
 n = 12
 a = _bands.BandedMatrix(rng.normal(size=(4, n)), 2, 1)
-s = a.matmul(a.T) + _bands.diagonal(np.full(n, float(n)))
+s = _bands.product(a, np.ones(n), a) + _bands.diagonal(np.full(n, float(n)))
 sd, ad = s.to_dense(), a.to_dense()
 logdet = bool(np.isclose(_bands.logdet2_sym_pd(s),
                          np.linalg.slogdet(sd)[1] / np.log(2.0)))
@@ -93,3 +93,33 @@ def test_import_leaves_scipy_linalg_unloaded():
         "loaded": [], "still_unloaded": [], "logdet": True,
         "general_logdet": True, "inverse": True, "solves": True,
         "same": True}
+
+
+HYPOTHESIS_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert False
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_is_reported_not_fatal(tmp_path):
+    # under the repo's ini (warnings are errors), a failing @given test
+    # must be counted as a failure and the run must go on to the next
+    # test; hypothesis's report hook must not turn a warning into an
+    # INTERNALERROR that stops the run
+    (tmp_path / "test_probe.py").write_text(HYPOTHESIS_PROBE)
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert proc.returncode == 1, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

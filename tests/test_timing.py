@@ -40,11 +40,11 @@ def trace_coefficient_dense_oracle(link, frame, z_signal, z_noise):
     n, tau, n2 = frame.n, frame.tau, 2 * frame.n
     r = M.build_correlation(frame)
     d = np.abs(M.build_gain(link, n)) ** 2
-    mixing = z_signal if z_noise is None else z_signal - z_noise
-    inner = mixing.col_scaled(d).matmul(r)
-    solved = _bands.solve_sym_pd(r, inner.to_dense())
-    rhs = np.diag(d) @ z_signal.T.to_dense() + solved
-    a = np.eye(n2) + np.diag(d) @ r.to_dense()
+    z, rd = z_signal.to_dense(), r.to_dense()
+    mixing = z if z_noise is None else z - z_noise.to_dense()
+    solved = _bands.solve_sym_pd(r, mixing @ np.diag(d) @ rd)
+    rhs = np.diag(d) @ z.T + solved
+    a = np.eye(n2) + np.diag(d) @ rd
     f = np.linalg.solve(a, rhs)
     return -float(np.trace(f)) / ((n + tau) * math.log(2.0))
 
@@ -70,10 +70,10 @@ def display_dense_oracle(link, frame, err):
     e1m, e2m, _, rhat_n = M.build_error_matrices(frame, err)
     r = M.build_correlation(frame)
     d = np.abs(M.build_gain(link, n)) ** 2
-    inner = (e1m - e2m).col_scaled(d).matmul(r + e1m.T)
-    mid = _bands.solve_sym_pd(rhat_n, inner.to_dense())
-    rhs = np.diag(d) @ e1m.T.to_dense() + mid
-    a = np.eye(n2) + np.diag(d) @ r.to_dense()
+    e1, e2, rd = e1m.to_dense(), e2m.to_dense(), r.to_dense()
+    mid = _bands.solve_sym_pd(rhat_n, (e1 - e2) @ np.diag(d) @ (rd + e1.T))
+    rhs = np.diag(d) @ e1.T + mid
+    a = np.eye(n2) + np.diag(d) @ rd
     v = np.linalg.solve(a, rhs)
     sign, ld = np.linalg.slogdet(np.eye(n2) + v)
     assert sign > 0.0
@@ -311,7 +311,7 @@ def full_mistimed_band(link, frame, err):
     """Upper band of RhatN + Rhat D Rhat^T assembled at full length 2n."""
     _, _, rhat, rhat_n = M.build_error_matrices(frame, err)
     d = TM._hh(link, frame.n)
-    total = rhat_n + rhat.col_scaled(d).matmul(rhat.T)
+    total = rhat_n + _bands.product(rhat, d)
     return total.ab[:, :total.upper + 1]
 
 
