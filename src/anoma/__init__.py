@@ -7,7 +7,7 @@ the algebraic model.
 """
 
 from ._bands import BandedMatrix
-from .design import PowerSweepReport, TauSearchResult, optimal_tau, verify_full_power
+from .design import PowerSweepReport, optimal_tau, verify_full_power
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
                     build_correlation, build_error_matrices, build_gain,
                     build_noise_covariance)
@@ -27,8 +27,8 @@ from .waveform import (NoiseCovarianceReport, SampleVectors, SymbolFrame,
 __all__ = [
     "BandedMatrix", "DomainError", "FrameConfig", "LinkConfig",
     "LossBreakdown", "NoiseCovarianceReport", "PowerSweepReport",
-    "SampleVectors", "SymbolFrame", "TauSearchResult", "ThroughputReport",
-    "TimingError", "build_correlation", "build_error_matrices", "build_gain",
+    "SampleVectors", "SymbolFrame", "ThroughputReport", "TimingError",
+    "build_correlation", "build_error_matrices", "build_gain",
     "build_noise_covariance", "closed_rate", "coord_loss_slope",
     "determinant_recursion_log2", "draw_colored_noise", "generate_symbols",
     "log2_det_no_error", "loss_breakdown", "loss_ratio",

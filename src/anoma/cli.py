@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import design, timing, validate
-from .model import DomainError, FrameConfig, LinkConfig, TimingError
+from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
+                    _require_number)
 from .throughput import (closed_rate, throughput_asymptotic,
                          throughput_matrix, throughput_noma, throughput_oma,
                          throughput_report)
@@ -151,7 +152,7 @@ def _fig_tau_star_vs_n(p: dict):
     header = ["N"] + [f"tau_star_mu{_fmt(a)}_{_fmt(b)}" for a, b in gains]
 
     stars = [design.optimal_tau(LinkConfig.from_gains(mu1, mu2), n_values,
-                                grid_resolution=res).tau_star
+                                grid_resolution=res)
              for mu1, mu2 in gains]
     return header, [n_values, *stars]
 
@@ -270,9 +271,9 @@ def _conform(key: str, val, default):
             return val
         raise UsageError(f"{key} must be a whole number, got {val!r}")
     try:
-        finite = (isinstance(val, (int, float)) and not isinstance(val, bool)
-                  and math.isfinite(val))
-    except OverflowError:  # an int beyond the float range
+        _require_number(key, val)
+        finite = math.isfinite(val)
+    except (DomainError, OverflowError):  # no number, or an int past floats
         finite = False
     if not finite:
         raise UsageError(f"{key} must be a finite number, got {val!r}")

@@ -37,15 +37,6 @@ _LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
-class TauSearchResult:
-    """Best mismatch per frame length: floats for one n, else arrays of
-    the shape of n."""
-
-    tau_star: float | np.ndarray
-    achieved_throughput: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class PowerSweepReport:
     """Finite-difference monotonicity scan of the (p1, p2) throughput grid."""
 
@@ -160,16 +151,17 @@ def _subtree(x, a, b, c, d, h):
 
 
 def optimal_tau(link: LinkConfig, n,
-                grid_resolution: float = 1e-3) -> TauSearchResult:
-    """Best normalized mismatch for each frame length in n (an int or a
-    1-D array of them).
+                grid_resolution: float = 1e-3) -> float | np.ndarray:
+    """Best normalized mismatch tau* for each frame length in n: a float
+    for an int n, else an array of n's shape (n is 1-D).
 
     Scans tau = 0, res, 2*res, ... < 1 exhaustively, for all frame
     lengths at once (one closed-form evaluation per _GRID_ENTRIES grid
     points), then runs a golden-section pass one grid cell around each
     row's winner, all rows in lockstep (the objective is empirically
     unimodal there; the grid winner is kept if refinement does not beat
-    it).  Ties break toward the smallest tau.
+    it).  Ties break toward the smallest tau.  The rate achieved there
+    is closed_rate(link.mu1, link.mu2, n, tau*), bit for bit.
     """
     if not (0.0 < grid_resolution <= 0.01):
         raise DomainError(
@@ -219,10 +211,7 @@ def optimal_tau(link: LinkConfig, n,
                         lo[refine], hi[refine], _REFINE_TOL)
     better = fx > achieved[refine]
     tau_star[refine[better]] = x[better]
-    achieved[refine[better]] = fx[better]
-    if np.ndim(n) == 0:
-        return TauSearchResult(float(tau_star[0]), float(achieved[0]))
-    return TauSearchResult(tau_star, achieved)
+    return float(tau_star[0]) if np.ndim(n) == 0 else tau_star
 
 
 def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
@@ -234,6 +223,8 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
     """
     p1_values = np.asarray(p1_values, dtype=float)
     p2_values = np.asarray(p2_values, dtype=float)
+    if not (p1_values.size and p2_values.size):
+        raise DomainError("power grids must be non-empty")
     if np.any(p1_values <= 0.0) or np.any(p2_values <= 0.0):
         raise DomainError("power grids must be strictly positive")
     if np.any(np.diff(p1_values) <= 0.0) or np.any(np.diff(p2_values) <= 0.0):

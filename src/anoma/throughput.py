@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bands
-from .model import DomainError, FrameConfig, LinkConfig, build_correlation
+from .model import (DomainError, FrameConfig, LinkConfig, _require_number,
+                    build_correlation)
 
 _LN2 = math.log(2.0)
 # broadcast size from which closed_rate tests which powers underflow
@@ -188,8 +189,10 @@ def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> fl
     a pair in [2^-w, 2^w], w = min(512, 1021 - e), steps to a finite value.
     The pair is rescaled exactly after every step that leaves that window,
     the step to (d_0, d_1) from (d_-1, d_0) = (0, 1) included: by 2^-+512
-    if w = 512, else by frexp.
+    if w = 512, else by frexp.  n and tau must pass FrameConfig's checks.
     """
+    frame = FrameConfig(n, tau)
+    n, tau = frame.n, frame.tau
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise DomainError("recursion needs mu1, mu2 > 0")
     a1 = 1.0 + 1.0 / mu1
@@ -267,6 +270,8 @@ def throughput_asymptotic(mu1, mu2, tau):
 
 def throughput_noma(mu1: float, mu2: float) -> float:
     """Synchronous baseline with ideal interference cancellation."""
+    _require_number("mu1", mu1)
+    _require_number("mu2", mu2)
     if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
         raise DomainError(f"noma needs finite mu1, mu2 >= 0, got {mu1}, {mu2}")
     return float(_sync_rate(mu1, mu2))
@@ -274,6 +279,8 @@ def throughput_noma(mu1: float, mu2: float) -> float:
 
 def throughput_oma(mu1: float, mu2: float) -> float:
     """Equal time-split TDMA at full per-user power."""
+    _require_number("mu1", mu1)
+    _require_number("mu2", mu2)
     if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
         raise DomainError(f"oma needs finite mu1, mu2 >= 0, got {mu1}, {mu2}")
     return 0.5 * math.log2(1.0 + mu1) + 0.5 * math.log2(1.0 + mu2)

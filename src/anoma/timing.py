@@ -110,6 +110,8 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
     """R_e at a 1-D batch of points, both log-dets by _widened_logdets:
     RhatN, which depends on eps2 alone, once per distinct eps2 in the
     order of first occurrence, and RhatN + Rhat D Rhat^T per point.
+    The five-slot bands of each chunk are formed in one work array that
+    every chunk reuses; each step's widened band is a new array.
 
     Errors name the batch's first failing point: every point is checked
     for admissibility, then every noise covariance, then every mistimed
@@ -130,19 +132,16 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
     else:  # one point: nothing to share; np.unique costs a tenth of a call
         values, first = e2, np.zeros(1, dtype=np.intp)
         inverse = order = first
-    # one flat work array in two halves, reused by every chunk, so that no
-    # chunk allocates (and faults in) a band: the front holds Rhat, then
-    # the lower storage; the back RhatN + Rhat D Rhat^T, then each step's
-    # widened band.  Every band here has at most 5 rows (bandwidth 4).
-    points = min(chunk, e1.size)
-    band = points * 5 * 2 * small.n
-    wide = min(step, points) * 5 * 2 * n if n > _FRAME_SLOTS else 0
-    work = np.empty(band + max(band, wide))
-    front, back = work[:band], work[band:]
+    # two flat five-slot bands, reused by every chunk, so that no chunk
+    # allocates (and faults in) one: the front holds Rhat, then the
+    # lower storage; the back RhatN + Rhat D Rhat^T.  Every band here
+    # has at most 5 rows (bandwidth 4).
+    band = min(chunk, e1.size) * 5 * 2 * small.n
+    front, back = np.empty((2, band))
     ld = np.empty(values.size)
     ld[order] = _widened_logdets(frame, _bands.lower_storage(
         build_noise_covariance(small, values[order])), step, err,
-        first[order], "noise covariance singular", back)
+        first[order], "noise covariance singular")
     ld = ld[inverse]
     del values, first, inverse, order  # not held through the chunks
     d = _hh(link, small.n)  # all the five-slot frame reads
@@ -153,18 +152,16 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
         _bands.add_into(total, _upper(build_noise_covariance(small, e2[part])))
         ld[part] = _widened_logdets(
             frame, _bands.lower_storage(total, front), step, err,
-            range(start, e1.size), "mistimed covariance not positive definite",
-            back) - ld[part]
+            range(start, e1.size),
+            "mistimed covariance not positive definite") - ld[part]
     return ld / (n + tau)
 
 
 def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
-                     err: TimingError, points, what: str,
-                     work: np.ndarray | None = None) -> np.ndarray:
+                     err: TimingError, points, what: str) -> np.ndarray:
     """log2 det at full length 2n of each point of cols, a symmetric
     2-periodic band on min(n, 5) slots in _bands.lower_storage, widened
-    (into work, a flat float array, when given) and factored step points
-    per call.
+    (_widen) and factored step points per call.
 
     Point i of cols is point points[i] of err's batch; the first that is
     not positive definite is named in a DomainError after what.
@@ -173,32 +170,29 @@ def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
     for start in range(0, len(cols), step):
         try:
             ld[start:start + step] = _bands.logdet2_sym_pd(
-                _widen(frame.n, cols, start, step, work))
+                _widen(frame.n, cols, start, step))
         except _bands.NotPositiveDefinite as exc:
             point = err.point(points[start + exc.index])
             raise DomainError(f"{what} at tau={frame.tau}, {point}") from None
     return ld
 
 
-def _widen(n: int, cols: np.ndarray, start: int, count: int,
-           work: np.ndarray | None = None) -> _bands.BandedMatrix:
+def _widen(n: int, cols: np.ndarray, start: int,
+           count: int) -> _bands.BandedMatrix:
     """count points from start of cols at full length 2n, as a band given
     by its lower rows for an in-place Cholesky.
 
     Each band widened here is 2-periodic with bandwidth at most 4, so its
     lower columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame:
     repeating that slot widens each point, bit for bit the full assembly.
-    At n <= 5 it is a view of cols; else it is written to the front of
-    work, a flat float array, or to a new array.
+    At n <= 5 it is a view of cols; else a new array.
     """
     u = cols.shape[-1] - 1
     if n <= _FRAME_SLOTS:
         low = cols[start:start + count]
     else:  # slot s of a point is its columns 2 s and 2 s + 1
         src = cols[start:start + count].reshape(-1, _FRAME_SLOTS, 2, u + 1)
-        size = len(src) * 2 * n * (u + 1)
-        slots = (np.empty(size) if work is None else work[:size]).reshape(
-            len(src), n, 2, u + 1)
+        slots = np.empty((len(src), n, 2, u + 1))
         slots[:, :2] = src[:, :2]
         slots[:, 2:n - 2] = src[:, 2:3]  # slot 2, the period
         slots[:, n - 2:] = src[:, 3:]

@@ -116,30 +116,21 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
 
 
 def draw_colored_noise(frame: FrameConfig, eps2: float,
-                       rng: np.random.Generator,
-                       count: int | None = None) -> np.ndarray:
-    """Interleaved 2n noise vector with the model covariance (fast path),
-    or ``(count, 2n)`` such vectors from one factorization of RhatN.
-
-    Each vector takes 2n real then 2n imaginary standard normals from
-    rng, so a block of count vectors equals count one-vector calls.
-    """
-    if count is not None:
-        _require_number("count", count, numbers.Integral)
-        if count < 0:
-            raise DomainError(f"count must be >= 0, got {count}")
+                       rng: np.random.Generator) -> np.ndarray:
+    """Interleaved 2n noise vector with the model covariance (fast path):
+    2n real then 2n imaginary standard normals from rng, colored by the
+    banded Cholesky factor of RhatN."""
     point = TimingError(0.0, eps2)
     point.check_admissible(frame)
-    point.require_point("draw_colored_noise")  # count, not eps2, batches
+    point.require_point("draw_colored_noise")
     try:
         factor = _bands.cholesky_upper(build_noise_covariance(frame, eps2))
     except np.linalg.LinAlgError:
         raise DomainError(
             f"noise covariance singular at tau={frame.tau}, eps2={eps2}"
         ) from None
-    shape = (2, 2 * frame.n) if count is None else (count, 2, 2 * frame.n)
-    z = rng.standard_normal(shape)
-    w = (z[..., 0, :] + 1j * z[..., 1, :]) / math.sqrt(2.0)
+    z = rng.standard_normal((2, 2 * frame.n))
+    w = (z[0] + 1j * z[1]) / math.sqrt(2.0)
     return _bands.colored_factor_apply(factor, w)
 
 

@@ -354,14 +354,13 @@ def test_kernels_keep_the_bits_of_the_upper_storage_factor(rng, monkeypatch,
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 600])
-@pytest.mark.parametrize("count", [None, 3])
 def test_colored_noise_keeps_the_bits_of_the_upper_storage_factor(
-        monkeypatch, n, count):
+        monkeypatch, n):
     from anoma import waveform as W
     frame = M.FrameConfig(n, 0.3)
-    got = W.draw_colored_noise(frame, -0.1, np.random.default_rng(5), count)
+    got = W.draw_colored_noise(frame, -0.1, np.random.default_rng(5))
     monkeypatch.setattr(_bands, "cholesky_upper", upper_storage_cholesky)
-    want = W.draw_colored_noise(frame, -0.1, np.random.default_rng(5), count)
+    want = W.draw_colored_noise(frame, -0.1, np.random.default_rng(5))
     assert got.tobytes() == want.tobytes()
 
 

@@ -328,6 +328,10 @@ def test_sweep_cancelled_tau0_pivot_writes_no_csv(tmp_path, capsys):
     (["query", "--set", "n=true"], "n"),
     (["query", "--set", "n=abc"], "n"),
     (["query", "--set", 'tau="0.3"'], "tau"),
+    (["query", "--set", "tau=true"], "tau"),
+    (["query", "--set", "tau=null"], "tau"),
+    (["query", "--set", "mu1=[1.0]"], "mu1"),
+    (["query", "--set", "mu1=" + "9" * 400], "mu1"),  # an int past floats
     (["sweep", "tau_star_vs_n", "--set", "n_values=[1.9, 2]"], "n_values"),
     (["sweep", "tau_star_vs_n", "--set", "n_values=5"], "n_values"),
     (["sweep", "tau_star_vs_n", "--set", "gains=[[1]]"], "gains"),

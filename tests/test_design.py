@@ -71,22 +71,21 @@ class TestOptimalTau:
         assert a == b
 
     def test_beats_every_grid_point(self):
-        res = D.optimal_tau(LINK, 8, grid_resolution=5e-3)
+        star = D.optimal_tau(LINK, 8, grid_resolution=5e-3)
+        achieved = closed_rate(LINK.mu1, LINK.mu2, 8, star)
         for tau in np.arange(0.0, 1.0, 5e-3):
-            assert res.achieved_throughput >= throughput_closed(
-                LINK, M.FrameConfig(8, float(tau)))
+            assert achieved >= throughput_closed(LINK, M.FrameConfig(8, float(tau)))
 
     def test_single_symbol_frame_prefers_sync(self):
-        res = D.optimal_tau(LINK, 1)
-        assert res.tau_star == 0.0
-        assert res.tau_star <= 0.1
+        star = D.optimal_tau(LINK, 1)
+        assert star == 0.0
+        assert star <= 0.1
 
     def test_long_frame_approaches_half(self):
-        res = D.optimal_tau(LINK, 1000)
-        assert abs(res.tau_star - 0.5) <= 0.01
+        assert abs(D.optimal_tau(LINK, 1000) - 0.5) <= 0.01
 
     def test_grows_with_frame_length(self):
-        stars = [D.optimal_tau(LINK, n).tau_star for n in (1, 2, 5, 10, 50, 200)]
+        stars = [D.optimal_tau(LINK, n) for n in (1, 2, 5, 10, 50, 200)]
         for a, b in zip(stars, stars[1:]):
             assert b >= a - 1e-3
 
@@ -109,11 +108,13 @@ class TestOptimalTau:
             with pytest.raises(M.DomainError, match=f"^grid_resolution {res} "):
                 D.optimal_tau(LINK, 10, grid_resolution=res)
 
-    def test_result_fields(self):
-        res = D.optimal_tau(LINK, 10, grid_resolution=1e-3)
-        assert 0.0 <= res.tau_star < 1.0
-        assert isinstance(res.tau_star, float)
-        assert isinstance(res.achieved_throughput, float)
+    def test_result_type(self):
+        star = D.optimal_tau(LINK, 10, grid_resolution=1e-3)
+        assert isinstance(star, float)
+        assert 0.0 <= star < 1.0
+        stars = D.optimal_tau(LINK, [10])
+        assert isinstance(stars, np.ndarray)
+        assert stars.tolist() == [star]
 
 
 class TestBatchedSearch:
@@ -121,21 +122,23 @@ class TestBatchedSearch:
     def test_ladder_equals_per_n_calls(self, mu1, mu2):
         link = M.LinkConfig.from_gains(mu1, mu2)
         batch = D.optimal_tau(link, N_LADDER)
-        assert batch.tau_star.shape == batch.achieved_throughput.shape == (10,)
+        assert batch.shape == (10,)
+        rates = closed_rate(mu1, mu2, N_LADDER, batch)
         for i, n in enumerate(N_LADDER):
             one = D.optimal_tau(link, int(n))
-            assert batch.tau_star[i] == one.tau_star
-            assert batch.achieved_throughput[i] == one.achieved_throughput
+            assert batch[i] == one
+            assert rates[i] == closed_rate(mu1, mu2, int(n), one)
 
     @pytest.mark.parametrize("mu1,mu2", [(1.0, 0.5), (0.02, 30.0), (80.0, 60.0)])
     def test_equals_one_point_oracle(self, mu1, mu2):
         n_values = np.array([1, 2, 3, 7, 40])
-        res = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), n_values,
+        got = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), n_values,
                             grid_resolution=5e-3)
+        rates = closed_rate(mu1, mu2, n_values, got)
         for i, n in enumerate(n_values):
             tau_star, achieved = optimal_tau_oracle(mu1, mu2, int(n), 5e-3)
-            assert res.tau_star[i] == tau_star
-            assert res.achieved_throughput[i] == achieved
+            assert got[i] == tau_star
+            assert rates[i] == achieved
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
@@ -146,10 +149,11 @@ class TestBatchedSearch:
         mu1, mu2 = 10.0 ** log_mu1, 10.0 ** log_mu2
         got = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2),
                              np.array(n_values), grid_resolution=res)
+        rates = closed_rate(mu1, mu2, np.array(n_values), got)
         for i, n in enumerate(n_values):
             tau_star, achieved = optimal_tau_oracle(mu1, mu2, n, res)
-            assert got.tau_star[i] == tau_star
-            assert got.achieved_throughput[i] == achieved
+            assert got[i] == tau_star
+            assert rates[i] == achieved
 
     def test_nan_inside_the_refinement_is_named(self, monkeypatch):
         # the golden pass for n = 20, step by step as the oracle makes
@@ -215,8 +219,7 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(D, "closed_rate", bad_at_one_point)
         got = D.optimal_tau(LINK, N_LADDER)
-        assert np.array_equal(got.tau_star, want.tau_star)
-        assert np.array_equal(got.achieved_throughput, want.achieved_throughput)
+        assert np.array_equal(got, want)
 
     def test_default_ladder_takes_few_objective_calls(self, monkeypatch):
         # one scan call, the two first interior points, four rounds of
@@ -245,19 +248,18 @@ class TestBatchedSearch:
             mp.setattr(D, "_LOOKAHEAD", depth)
             got = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2),
                                 np.array(n_values), grid_resolution=res)
+        rates = closed_rate(mu1, mu2, np.array(n_values), got)
         for i, n in enumerate(n_values):
             tau_star, achieved = optimal_tau_oracle(mu1, mu2, n, res)
-            assert got.tau_star[i] == tau_star
-            assert got.achieved_throughput[i] == achieved
+            assert got[i] == tau_star
+            assert rates[i] == achieved
 
     @pytest.mark.parametrize("entries", [1, 7, 333])
     def test_blocked_scan_equals_one_block(self, monkeypatch, entries):
         whole = D.optimal_tau(LINK, N_LADDER)
         monkeypatch.setattr(D, "_GRID_ENTRIES", entries)
         blocked = D.optimal_tau(LINK, N_LADDER)
-        assert np.array_equal(blocked.tau_star, whole.tau_star)
-        assert np.array_equal(blocked.achieved_throughput,
-                              whole.achieved_throughput)
+        assert np.array_equal(blocked, whole)
 
     @pytest.mark.parametrize("entries", [1, 7, 1 << 16])
     def test_plateau_keeps_the_smallest_tau(self, monkeypatch, entries):
@@ -266,9 +268,7 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(D, "closed_rate", flat)
         monkeypatch.setattr(D, "_GRID_ENTRIES", entries)
-        res = D.optimal_tau(LINK, N_LADDER)
-        assert np.all(res.tau_star == 0.0)
-        assert np.all(res.achieved_throughput == 1.0)
+        assert np.all(D.optimal_tau(LINK, N_LADDER) == 0.0)
 
     def test_bad_frame_lengths_rejected(self):
         with pytest.raises(M.DomainError):
@@ -296,9 +296,9 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("mu1,mu2", [(1e300, 0.03), (50.0, 1e300)])
     def test_one_huge_gain_stays_finite(self, mu1, mu2):
-        res = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), N_LADDER)
-        assert np.all(np.isfinite(res.achieved_throughput))
-        assert np.all((0.0 <= res.tau_star) & (res.tau_star < 1.0))
+        stars = D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), N_LADDER)
+        assert np.all(np.isfinite(closed_rate(mu1, mu2, N_LADDER, stars)))
+        assert np.all((0.0 <= stars) & (stars < 1.0))
 
 
 class TestLockstepGolden:
@@ -376,6 +376,9 @@ class TestFullPower:
             D.verify_full_power([0.0, 0.5], [0.5, 1.0], 1.0, 1.0, frame)
         with pytest.raises(M.DomainError):
             D.verify_full_power([1.0, 0.5], [0.5, 1.0], 1.0, 1.0, frame)
+        for p1, p2 in (([], [1.0]), ([1.0], []), ([], [])):
+            with pytest.raises(M.DomainError, match="power grids must be non-empty"):
+                D.verify_full_power(p1, p2, 1.0, 1.0, frame)
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
     @pytest.mark.parametrize("key", ["h1_sq", "h2_sq"])

@@ -1,6 +1,7 @@
 """Throughput routes against dense oracles and hand-computed values."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -422,6 +423,19 @@ class TestRecursion:
         got = T.determinant_recursion_log2(mu1, mu2, tau, n)
         assert math.isclose(got, ref, rel_tol=1e-14)
 
+    @pytest.mark.parametrize("tau,n,message", [
+        (math.nan, 3, "tau must lie in [0, 1), got nan"),
+        (5.0, 3, "tau must lie in [0, 1), got 5.0"),
+        (-0.1, 3, "tau must lie in [0, 1), got -0.1"),
+        (0.5, 1.5, "frame length n must be an int"),
+        (0.5, "3", "frame length n must be an int"),
+        (0.5, 0, "frame length n must be an int"),
+        (0.5, True, "frame length n must be an int"),
+    ])
+    def test_frame_is_checked_as_frame_config_checks_it(self, tau, n, message):
+        with pytest.raises(M.DomainError, match=re.escape(message)):
+            T.determinant_recursion_log2(1.0, 1.0, tau, n)
+
 
 def asymptotic_mp(mu1, mu2, tau):
     """The expanded limit of throughput_asymptotic at 60 digits."""
@@ -481,6 +495,14 @@ class TestBaselines:
     def test_baselines_refuse_non_finite_or_negative_gain(self, fn, bad):
         for mu1, mu2 in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(M.DomainError, match="needs finite mu1, mu2 >= 0"):
+                fn(mu1, mu2)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, [1.0]])
+    @pytest.mark.parametrize("fn", [T.throughput_noma, T.throughput_oma])
+    def test_baselines_refuse_a_gain_that_is_no_number(self, fn, bad):
+        for name, (mu1, mu2) in (("mu1", (bad, 1.0)), ("mu2", (1.0, bad))):
+            with pytest.raises(M.DomainError,
+                               match=re.escape(f"{name} must be a number, got {bad!r}")):
                 fn(mu1, mu2)
 
 

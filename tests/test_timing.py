@@ -257,11 +257,12 @@ class TestBatchedRate:
         # a block's widened band is 5 rows of _BLOCK_ENTRIES doubles, and a
         # chunk's five-slot assembly holds about as many entries per row
         # (at n <= 5 the chunk is the block).  The chunks reuse one work
-        # array of two such bands: Rhat, then the lower storage, in one;
-        # RhatN + Rhat D Rhat^T, then each widened band, in the other.
-        # With RhatN's 3 rows added in, or the product's two row
-        # temporaries, that is the peak (about 2.8 bands), next to
-        # O(points) vectors of the 1,681-point grid.  Allow four bands.
+        # array of two five-slot bands: Rhat, then the lower storage, in
+        # one; RhatN + Rhat D Rhat^T in the other.  At n > 5 each step
+        # widens into a new band, a third.  With RhatN's 3 rows added in,
+        # or the product's two row temporaries, that is the peak (about
+        # 2.9 bands at n = 5, 3.4 at n = 300), next to O(points) vectors
+        # of the 1,681-point grid.  Allow four bands.
         frame = M.FrameConfig(n, 0.5)
         eps = 0.005 * np.arange(-20, 21)
         err = M.TimingError(*np.meshgrid(eps, eps, indexing="ij"))
