@@ -359,7 +359,7 @@ def _cmd_validate(args) -> int:
     if args.suite not in validate.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"choose from {', '.join(sorted(validate.SUITES))}")
-    results = validate.run_suite(args.suite)
+    results = [r for fn in validate.SUITES[args.suite] for r in fn()]
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DomainError, FrameConfig, LinkConfig
-from .throughput import _require_finite, closed_rate
+from .model import DomainError, FrameConfig, LinkConfig, _require_number
+from .throughput import closed_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section refinement stops once its bracket is this narrow
@@ -163,6 +163,7 @@ def optimal_tau(link: LinkConfig, n,
     it).  Ties break toward the smallest tau.  The rate achieved there
     is closed_rate(link.mu1, link.mu2, n, tau*), bit for bit.
     """
+    _require_number("grid_resolution", grid_resolution)
     if not (0.0 < grid_resolution <= 0.01):
         raise DomainError(
             f"grid_resolution must lie in (0, 0.01], got {grid_resolution}")
@@ -177,12 +178,9 @@ def optimal_tau(link: LinkConfig, n,
     mu1, mu2 = link.mu1, link.mu2
 
     def objective(rows, tau):
-        # closed_rate names a point it cannot evaluate; this names any
-        # other non-finite value before it can steer the search
-        rate = closed_rate(mu1, mu2, ns[rows], tau)
-        _require_finite(rate, "tau* search objective", mu1=mu1, mu2=mu2,
-                        n=ns[rows], tau=tau)
-        return rate
+        # closed_rate names any point whose rate is not finite, so no
+        # NaN can steer the search
+        return closed_rate(mu1, mu2, ns[rows], tau)
 
     try:
         taus = np.arange(0.0, 1.0, grid_resolution)
@@ -221,6 +219,10 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
     Expects zero violations and the maximum at the largest grid powers,
     per the full-power optimality of the closed-form rate.
     """
+    for name, v in (("p1_values", p1_values), ("p2_values", p2_values)):
+        _require_number(name, v, batch=True)
+        if np.ndim(v) != 1:
+            raise DomainError(f"{name} must be a 1-D grid, got shape {np.shape(v)}")
     p1_values = np.asarray(p1_values, dtype=float)
     p2_values = np.asarray(p2_values, dtype=float)
     if not (p1_values.size and p2_values.size):
@@ -231,6 +233,7 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
         raise DomainError("power grids must be strictly increasing")
 
     for name, v in (("h1_sq", h1_sq), ("h2_sq", h2_sq)):
+        _require_number(name, v)
         if not 0.0 <= v < math.inf:
             raise DomainError(f"{name} must be finite and >= 0, got {v}")
     h1, h2 = math.sqrt(h1_sq), math.sqrt(h2_sq)

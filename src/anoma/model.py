@@ -225,30 +225,20 @@ def build_gain(link: LinkConfig, n: int) -> np.ndarray:
     return entries
 
 
-def _unit_step(n2: int, a_even, a_odd) -> BandedMatrix:
-    """The mistimed-sampling stencil: E1 when stream-1 rows (even) are
-    offset by a_even = eps1 and stream-2 rows (odd) by a_odd = eps1 + eps2.
+def _unit_step_diagonals(a_even, a_odd) -> tuple:
+    """The mistimed-sampling stencil's diagonals as _stencil takes them:
+    E1 when stream-1 rows (even) are offset by a_even = eps1 and
+    stream-2 rows (odd) by a_odd = eps1 + eps2.
 
     Every row spans offsets -2..+2, with the unit-step terms landing on
     the +-2 slots.  Equal-shape array offsets give one matrix per batch
     entry.
     """
-    return _stencil(n2, _unit_step_diagonals(a_even, a_odd))
-
-
-def _unit_step_diagonals(a_even, a_odd) -> tuple:
-    """E1's diagonals as _stencil takes them."""
     return ((0, -np.abs(a_even), -np.abs(a_odd)),
             (1, a_even, a_odd),
             (-1, -a_even, -a_odd),
             (2, np.maximum(a_even, 0.0), np.maximum(a_odd, 0.0)),
             (-2, np.maximum(-a_even, 0.0), np.maximum(-a_odd, 0.0)))
-
-
-def _coordination_step(n2: int, eps2) -> BandedMatrix:
-    """E2: the symmetric pattern whose super-diagonal alternates -eps2,
-    +eps2 from (row 0, col 1)."""
-    return _stencil(n2, ((1, -eps2, eps2), (-1, eps2, -eps2)))
 
 
 def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
@@ -279,8 +269,8 @@ def build_error_matrices(
     Returns (E1, E2, Rhat, RhatN) with Rhat = R + E1 (signal mixing) and
     RhatN = R + E2 (noise covariance, from build_noise_covariance).  E1
     follows the general unit-step stencil, valid for every sign of eps1
-    and eps1 + eps2; E2 is the symmetric alternating -eps2, +eps2
-    pattern.
+    and eps1 + eps2; E2 is the symmetric pattern whose super-diagonal
+    alternates -eps2, +eps2 from (row 0, col 1).
     A batched err gives batched matrices, one per point of the flattened
     batch; every point is checked for admissibility first.
     """
@@ -288,9 +278,10 @@ def build_error_matrices(
     e1, e2 = err.arrays()
     if e1.ndim > 1:
         e1, e2 = e1.ravel(), e2.ravel()
-    return (_unit_step(2 * frame.n, e1, e1 + e2),
-            _coordination_step(2 * frame.n, e2), _mixing(frame, e1, e2),
-            build_noise_covariance(frame, e2))
+    n2 = 2 * frame.n
+    return (_stencil(n2, _unit_step_diagonals(e1, e1 + e2)),
+            _stencil(n2, ((1, -e2, e2), (-1, e2, -e2))),
+            _mixing(frame, e1, e2), build_noise_covariance(frame, e2))
 
 
 def _mixing(frame: FrameConfig, eps1, eps2,

@@ -193,6 +193,8 @@ def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> fl
     """
     frame = FrameConfig(n, tau)
     n, tau = frame.n, frame.tau
+    _require_number("mu1", mu1)
+    _require_number("mu2", mu2)
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise DomainError("recursion needs mu1, mu2 > 0")
     a1 = 1.0 + 1.0 / mu1

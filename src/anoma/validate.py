@@ -176,11 +176,10 @@ def check_gamma_surface() -> list[CheckResult]:
     """gamma has its grid minimum at the origin and no jump at the kinks."""
     # steps of res over [-0.1, 0.1], integer-scaled so the origin is
     # exactly 0.0
-    res = 0.005
-    eps = res * np.arange(-20, 21)
+    res, i0 = 0.005, 20
+    eps = res * np.arange(-i0, i0 + 1)
     e1, e2 = np.meshgrid(eps, eps, indexing="ij")
     grid = timing.loss_ratio(DEFAULT_LINK, DEFAULT_FRAME, TimingError(e1, e2))
-    i0 = int(np.argmin(np.abs(eps)))
     origin = grid[i0, i0]
     min_off = float(np.min(grid) - origin)
 
@@ -188,11 +187,8 @@ def check_gamma_surface() -> list[CheckResult]:
     worst_ratio = 0.0
     for j in range(len(eps)):  # scan each eps2 row along the eps1 axis
         row = grid[:, j]
-        for kink in (0.0, -float(eps[j])):  # eps1 = 0 and eps1 + eps2 = 0
-            hits = np.where(np.isclose(eps, kink, atol=res / 4))[0]
-            if len(hits) == 0:
-                continue
-            k = int(hits[0])
+        # eps1 = 0 and eps1 + eps2 = 0: eps[2 * i0 - j] is -eps[j] exactly
+        for k in (i0, 2 * i0 - j):
             if k - 2 < 0 or k + 2 >= len(eps):
                 continue
             slope = max(abs(row[k - 1] - row[k - 2]),
@@ -273,9 +269,3 @@ SUITES: dict[str, tuple] = {
 SUITES["all"] = tuple(fn for suite in ("routes", "theorems", "timing", "waveform")
                       for fn in SUITES[suite])
 
-
-def run_suite(name: str) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for fn in SUITES[name]:
-        results.extend(fn())
-    return results

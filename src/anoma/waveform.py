@@ -233,6 +233,7 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     _require_number("trials", trials, numbers.Integral)
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a meaningful estimate")
+    _require_number("eps2", eps2)
     if not (0.0 < frame.tau + eps2 < 1.0):
         raise DomainError(
             f"noise model needs tau + eps2 in (0, 1), got {frame.tau + eps2}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from anoma import cli
+from anoma import cli, validate
 from anoma.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from anoma.model import DomainError, FrameConfig, LinkConfig
 from anoma.throughput import throughput_closed
@@ -239,6 +239,18 @@ def test_validate_routes_passes(capsys):
     assert "routes.agreement_n_le_50" in out
     assert "verdict=PASS" in out
     assert "verdict=FAIL" not in out
+
+
+def test_validate_prints_every_check_then_the_count(monkeypatch, capsys):
+    # a failing check is printed in its suite's order and fails the run
+    first = validate.CheckResult("fake.first", 1.0, 2.0, True)
+    bad = validate.CheckResult("fake.bad", 3.0, 2.0, False, detail="over")
+    last = validate.CheckResult("fake.last", 0.0, 0.0, True)
+    monkeypatch.setitem(validate.SUITES, "timing",
+                        (lambda: [first, bad], lambda: [last]))
+    assert main(["validate", "timing"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out.splitlines() == [
+        first.line(), bad.line(), last.line(), "2/3 checks passed"]
 
 
 def test_validate_unknown_suite(capsys):

@@ -1,6 +1,7 @@
 """Design searches: best mismatch and full-power verification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from anoma import cli
 from anoma import design as D
 from anoma import model as M
+from anoma import throughput as T
 from anoma.throughput import closed_rate, throughput_asymptotic, throughput_closed
 
 LINK = M.LinkConfig.from_gains(1.0, 0.5)
@@ -108,6 +110,11 @@ class TestOptimalTau:
             with pytest.raises(M.DomainError, match=f"^grid_resolution {res} "):
                 D.optimal_tau(LINK, 10, grid_resolution=res)
 
+    @pytest.mark.parametrize("res", [None, "x", [1e-3], np.array([])])
+    def test_non_number_resolution_is_named(self, res):
+        with pytest.raises(M.DomainError, match="^grid_resolution must be a number"):
+            D.optimal_tau(LINK, 10, grid_resolution=res)
+
     def test_result_type(self):
         star = D.optimal_tau(LINK, 10, grid_resolution=1e-3)
         assert isinstance(star, float)
@@ -173,9 +180,13 @@ class TestBatchedSearch:
         assert lo < bad_tau < hi and bad_tau not in taus
 
         def nan_at_one_point(mu1, mu2, n_arr, tau):
+            # raises as closed_rate does at a point whose rate is not finite
             rate = closed_rate(mu1, mu2, n_arr, tau)
             hit = np.broadcast_to((n_arr == n) & (tau == bad_tau), rate.shape)
-            return np.where(hit, np.nan, rate)
+            rate = np.where(hit, np.nan, rate)
+            T._require_finite(rate, "closed-form rate", mu1=mu1, mu2=mu2,
+                              n=n_arr, tau=tau)
+            return rate
 
         monkeypatch.setattr(D, "closed_rate", nan_at_one_point)
         with pytest.raises(M.DomainError) as info:
@@ -187,8 +198,9 @@ class TestBatchedSearch:
     def test_bad_point_off_the_taken_branches_is_never_seen(self, monkeypatch,
                                                            depth, how):
         # a point of the lookahead tree that the one-step search never
-        # asks for may be non-finite, or make closed_rate raise: the
-        # round is replayed one step per call, and nothing changes
+        # asks for may be non-finite (the walk never reads it), or make
+        # closed_rate raise (the round is replayed one step per call):
+        # nothing changes
         mu1, mu2, n, res = LINK.mu1, LINK.mu2, 20, 1e-3
         monkeypatch.setattr(D, "_LOOKAHEAD", depth)
         want = D.optimal_tau(LINK, N_LADDER)
@@ -380,13 +392,26 @@ class TestFullPower:
             with pytest.raises(M.DomainError, match="power grids must be non-empty"):
                 D.verify_full_power(p1, p2, 1.0, 1.0, frame)
 
-    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf,
+                                     "x", None, [1.0, 2.0]])
     @pytest.mark.parametrize("key", ["h1_sq", "h2_sq"])
     def test_gain_validation(self, key, bad):
         gains = {"h1_sq": 1.0, "h2_sq": 0.5, key: bad}
         with pytest.raises(M.DomainError, match=f"^{key} must be "):
             D.verify_full_power([0.5, 1.0], [0.5, 1.0], frame=M.FrameConfig(4, 0.5),
                                 **gains)
+
+    @pytest.mark.parametrize("bad,message", [
+        (1.0, "must be a 1-D grid, got shape ()"),
+        ([[0.5, 1.0]], "must be a 1-D grid, got shape (1, 2)"),
+        (["x"], "must be a number, got ['x']"),
+    ])
+    @pytest.mark.parametrize("key", ["p1_values", "p2_values"])
+    def test_grid_must_be_a_1d_number_grid(self, key, bad, message):
+        grids = {"p1_values": [0.5, 1.0], "p2_values": [0.5, 1.0], key: bad}
+        with pytest.raises(M.DomainError, match=re.escape(f"{key} {message}")):
+            D.verify_full_power(**grids, h1_sq=1.0, h2_sq=1.0,
+                                frame=M.FrameConfig(4, 0.5))
 
     def test_throughput_grid_shape(self):
         rep = D.verify_full_power([0.5, 1.0], [0.25, 0.5, 1.0], 1.0, 1.0,

@@ -310,7 +310,7 @@ class TestErrorMatrices:
         frame = M.FrameConfig(n, tau)
         r = M.build_correlation(frame)
         for e1, e2 in [(eps1, eps2), *zip(eps1, eps2)]:
-            want = r + M._unit_step(2 * n, e1, e1 + e2)
+            want = r + M._stencil(2 * n, M._unit_step_diagonals(e1, e1 + e2))
             got = M._mixing(frame, e1, e2)
             assert (got.lower, got.upper) == (want.lower, want.upper)
             assert got.ab.tobytes() == want.ab.tobytes()

@@ -415,6 +415,13 @@ class TestRecursion:
         with pytest.raises(M.DomainError, match="finite 1/mu1 and 1/mu2"):
             T.determinant_recursion_log2(mu1, mu2, 0.5, 3)
 
+    @pytest.mark.parametrize("bad", ["x", None, [1.0, 2.0], np.array([])])
+    @pytest.mark.parametrize("key", ["mu1", "mu2"])
+    def test_non_number_gain_is_named(self, key, bad):
+        gains = {"mu1": 1.0, "mu2": 1.0, key: bad}
+        with pytest.raises(M.DomainError, match=f"^{key} must be a number"):
+            T.determinant_recursion_log2(gains["mu1"], gains["mu2"], 0.5, 3)
+
     @pytest.mark.parametrize("mu1,mu2", TINY_GAINS)
     @pytest.mark.parametrize("n,tau", [(1, 0.5), (3, 0.3)])
     def test_tiny_gains_match_exact_rational_det(self, mu1, mu2, n, tau):

@@ -150,7 +150,7 @@ class TestMatchedFilterOutputs:
             raise AssertionError("the simulator consulted the model")
 
         monkeypatch.setattr(W, "build_error_matrices", forbidden)
-        monkeypatch.setattr(M, "_unit_step", forbidden)
+        monkeypatch.setattr(M, "_stencil", forbidden)
         after = W.matched_filter_outputs(*point).interleaved()
         assert np.array_equal(before, after)
 
@@ -230,6 +230,12 @@ class TestNoiseCovariance:
         with pytest.raises(M.DomainError, match=re.escape(
                 f"trials must be an int, got {trials!r}")):
             W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=trials)
+
+    @pytest.mark.parametrize("eps2", ["x", None, [0.05]])
+    def test_non_number_eps2_rejected(self, eps2):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"eps2 must be a number, got {eps2!r}")):
+            W.noise_covariance_mc(M.FrameConfig(1, 0.5), eps2=eps2)
 
     def test_stat_bound_is_three_sigma(self):
         rep = W.noise_covariance_mc(M.FrameConfig(1, 0.5), trials=10_000,
