@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DomainError, FrameConfig, LinkConfig, _require_number
+from .model import (DomainError, FrameConfig, LinkConfig, _require_config,
+                    _require_number)
 from .throughput import closed_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -169,6 +170,7 @@ def optimal_tau(link: LinkConfig, n,
             f"grid_resolution must lie in (0, 0.01], got {grid_resolution}")
     if np.ndim(n) > 1:
         raise DomainError(f"n must be an int or a 1-D array, got shape {np.shape(n)}")
+    _require_config("link", link, LinkConfig)
     link.require_positive_gains()
     # each entry as given (an object array keeps a list's bools and
     # floats): FrameConfig rejects what is not an int, where int()
@@ -219,6 +221,7 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
     Expects zero violations and the maximum at the largest grid powers,
     per the full-power optimality of the closed-form rate.
     """
+    _require_config("frame", frame, FrameConfig)
     for name, v in (("p1_values", p1_values), ("p2_values", p2_values)):
         _require_number(name, v, batch=True)
         if np.ndim(v) != 1:

@@ -38,12 +38,30 @@ def _require_number(name: str, v, kind: type = numbers.Real,
     anything numpy reads as an int or float array.  A bool is no number:
     numpy scalars register as numbers, numpy bools do not."""
     if batch:
-        ok = np.asarray(v).dtype.kind in "iuf"
+        try:  # a ragged nested list is no array
+            ok = np.asarray(v).dtype.kind in "iuf"
+        except ValueError:
+            ok = False
     else:
         ok = isinstance(v, kind) and not isinstance(v, bool)
     if not ok:
         noun = "an int" if kind is numbers.Integral else "a number"
         raise DomainError(f"{name} must be {noun}, got {v!r}")
+
+
+def _require_config(name: str, v, cls: type) -> None:
+    """DomainError unless v is an instance of the config class cls."""
+    if not isinstance(v, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {v!r}")
+
+
+def _require_seed(name: str, seed) -> np.random.Generator:
+    """numpy's default_rng(seed), or DomainError where numpy rejects seed."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be None, an int >= 0 or a "
+                          f"Generator, got {seed!r}") from None
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,7 @@ class TimingError:
         Every point of a batch is checked; the error names the first one
         that fails.
         """
+        _require_config("frame", frame, FrameConfig)
         tau = frame.tau
         e1, e2 = self.arrays()
         s = e1 + e2

@@ -20,9 +20,10 @@ Noise comes in two flavors that cross-check each other:
   banks (noise_covariance_mc), used to validate the colored covariance
   model by Monte Carlo.  The window edges split the frame into 2n + 2
   cells whose integrated noise is exactly independent with variance
-  equal to the cell length, so one draw per cell gives the outputs'
-  exact distribution; the draws come in batches of bounded size, so
-  memory does not grow with the trial count;
+  equal to the cell length.  The estimate reads the trials only through
+  the Gram matrix of the cell noise, which is drawn exactly in
+  distribution from its triangular Bartlett factor (Goodman, Ann. Math.
+  Statist. 1963), so time and memory do not grow with the trial count;
 * a fast path that draws the interleaved noise vector directly from the
   noise covariance RhatN via a banded Cholesky factor (used by
   matched_filter_outputs when noise is requested).
@@ -41,12 +42,8 @@ import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    _require_number, build_error_matrices, build_gain,
-                    build_noise_covariance)
-
-# random values drawn per batch for each of the real and imaginary parts
-# of the Monte Carlo's white noise: bounds its memory whatever the trials
-_MC_BATCH_VALUES = 1 << 16
+                    _require_config, _require_number, _require_seed,
+                    build_error_matrices, build_gain, build_noise_covariance)
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ def generate_symbols(n: int, constellation: str = "gaussian",
     _require_number("n", n, numbers.Integral)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _require_seed("seed", seed)
     if constellation == "qpsk":
         pts = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0))
         s1 = pts[rng.integers(0, 4, size=n)]
@@ -175,8 +172,7 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
                       + _overlap(off2, 1 + off2, d, d + 1) * s1)
 
     if not noiseless:
-        rng = np.random.default_rng() if rng is None else rng
-        noise = draw_colored_noise(frame, err.eps2, rng)
+        noise = draw_colored_noise(frame, err.eps2, _require_seed("rng", rng))
         y1 = y1 + noise[0::2]
         y2 = y2 + noise[1::2]
     return SampleVectors(y1, y2)
@@ -219,17 +215,34 @@ def _interval_weights(frame: FrameConfig, eps2: float) -> np.ndarray:
     return w
 
 
+def _gram_factor(rng: np.random.Generator, trials: int,
+                 cells: int) -> np.ndarray:
+    """Upper-trapezoidal R, ``(min(trials, cells), cells)``, with R^H R
+    distributed as Z^H Z for trials x cells complex normals Z with
+    standard parts (Bartlett): R[k, k] = sqrt(chi^2(2 (trials - k))) and
+    R[k, j > k] = a + ib, a and b standard normals.  Drawn in this order:
+    the real then the imaginary part of each block entry, row by row
+    (those on and below the diagonal discarded), then R[k, k] from k = 0."""
+    k = min(trials, cells)
+    r = np.triu(rng.standard_normal((k, cells, 2)).view(complex)[..., 0], 1)
+    diag = np.arange(k)
+    r[diag, diag] = np.sqrt(rng.chisquare(2.0 * trials - 2.0 * diag))
+    return r
+
+
 def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
                         trials: int = 10_000,
                         seed: int | None = None) -> NoiseCovarianceReport:
     """Monte Carlo validation of the colored-noise covariance.
 
-    Unit-variance complex white noise is drawn once per cell between
-    consecutive window edges (see _interval_weights), which is the exact
-    distribution of the integrated noise: the estimate carries no
-    discretization bias for any tau + eps2, only sampling error.  At
-    most _MC_BATCH_VALUES values are drawn per batch.
+    Complex white noise drawn once per cell between window edges (see
+    _interval_weights) is the integrated noise's exact distribution, so
+    the estimate has no discretization bias for any tau + eps2.  Its
+    ``trials`` draws enter only through their Gram matrix, drawn from its
+    Bartlett factor (_gram_factor; Goodman, Ann. Math. Statist. 1963;
+    Odell & Feiveson, JASA 1966) in O(cells^2) whatever the trials.
     """
+    _require_config("frame", frame, FrameConfig)
     _require_number("trials", trials, numbers.Integral)
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a meaningful estimate")
@@ -237,19 +250,15 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     if not (0.0 < frame.tau + eps2 < 1.0):
         raise DomainError(
             f"noise model needs tau + eps2 in (0, 1), got {frame.tau + eps2}")
-    wt = _interval_weights(frame, eps2).T
-    cells, n2 = wt.shape
-    rng = np.random.default_rng(seed)
-    cov = np.zeros((n2, n2), dtype=complex)
-    batch = max(1, _MC_BATCH_VALUES // cells)
-    for start in range(0, trials, batch):
-        b = min(batch, trials - start)
-        # the real and the imaginary part of a cell each carry its
-        # length L as variance, twice a complex cell's L: halved once
-        # at the end
-        y = (rng.standard_normal((b, cells)) @ wt
-             + 1j * (rng.standard_normal((b, cells)) @ wt))
-        cov += y.T @ y.conj()
+    w = _interval_weights(frame, eps2)
+    r = _gram_factor(_require_seed("seed", seed), trials, w.shape[1])
+    # R W^T from window r's two weights, on cells r and r + 1; the real
+    # and the imaginary part of a cell each carry its length L as
+    # variance, twice a complex cell's L: halved once at the end
+    rw = r[:, :-2] * w.diagonal() + r[:, 1:-1] * w.diagonal(1)
+    del r, w  # each array is freed once read, which bounds the peak
+    cov = rw.T @ rw.conj()
+    del rw
     cov *= 1.0 / (2.0 * trials)
 
     expected = build_noise_covariance(frame, eps2).to_dense()

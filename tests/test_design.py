@@ -115,6 +115,11 @@ class TestOptimalTau:
         with pytest.raises(M.DomainError, match="^grid_resolution must be a number"):
             D.optimal_tau(LINK, 10, grid_resolution=res)
 
+    def test_link_must_be_a_link_config(self):
+        with pytest.raises(M.DomainError, match=re.escape(
+                "link must be a LinkConfig, got None")):
+            D.optimal_tau(None, 10)
+
     def test_result_type(self):
         star = D.optimal_tau(LINK, 10, grid_resolution=1e-3)
         assert isinstance(star, float)
@@ -405,6 +410,7 @@ class TestFullPower:
         (1.0, "must be a 1-D grid, got shape ()"),
         ([[0.5, 1.0]], "must be a 1-D grid, got shape (1, 2)"),
         (["x"], "must be a number, got ['x']"),
+        ([[0.5], [0.5, 1.0]], "must be a number, got [[0.5], [0.5, 1.0]]"),
     ])
     @pytest.mark.parametrize("key", ["p1_values", "p2_values"])
     def test_grid_must_be_a_1d_number_grid(self, key, bad, message):
@@ -412,6 +418,11 @@ class TestFullPower:
         with pytest.raises(M.DomainError, match=re.escape(f"{key} {message}")):
             D.verify_full_power(**grids, h1_sq=1.0, h2_sq=1.0,
                                 frame=M.FrameConfig(4, 0.5))
+
+    def test_frame_must_be_a_frame_config(self):
+        with pytest.raises(M.DomainError, match=re.escape(
+                "frame must be a FrameConfig, got None")):
+            D.verify_full_power([0.5, 1.0], [0.5, 1.0], 1.0, 1.0, None)
 
     def test_throughput_grid_shape(self):
         rep = D.verify_full_power([0.5, 1.0], [0.25, 0.5, 1.0], 1.0, 1.0,

@@ -167,6 +167,12 @@ class TestTimingError:
             M.TimingError(**{name: eps})
 
     @pytest.mark.parametrize("name", ["eps1", "eps2"])
+    def test_ragged_list_rejected_by_name(self, name):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"{name} must be a number, got [[0.1], [0.1, 0.2]]")):
+            M.TimingError(**{name: [[0.1], [0.1, 0.2]]})
+
+    @pytest.mark.parametrize("name", ["eps1", "eps2"])
     def test_numbers_and_float_batches_accepted(self, name):
         for eps in (0, np.int64(0), np.float32(0.25), [0.1, -0.2],
                     np.array([0.1, -0.2]), np.array([[0.1], [0.2]])):

@@ -14,6 +14,62 @@ from anoma import waveform as W
 
 UNIT_LINK = M.LinkConfig(p1=1.0, p2=1.0)
 
+# values drawn per batch by the trial-by-trial noise Monte Carlo oracle
+_MC_BATCH_VALUES = 1 << 16
+
+
+def _batch_loop_mc(frame, eps2, trials, seed):
+    """The noise Monte Carlo drawn trial by trial, in batches: the oracle
+    of noise_covariance_mc's Bartlett draw, the same estimator, as
+    (empirical covariance, max abs deviation)."""
+    wt = W._interval_weights(frame, eps2).T
+    cells, n2 = wt.shape
+    rng = np.random.default_rng(seed)
+    cov = np.zeros((n2, n2), dtype=complex)
+    batch = max(1, _MC_BATCH_VALUES // cells)
+    for start in range(0, trials, batch):
+        b = min(batch, trials - start)
+        # the real and the imaginary part of a cell each carry its
+        # length L as variance, twice a complex cell's L: halved once
+        # at the end
+        y = (rng.standard_normal((b, cells)) @ wt
+             + 1j * (rng.standard_normal((b, cells)) @ wt))
+        cov += y.T @ y.conj()
+    cov *= 1.0 / (2.0 * trials)
+    expected = M.build_noise_covariance(frame, eps2).to_dense()
+    return cov, float(np.max(np.abs(cov - expected)))
+
+
+def _ks_pvalue(a, b):
+    """Two-sample Kolmogorov-Smirnov p-value from the asymptotic
+    Kolmogorov distribution with Stephens' small-sample correction
+    (Numerical Recipes' probks), without importing scipy.stats."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate((a, b))
+    d = np.max(np.abs(np.searchsorted(a, both, "right") / len(a)
+                      - np.searchsorted(b, both, "right") / len(b)))
+    en = math.sqrt(len(a) * len(b) / (len(a) + len(b)))
+    lam = (en + 0.12 + 0.11 / en) * d
+    k = np.arange(1, 101)
+    terms = (-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2)
+    return float(np.clip(2.0 * terms.sum(), 0.0, 1.0))
+
+
+class _SpyGenerator:
+    """A Generator that records the name and result shape of each draw."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def spy(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.shape(out)))
+            return out
+        return spy
+
 
 def _loop_reference(symbols, link, frame, err):
     """The per-sample double loop over global window positions: window i
@@ -81,6 +137,12 @@ class TestGenerateSymbols:
 
     def test_numpy_int_count_accepted(self):
         assert W.generate_symbols(np.int64(3), seed=0).n == 3
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"seed must be None, an int >= 0 or a Generator, got {seed!r}")):
+            W.generate_symbols(4, seed=seed)
 
 
 class TestMatchedFilterOutputs:
@@ -170,6 +232,36 @@ class TestMatchedFilterOutputs:
         assert np.array_equal(a.y1, b.y1)
         assert not np.allclose(a.y1, W.matched_filter_outputs(
             sym, UNIT_LINK, frame).y1)
+
+
+class TestEntryPointArguments:
+    def test_simulator_frame_must_be_a_frame_config(self):
+        sym = W.generate_symbols(2, seed=0)
+        with pytest.raises(M.DomainError, match=re.escape(
+                "frame must be a FrameConfig, got None")):
+            W.matched_filter_outputs(sym, UNIT_LINK, None)
+
+    def test_simulator_rng_must_make_a_generator(self):
+        sym = W.generate_symbols(2, seed=0)
+        with pytest.raises(M.DomainError, match="^rng must be None, an int"):
+            W.matched_filter_outputs(sym, UNIT_LINK, M.FrameConfig(2, 0.5),
+                                     noiseless=False, rng="x")
+
+    def test_colored_noise_frame_must_be_a_frame_config(self):
+        with pytest.raises(M.DomainError, match=re.escape(
+                "frame must be a FrameConfig, got None")):
+            W.draw_colored_noise(None, 0.0, np.random.default_rng(0))
+
+    def test_monte_carlo_frame_must_be_a_frame_config(self):
+        with pytest.raises(M.DomainError, match=re.escape(
+                "frame must be a FrameConfig, got None")):
+            W.noise_covariance_mc(None)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1])
+    def test_monte_carlo_seed_named(self, seed):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"seed must be None, an int >= 0 or a Generator, got {seed!r}")):
+            W.noise_covariance_mc(M.FrameConfig(1, 0.5), seed=seed)
 
 
 class TestModelOutputs:
@@ -311,9 +403,9 @@ class TestIntervalMonteCarlo:
         assert not w[:, -1].any()
 
     def test_peak_memory_at_n_200(self):
-        # a few 400 x 400 complex arrays of 2.6 MB each (the covariance,
-        # its batch update, the deviation from the model) put the peak
-        # near 9 MB; the cell weights add 1.3 MB
+        # a few 400 x 400 complex arrays of 2.6 MB each (the Bartlett
+        # factor R, R W^T, the covariance, the deviation from the model),
+        # with the cell weights' 1.3 MB, put the traced peak near 9.3 MB
         tracemalloc.start()
         try:
             W.noise_covariance_mc(M.FrameConfig(200, 0.5), eps2=0.05,
@@ -334,3 +426,73 @@ class TestIntervalMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("trials", [3, 8])
+    def test_gram_matrix_moments_and_rank(self, trials):
+        # R^H R against Z^H Z for Z of trials x cells complex normals with
+        # standard parts: mean 2 trials I, diagonal variance 4 trials
+        # (chi^2 with 2 trials degrees of freedom), rank min(trials, cells)
+        cells, draws = 6, 20_000
+        rng = np.random.default_rng(31)
+        r = np.stack([W._gram_factor(rng, trials, cells)
+                      for _ in range(draws)])
+        assert r.shape == (draws, min(trials, cells), cells)
+        assert not np.tril(r, -1).any()
+        g = np.conj(np.swapaxes(r, 1, 2)) @ r
+        root = math.sqrt(draws)
+        miss = np.abs(g.real.mean(0) - 2 * trials * np.eye(cells))
+        assert np.all(miss <= 4 * g.real.std(0) / root)
+        off = ~np.eye(cells, dtype=bool)
+        im = g.imag[:, off]
+        assert np.all(np.abs(im.mean(0)) <= 4 * im.std(0) / root)
+        diag = np.diagonal(g.real, axis1=1, axis2=2)
+        sq = (diag - diag.mean(0)) ** 2
+        assert np.all(np.abs(sq.mean(0) - 4 * trials) <= 4 * sq.std(0) / root)
+        assert np.all(np.linalg.matrix_rank(g) == min(trials, cells))
+
+    def test_draws_do_not_depend_on_trials(self):
+        calls = []
+        for trials in (6, 10_000, 10 ** 9):
+            spy = _SpyGenerator(np.random.default_rng(0))
+            W._gram_factor(spy, trials, 6)
+            calls.append(spy.calls)
+        assert calls[0] == calls[1] == calls[2] == [
+            ("standard_normal", (6, 6, 2)), ("chisquare", (6,))]
+
+    def test_a_billion_trials_in_the_memory_of_ten_thousand(self):
+        # each call's traced peak above what was held before it, in one
+        # tracing session (a session's first call also traces its own
+        # start-up).  Both counts allocate the same arrays; the peak
+        # still drifts by a few bytes from call to call at any count
+        frame = M.FrameConfig(2, 0.5)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for trials in (10_000, 10_000, 10 ** 9):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                rep = W.noise_covariance_mc(frame, eps2=0.05, trials=trials,
+                                            seed=9)
+                peaks[trials] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[10 ** 9] - peaks[10_000]) <= 64
+        # ten per-entry standard deviations: never a chance miss
+        assert rep.max_abs_deviation <= 10 * rep.stat_bound
+
+    @pytest.mark.parametrize("n,tau,eps2", [(2, 0.5, 0.05), (5, 0.3, 0.0123)])
+    def test_same_estimator_distribution_as_the_batch_loop(self, n, tau, eps2):
+        # 200 estimates each way, from disjoint seeds, at 10,000 trials
+        frame, trials = M.FrameConfig(n, tau), 10_000
+        old = [_batch_loop_mc(frame, eps2, trials, 1000 + s)
+               for s in range(200)]
+        new = [W.noise_covariance_mc(frame, eps2, trials, seed=2000 + s)
+               for s in range(200)]
+        bound = 3.0 / math.sqrt(trials)
+        assert _ks_pvalue([dev / bound for _, dev in old],
+                          [r.max_abs_deviation / r.stat_bound
+                           for r in new]) > 1e-3
+        assert _ks_pvalue([cov[0, 1].real for cov, _ in old],
+                          [r.empirical[0, 1].real for r in new]) > 1e-3
