@@ -5,10 +5,8 @@ Each figure returns its header and its whole columns, in header order,
 to one writer, which checks every cell before it opens the file and
 formats an integer column as %d and any other as %.12g.  Sweep grids are
 evaluated and written in axis order, so the output is byte-for-byte
-deterministic for a fixed spec.  The timing-error figures evaluate their
-whole grid in one batched call, and the closed-form figures
-(power_surface, rate_vs_gain, tau_star_vs_n) one closed_rate evaluation
-per grid or gain pair.
+deterministic for a fixed spec.  Each figure evaluates its grid in as
+few batched calls as its routes allow.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ import sys
 import numpy as np
 
 from . import design, timing, validate
-from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    _require_number)
+from .model import (DomainError, FrameConfig, LinkConfig, TimingError, _length,
+                    _real, _require_bytes)
 from .throughput import (closed_rate, throughput_asymptotic,
                          throughput_matrix, throughput_noma, throughput_oma,
                          throughput_report)
@@ -37,6 +35,9 @@ EXIT_IO = 3
 
 # a CSV column this long formats each distinct value once (_cell_texts)
 _DISTINCT_MIN = 256
+# a sweep point's share of the arrays that evaluate it and of the strings
+# of its CSV row, with room to spare, against model.MAX_BYTES
+_POINT_BYTES = 1 << 10
 
 
 class UsageError(Exception):
@@ -49,30 +50,34 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
-    """Inclusive grid over [lo, hi] with the given step.
-
-    When step * k lands within 1e-9 |v| of each endpoint v for a whole k,
-    the grid is built as step * k, so symmetric ranges hit 0.0 exactly;
-    otherwise it is anchored at lo and clamped to hi, so it never leaves
-    [lo, hi].  Either way each point is a single product (or hi itself),
-    never an accumulated sum.
+def _axis(params: dict, lo_key: str, hi_key: str, step_key: str,
+          dims: int = 1) -> np.ndarray:
+    """Inclusive grid over [lo, hi] with the given step, for a sweep over
+    dims such axes.  When step * k lands within 1e-9 |v| of each endpoint
+    v for a whole k, the grid is step * k, so symmetric ranges hit 0.0
+    exactly; otherwise it is anchored at lo and clamped to hi.  Either
+    way each point is a single product (or hi itself), never a sum.
     """
     lo, hi, step = params[lo_key], params[hi_key], params[step_key]
     if step <= 0:
         raise UsageError(f"{step_key} must be > 0")
     if hi < lo:
         raise UsageError(f"{hi_key} must be >= {lo_key}")
+    keys = f"{lo_key}, {hi_key} and {step_key}"
     try:
         k0, k1 = round(lo / step), round(hi / step)
-        if all(abs(step * k - v) <= 1e-9 * abs(v)
-               for k, v in ((k0, lo), (k1, hi))):
-            return step * np.arange(k0, k1 + 1)
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return np.minimum(lo + step * np.arange(count), hi)
-    except (OverflowError, ValueError):  # numpy: "Maximum allowed size"
-        raise UsageError(f"{lo_key}, {hi_key} and {step_key} span more grid "
-                         "points than an array can index") from None
+        exact = all(abs(step * k - v) <= 1e-9 * abs(v)
+                    for k, v in ((k0, lo), (k1, hi)))
+        count = k1 - k0 + 1 if exact else int(math.floor((hi - lo) / step
+                                                         + 1e-9)) + 1
+        n_bytes = _POINT_BYTES * math.prod([float(count)] * dims)
+    except (OverflowError, ValueError):  # a count past the float range
+        raise UsageError(f"{keys} span more grid points than an array can "
+                         "index") from None
+    _require_bytes(f"{keys} span {count}^{dims} grid points, which", n_bytes)
+    if exact:  # k past int64 is still a float
+        return step * np.arange(k0, k1 + 1, dtype=float)
+    return np.minimum(lo + step * np.arange(count), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +87,9 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str) -> np.ndarray:
 def _fig_rate_vs_gain(p: dict):
     h1_grid = _axis(p, "h1_sq_min", "h1_sq_max", "h1_sq_step")
     h2_list = list(p["h2_sq_values"])
-    if not h2_list:
-        raise UsageError("h2_sq_values must be non-empty")
     # each channel is the square root of its |h|^2
     for key, v in (("h1_sq_min", h1_grid[0]), ("h2_sq_values", min(h2_list))):
-        if v < 0:
-            raise UsageError(f"{key} must be >= 0, got {v}")
+        _real(key, v, 0.0, rule="be >= 0")
     frame = FrameConfig(p["n"], p["tau"])
     header = ["h1_sq"]
     for h2 in h2_list:
@@ -98,7 +100,6 @@ def _fig_rate_vs_gain(p: dict):
     links = [[LinkConfig(p1=p["p1"], p2=p["p2"], h1=math.sqrt(h1_sq),
                          h2=math.sqrt(h2_sq)) for h2_sq in h2_list]
              for h1_sq in h1_grid]
-    # the log-det route checks every gain before the closed form runs
     matrix = np.array([[throughput_matrix(link, frame) for link in row]
                        for row in links])
     # one gain per h1 row and one per h2 column, as LinkConfig computes them
@@ -114,10 +115,10 @@ def _fig_rate_vs_gain(p: dict):
 
 def _fig_rate_vs_n(p: dict):
     taus = list(p["tau_values"])
-    if not taus:
-        raise UsageError("tau_values must be non-empty")
     if p["n_points"] < 1 or p["n_min"] < 1 or p["n_max"] < p["n_min"]:
         raise UsageError("n_min/n_max/n_points must define a non-empty range")
+    _require_bytes(f"n_points = {p['n_points']}", _POINT_BYTES * p["n_points"])
+    _length("frame length n", p["n_max"])  # the log-spaced ladder is in floats
     # Python ints: FrameConfig checks each, where an int64 cast would wrap
     ns = [int(v) for v in np.unique(np.round(np.logspace(
         math.log10(p["n_min"]), math.log10(p["n_max"]), p["n_points"])))]
@@ -133,7 +134,7 @@ def _fig_rate_vs_n(p: dict):
 
 
 def _fig_power_surface(p: dict):
-    pg = _axis(p, "p_min", "p_max", "p_step")
+    pg = _axis(p, "p_min", "p_max", "p_step", dims=2)
     frame = FrameConfig(p["n"], p["tau"])
     rate = design.verify_full_power(pg, pg, p["h1_sq"], p["h2_sq"],
                                     frame).throughput
@@ -143,11 +144,7 @@ def _fig_power_surface(p: dict):
 
 def _fig_tau_star_vs_n(p: dict):
     gains = [tuple(g) for g in p["gains"]]
-    if not gains:
-        raise UsageError("gains must be non-empty")
     n_values = p["n_values"]
-    if not n_values:
-        raise UsageError("n_values must be non-empty")
     res = p["grid_resolution"]
     header = ["N"] + [f"tau_star_mu{_fmt(a)}_{_fmt(b)}" for a, b in gains]
 
@@ -158,7 +155,7 @@ def _fig_tau_star_vs_n(p: dict):
 
 
 def _fig_loss_heatmap(p: dict):
-    eps = _axis(p, "eps_min", "eps_max", "eps_step")
+    eps = _axis(p, "eps_min", "eps_max", "eps_step", dims=2)
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     frame = FrameConfig(p["n"], p["tau"])
     header = ["eps1", "eps2", "gamma"]
@@ -250,33 +247,24 @@ def _parse_set(entries: list[str]) -> dict:
 
 
 def _conform(key: str, val, default):
-    """val as a value of default's kind, else UsageError naming key.
-
-    Where the default is an int, val must be a whole number (1e3 gives
-    1000); where it is a float, a finite number that is not a bool;
-    where it is a list, a list of values of its first entry's kind, and
-    of that entry's length when the entries are lists (gain pairs).
+    """val as a value of default's kind, else UsageError or DomainError
+    naming key: for an int default a whole number (1e3 gives 1000), for a
+    float one a finite number (kept as given), and for a list one a
+    non-empty list of values of its first entry's kind, and of that
+    entry's length when the entries are lists (gain pairs).
     """
     if isinstance(default, list):
         item = default[0]
-        if not isinstance(val, list) or (isinstance(item, list) and any(
+        if not isinstance(val, list) or not val or (isinstance(item, list) and any(
                 not isinstance(v, list) or len(v) != len(item) for v in val)):
             shape = f"{len(item)}-element lists" if isinstance(item, list) else "values"
-            raise UsageError(f"{key} must be a list of {shape}, got {val!r}")
+            raise UsageError(f"{key} must be a non-empty list of {shape}, got {val!r}")
         return [_conform(key, v, item) for v in val]
     if isinstance(default, int):
         if isinstance(val, float) and val.is_integer():
             val = int(val)
-        if isinstance(val, int) and not isinstance(val, bool):
-            return val
-        raise UsageError(f"{key} must be a whole number, got {val!r}")
-    try:
-        _require_number(key, val)
-        finite = math.isfinite(val)
-    except (DomainError, OverflowError):  # no number, or an int past floats
-        finite = False
-    if not finite:
-        raise UsageError(f"{key} must be a finite number, got {val!r}")
+        return _real(key, val, rule=None, kind=int)
+    _real(key, val)
     return val
 
 
@@ -284,7 +272,7 @@ def _merge_params(defaults: dict, config_path: str | None,
                   overrides: dict) -> dict:
     """defaults, then the config file's fields, then the overrides, each
     value checked against its default's kind (_conform)."""
-    params = dict(defaults)
+    params, file_params = dict(defaults), {}
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as f:
@@ -295,24 +283,20 @@ def _merge_params(defaults: dict, config_path: str | None,
             raise UsageError(f"config {config_path} is not valid JSON: {exc}")
         if not isinstance(file_params, dict):
             raise UsageError("config file must hold a JSON object")
-        for key, val in file_params.items():
+    for what, given in (("config field", file_params), ("field", overrides)):
+        for key, val in given.items():
             if key not in params:
-                raise UsageError(f"unknown config field {key!r}")
+                raise UsageError(f"unknown {what} {key!r}")
             params[key] = _conform(key, val, defaults[key])
-    for key, val in overrides.items():
-        if key not in params:
-            raise UsageError(f"unknown field {key!r}")
-        params[key] = _conform(key, val, defaults[key])
     return params
 
 
 def _write_csv(path: str, header: list[str], columns: list) -> None:
     """Header, then row i holding entry i of each column (equal-length
-    1-D arrays or lists, in header order).
-
-    A non-finite cell raises DomainError naming its row and column
-    before the file is opened, so no partial CSV is left.  An integer
-    column prints as %d and any other as %.12g, _fmt's two formats.
+    1-D arrays or lists, in header order).  A non-finite cell raises
+    DomainError naming its row and column before the file is opened, so
+    no partial CSV is left.  An integer column prints as %d and any
+    other as %.12g, _fmt's two formats.
     """
     columns = [np.asarray(c) for c in columns]
     cells = np.column_stack(columns)
@@ -425,12 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        # numpy raises its _ArrayMemoryError, a MemoryError, for an array
-        # that does not fit; every array here is O(n) or O(grid size)
-        print(f"error: out of memory: {exc} (the arrays grow with the frame "
-              "length n and with the number of sweep points)", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DomainError, FrameConfig, LinkConfig, _require_config,
-                    _require_number)
-from .throughput import closed_rate
+from .model import (_GAIN, _MU_MIN, _TINY, DomainError, FrameConfig,
+                    LinkConfig, _config, _every, _length, _link, _real,
+                    _require_bytes)
+from .throughput import _closed_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section refinement stops once its bracket is this narrow
@@ -35,6 +36,8 @@ _GRID_ENTRIES = 1 << 16
 # 4 calls, on 31-point trees) measured slower (README, "tau* search
 # cost")
 _LOOKAHEAD = 4
+# grid_resolution lies in (0, 0.01], that is in [_TINY, _RES_END)
+_RES_END = float(np.nextafter(0.01, 1.0))
 
 
 @dataclass(frozen=True)
@@ -164,31 +167,24 @@ def optimal_tau(link: LinkConfig, n,
     it).  Ties break toward the smallest tau.  The rate achieved there
     is closed_rate(link.mu1, link.mu2, n, tau*), bit for bit.
     """
-    _require_number("grid_resolution", grid_resolution)
-    if not (0.0 < grid_resolution <= 0.01):
-        raise DomainError(
-            f"grid_resolution must lie in (0, 0.01], got {grid_resolution}")
-    if np.ndim(n) > 1:
-        raise DomainError(f"n must be an int or a 1-D array, got shape {np.shape(n)}")
-    _require_config("link", link, LinkConfig)
-    link.require_positive_gains()
+    res = _real("grid_resolution", grid_resolution, _TINY, _RES_END,
+                "lie in (0, 0.01]")
+    _require_bytes(f"grid_resolution {grid_resolution}", 8.0 / res)  # the tau grid
     # each entry as given (an object array keeps a list's bools and
-    # floats): FrameConfig rejects what is not an int, where int()
-    # would truncate it
-    ns = np.array([FrameConfig(v, 0.0).n
-                   for v in np.asarray(n, dtype=object).ravel()], dtype=int)
-    mu1, mu2 = link.mu1, link.mu2
+    # floats): a float is no frame length, where int() would truncate it
+    entries = np.asarray(n, dtype=object)
+    if entries.ndim > 1:
+        raise DomainError(f"n must be an int or a 1-D array, got shape {entries.shape}")
+    ns = np.array([_length("frame length n", v) for v in entries.ravel()],
+                  dtype=int)
+    mu1, mu2 = np.float64(_link(link).mu1), np.float64(link.mu2)
 
     def objective(rows, tau):
         # closed_rate names any point whose rate is not finite, so no
         # NaN can steer the search
-        return closed_rate(mu1, mu2, ns[rows], tau)
+        return _closed_rate(mu1, mu2, ns[rows], tau)
 
-    try:
-        taus = np.arange(0.0, 1.0, grid_resolution)
-    except ValueError:  # numpy: "Maximum allowed size exceeded"
-        raise DomainError(f"grid_resolution {grid_resolution} spans more tau "
-                          "grid points than an array can index") from None
+    taus = np.arange(0.0, 1.0, res)
     rows = np.arange(len(ns))
     # the grid is scanned in column blocks of at most _GRID_ENTRIES
     # points, one evaluation each; a later block must beat the best so
@@ -204,14 +200,14 @@ def optimal_tau(link: LinkConfig, n,
         best[beats], achieved[beats] = start + cols[beats], top[beats]
     tau_star = taus[best]
 
-    lo = np.maximum(0.0, tau_star - grid_resolution)
-    hi = np.minimum(1.0 - _REFINE_TOL, tau_star + grid_resolution)
+    lo = np.maximum(0.0, tau_star - res)
+    hi = np.minimum(1.0 - _REFINE_TOL, tau_star + res)
     refine = rows[hi > lo]
     x, fx = _golden_max(lambda r, t: objective(refine[r], t),
                         lo[refine], hi[refine], _REFINE_TOL)
     better = fx > achieved[refine]
     tau_star[refine[better]] = x[better]
-    return float(tau_star[0]) if np.ndim(n) == 0 else tau_star
+    return float(tau_star[0]) if entries.ndim == 0 else tau_star
 
 
 def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
@@ -221,33 +217,24 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
     Expects zero violations and the maximum at the largest grid powers,
     per the full-power optimality of the closed-form rate.
     """
-    _require_config("frame", frame, FrameConfig)
-    for name, v in (("p1_values", p1_values), ("p2_values", p2_values)):
-        _require_number(name, v, batch=True)
-        if np.ndim(v) != 1:
-            raise DomainError(f"{name} must be a 1-D grid, got shape {np.shape(v)}")
-    p1_values = np.asarray(p1_values, dtype=float)
-    p2_values = np.asarray(p2_values, dtype=float)
-    if not (p1_values.size and p2_values.size):
-        raise DomainError("power grids must be non-empty")
-    if np.any(p1_values <= 0.0) or np.any(p2_values <= 0.0):
-        raise DomainError("power grids must be strictly positive")
-    if np.any(np.diff(p1_values) <= 0.0) or np.any(np.diff(p2_values) <= 0.0):
-        raise DomainError("power grids must be strictly increasing")
-
-    for name, v in (("h1_sq", h1_sq), ("h2_sq", h2_sq)):
-        _require_number(name, v)
-        if not 0.0 <= v < math.inf:
-            raise DomainError(f"{name} must be finite and >= 0, got {v}")
-    h1, h2 = math.sqrt(h1_sq), math.sqrt(h2_sq)
-    # each gain rises with its power, so the two corner links bound them all
-    for k in (0, -1):
-        LinkConfig(p1=float(p1_values[k]), p2=float(p2_values[k]),
-                   h1=h1, h2=h2).require_positive_gains()
-    # LinkConfig.mu1 and mu2 at every grid power
-    mu1 = p1_values * abs(h1) ** 2
-    mu2 = p2_values * abs(h2) ** 2
-    grid = closed_rate(mu1[:, None], mu2[None, :], frame.n, frame.tau)
+    _config("frame", frame, FrameConfig)
+    grids, mu = [], []
+    for p_name, p, h_name, h_sq in (("p1_values", p1_values, "h1_sq", h1_sq),
+                                    ("p2_values", p2_values, "h2_sq", h2_sq)):
+        grids.append(p := _real(p_name, p, batch=True))
+        if p.ndim != 1:
+            raise DomainError(f"{p_name} must be a 1-D grid, got shape {p.shape}")
+        if not p.size:
+            raise DomainError(f"power grids must be non-empty, got {p_name} = []")
+        if not _every(np.diff(p) > 0.0):
+            raise DomainError(f"{p_name} must be strictly increasing")
+        h = math.sqrt(_real(h_name, h_sq, 0.0, rule="be finite and >= 0"))
+        # LinkConfig.mu1 or mu2 at every grid power, each one a gain
+        mu.append(_real(f"{p_name} * {h_name}", p * abs(h) ** 2, _MU_MIN,
+                        rule=_GAIN, batch=True))
+    _require_bytes("p1_values x p2_values", 8 * mu[0].size * mu[1].size)
+    grid = _closed_rate(mu[0][:, None], mu[1][None, :], np.int64(frame.n),
+                        np.float64(frame.tau))
 
     violations = ([("p1", int(i), int(j))
                    for i, j in np.argwhere(~(grid[1:] > grid[:-1]))]
@@ -255,7 +242,5 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
                      for i, j in np.argwhere(~(grid[:, 1:] > grid[:, :-1]))])
 
     imax, jmax = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    return PowerSweepReport(
-        throughput=grid, violations=violations,
-        argmax=(float(p1_values[imax]), float(p2_values[jmax])),
-    )
+    return PowerSweepReport(throughput=grid, violations=violations, argmax=(
+        float(grids[0][imax]), float(grids[1][jmax])))

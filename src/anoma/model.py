@@ -32,36 +32,108 @@ class DomainError(ValueError):
     """Raised when inputs leave the admissible parameter region."""
 
 
-def _require_number(name: str, v, kind: type = numbers.Real,
-                    batch: bool = False) -> None:
-    """DomainError unless v is a number of the given kind, or with batch
-    anything numpy reads as an int or float array.  A bool is no number:
-    numpy scalars register as numbers, numpy bools do not."""
-    if batch:
-        try:  # a ragged nested list is no array
-            ok = np.asarray(v).dtype.kind in "iuf"
-        except ValueError:
-            ok = False
-    else:
-        ok = isinstance(v, kind) and not isinstance(v, bool)
+# the most memory one call may ask for: a request past it raises
+# DomainError before it is allocated.  An O(n) route is taken to need
+# _SYMBOL_BYTES per symbol (the widest, the display loss, with room to
+# spare); the recursion, O(n) in time only, is held to the same lengths
+MAX_BYTES = 1 << 30
+_SYMBOL_BYTES = 1 << 10
+# the largest frame length: every route indexes the frame with int64
+_N_MAX = int(np.iinfo(np.int64).max)
+# the least gain whose reciprocal is finite, and the least positive float
+_MU_MIN = float(np.nextafter(2.0 ** -1024, 1.0))
+_GAIN = "be > 0 with a finite reciprocal"
+_TINY = math.ulp(0.0)
+# per kind of number: its scalar type, numpy's dtype kinds, and its noun
+_KINDS = {float: (numbers.Real, "iuf", "a number"),
+          complex: (numbers.Complex, "iufc", "a number"),
+          int: (numbers.Integral, "iu", "an int")}
+
+
+def _every(values) -> bool:
+    """values.all(), without a reduction's fixed cost on one value."""
+    return bool(values) if values.ndim == 0 else bool(values.all())
+
+
+def _real(name: str, v, lo=None, hi=math.inf, rule: str | None = "be finite",
+          batch: bool = False, kind: type = float):
+    """v as a kind (float, complex or int), or with batch as a numpy array
+    of them, else DomainError naming name.  A bool or a string is no
+    number, nor a float an int, and a ragged list no array.  Every entry
+    must then be finite, or with lo lie in [lo, hi), as rule says; rule
+    None checks no value.  An int past the float range reads as +-inf.
+    """
+    scalar, dtypes, noun = _KINDS[kind]
+    try:  # a ragged nested list is no array
+        x = np.asarray(v) if batch else v
+        ok = (x.dtype.kind in dtypes if batch
+              else isinstance(v, scalar) and not isinstance(v, bool))
+    except ValueError:
+        ok = False
     if not ok:
-        noun = "an int" if kind is numbers.Integral else "a number"
         raise DomainError(f"{name} must be {noun}, got {v!r}")
+    try:  # an int array is kept as numpy holds it
+        x = (x if kind is int else x.astype(kind, copy=False)) if batch else kind(v)
+    except OverflowError:  # an int past the float range
+        x = kind(math.inf if v > 0 else -math.inf)
+    if rule is None:
+        return x
+    finite = np.isfinite if batch else cmath.isfinite
+    inside = finite(x) if lo is None else (lo <= x) & (x < hi)
+    if _every(inside) if batch else inside:
+        return x
+    bad = x.flat[np.argmax(~inside)] if batch else x
+    raise DomainError(f"{name} must {rule}, got {bad}")
 
 
-def _require_config(name: str, v, cls: type) -> None:
-    """DomainError unless v is an instance of the config class cls."""
+def _length(name: str, v, batch: bool = False):
+    """v as a frame length in [1, _N_MAX], as _real checks it."""
+    return _real(name, v, 1, _N_MAX + 1, f"be an int in [1, {_N_MAX}]",
+                 batch, int)
+
+
+def _config(name: str, v, cls: type):
+    """v, or DomainError unless it is an instance of the class cls."""
     if not isinstance(v, cls):
         raise DomainError(f"{name} must be a {cls.__name__}, got {v!r}")
+    return v
 
 
-def _require_seed(name: str, seed) -> np.random.Generator:
-    """numpy's default_rng(seed), or DomainError where numpy rejects seed."""
+def _seed(name: str, seed) -> np.random.Generator:
+    """default_rng(seed), or DomainError for a bool or what numpy rejects."""
     try:
+        if isinstance(seed, (bool, np.bool_)):
+            raise TypeError
         return np.random.default_rng(seed)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be None, an int >= 0 or a "
                           f"Generator, got {seed!r}") from None
+
+
+def _require_bytes(what: str, n_bytes) -> None:
+    """DomainError, naming what needs the bytes, past MAX_BYTES."""
+    if n_bytes > MAX_BYTES:  # an int count may be past the float range
+        size = f"about {n_bytes:.3g}" if n_bytes < 1e300 else "over 1e300"
+        raise DomainError(f"{what} needs {size} bytes, over the budget of "
+                          f"MAX_BYTES = {MAX_BYTES}")
+
+
+def _frame(frame, points: int = 1) -> "FrameConfig":
+    """frame, a FrameConfig whose O(n) routes at points frames fit."""
+    n = _config("frame", frame, FrameConfig).n
+    _require_bytes(f"frame length n = {n}", _SYMBOL_BYTES * n * max(points, 1))
+    return frame
+
+
+def _link(link) -> "LinkConfig":
+    """link, a LinkConfig whose gains the rate routes take."""
+    _config("link", link, LinkConfig).require_positive_gains()
+    return link
+
+
+def _at(e1: np.ndarray, e2: np.ndarray, i: int) -> str:
+    """Coordinates of point i of flattened offsets, for messages."""
+    return f"(eps1, eps2) = ({float(e1.flat[i])}, {float(e2.flat[i])})"
 
 
 @dataclass(frozen=True)
@@ -79,17 +151,15 @@ class LinkConfig:
     h2: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        for name, kind in (("p1", numbers.Real), ("p2", numbers.Real),
-                           ("h1", numbers.Complex), ("h2", numbers.Complex)):
-            _require_number(name, getattr(self, name), kind)
         for name in ("p1", "p2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, name, _real(
+                name, getattr(self, name), 0.0, rule="be finite and >= 0"))
         for name in ("h1", "h2"):
-            h = complex(getattr(self, name))
-            if not cmath.isfinite(h):
-                raise DomainError(f"{name} must be finite, got {h}")
+            object.__setattr__(self, name,
+                               _real(name, getattr(self, name), kind=complex))
+        for k, p, h in (("1", self.p1, self.h1), ("2", self.p2, self.h2)):
+            if not math.isfinite(p * (abs(h) * abs(h))):  # so abs(h) ** 2 fits
+                raise DomainError(f"gain mu{k} = p{k} |h{k}|^2 must be finite")
 
     @classmethod
     def from_gains(cls, mu1: float, mu2: float) -> "LinkConfig":
@@ -108,14 +178,8 @@ class LinkConfig:
         """The rate routes invert each gain, so each gain and its
         reciprocal must be positive and finite: below about 5.6e-309 the
         reciprocal overflows."""
-        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not (mu > 0.0 and math.isfinite(mu) and math.isfinite(1.0 / mu)):
-                raise DomainError(f"throughput needs {name} > 0 with a finite "
-                                  f"1/{name}, got {name}={mu}")
-
-
-# the largest frame length: every route indexes the frame with int64
-_N_MAX = int(np.iinfo(np.int64).max)
+        _real("mu1", self.mu1, _MU_MIN, rule=_GAIN)
+        _real("mu2", self.mu2, _MU_MIN, rule=_GAIN)
 
 
 @dataclass(frozen=True)
@@ -126,27 +190,17 @@ class FrameConfig:
     tau: float
 
     def __post_init__(self) -> None:
-        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
-                or not 1 <= self.n <= _N_MAX):
-            # repr shows a string as one; str keeps np.int64(0) as 0
-            got = (self.n if isinstance(self.n, (int, np.integer))
-                   else repr(self.n))
-            raise DomainError(f"frame length n must be an int in [1, {_N_MAX}], "
-                              f"got {got}")
-        _require_number("tau", self.tau)
-        if not (0.0 <= self.tau < 1.0):
-            raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "n", _length("frame length n", self.n))
+        object.__setattr__(self, "tau", _real("tau", self.tau, 0.0, 1.0,
+                                              "lie in [0, 1)"))
 
 
 @dataclass(frozen=True)
 class TimingError:
-    """Normalized synchronization (eps1) and coordination (eps2) offsets.
-
-    One point, or a batch of points when eps1 and eps2 are arrays (they
-    broadcast against each other).  The timing-error functions evaluate
-    a batch in one call and return an array of its shape.
+    """Normalized synchronization (eps1) and coordination (eps2) offsets:
+    one point, or a batch when eps1 and eps2 are arrays (they broadcast
+    against each other), kept as numpy floats.  The timing-error
+    functions evaluate a batch in one call, returning its shape.
     """
 
     eps1: float | np.ndarray = 0.0
@@ -154,37 +208,25 @@ class TimingError:
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2"):
-            v = getattr(self, name)
-            _require_number(name, v, batch=True)
-            if not np.isfinite(v).all():
-                raise DomainError(f"{name} must be finite")
+            # [()] keeps one point a numpy float, not a 0-d array
+            object.__setattr__(self, name,
+                               _real(name, getattr(self, name), batch=True)[()])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """eps1 and eps2 as float arrays of the common batch shape."""
-        e1 = np.asarray(self.eps1, dtype=float)
-        e2 = np.asarray(self.eps2, dtype=float)
+        e1, e2 = np.asarray(self.eps1), np.asarray(self.eps2)
         if e1.shape != e2.shape:
             e1, e2 = np.broadcast_arrays(e1, e2)
         return e1, e2
 
-    def point(self, index: int) -> str:
-        """Coordinates of one point of the flattened batch, for messages."""
-        e1, e2 = self.arrays()
-        return (f"(eps1, eps2) = ({float(e1.flat[index])}, "
-                f"{float(e2.flat[index])})")
-
     def require_point(self, who: str) -> None:
         """DomainError unless this is one point: ``who`` takes no batch."""
         if np.ndim(self.eps1) or np.ndim(self.eps2):
-            raise DomainError(f"{who} takes one timing point, not a batch")
+            raise DomainError(f"{who} takes one timing point, not an eps1, eps2 batch")
 
     def check_admissible(self, frame: FrameConfig) -> None:
-        """Both sampling banks must stay within one symbol of their target.
-
-        Every point of a batch is checked; the error names the first one
-        that fails.
-        """
-        _require_config("frame", frame, FrameConfig)
+        """Both sampling banks must stay within one symbol of their target:
+        the error names the first point of a batch that fails."""
         tau = frame.tau
         e1, e2 = self.arrays()
         s = e1 + e2
@@ -197,7 +239,7 @@ class TimingError:
             what = f"eps1={float(e1.flat[i])} outside [tau-1, tau]"
         else:
             what = f"eps1+eps2={float(s.flat[i])} outside [-tau, 1-tau]"
-        raise DomainError(f"{what} for tau={tau} at {self.point(i)}")
+        raise DomainError(f"{what} for tau={tau} at {_at(e1, e2, i)}")
 
 
 def _stencil(n2: int, diagonals, out: np.ndarray | None = None) -> BandedMatrix:
@@ -228,30 +270,30 @@ def build_correlation(frame: FrameConfig) -> BandedMatrix:
     Unit diagonal; the first super-diagonal alternates 1-tau, tau starting
     from (row 0, col 1); symmetric.  It is RhatN at eps2 = 0, bit for bit.
     """
-    return build_noise_covariance(frame, 0.0)
+    return _noise_covariance(_frame(frame), 0.0)
 
 
 def build_gain(link: LinkConfig, n: int) -> np.ndarray:
     """Diagonal of the complex gain H, length 2n: even slots
     h1*sqrt(p1) (stream 1), odd slots h2*sqrt(p2) (stream 2)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    g1 = link.h1 * cmath.sqrt(link.p1)
-    g2 = link.h2 * cmath.sqrt(link.p2)
+    n = _length("n", n)
+    _require_bytes(f"n = {n}", _SYMBOL_BYTES * n)
+    return _gain(_config("link", link, LinkConfig), n)
+
+
+def _gain(link: LinkConfig, n: int) -> np.ndarray:
+    """build_gain, its arguments already checked."""
     entries = np.empty(2 * n, dtype=complex)
-    entries[0::2] = g1
-    entries[1::2] = g2
+    entries[0::2] = link.h1 * cmath.sqrt(link.p1)
+    entries[1::2] = link.h2 * cmath.sqrt(link.p2)
     return entries
 
 
 def _unit_step_diagonals(a_even, a_odd) -> tuple:
     """The mistimed-sampling stencil's diagonals as _stencil takes them:
     E1 when stream-1 rows (even) are offset by a_even = eps1 and
-    stream-2 rows (odd) by a_odd = eps1 + eps2.
-
-    Every row spans offsets -2..+2, with the unit-step terms landing on
-    the +-2 slots.  Equal-shape array offsets give one matrix per batch
-    entry.
+    stream-2 rows (odd) by a_odd = eps1 + eps2.  Every row spans offsets
+    -2..+2, the unit-step terms landing on the +-2 slots.
     """
     return ((0, -np.abs(a_even), -np.abs(a_odd)),
             (1, a_even, a_odd),
@@ -262,22 +304,21 @@ def _unit_step_diagonals(a_even, a_odd) -> tuple:
 
 def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
     """RhatN = R + E2, the noise covariance when the stream-2 bank is
-    offset by eps2 relative to stream 1.
-
-    The noise sees only the relative offset of the two banks, so eps1
-    plays no part and E1 is never formed.  The super-diagonal alternates
-    (1 - tau) - eps2, tau + eps2: bit for bit R's plus E2's, without
-    forming either.  Admissibility is left to the caller; a 1-D array
-    eps2 gives one matrix per entry.
+    offset by eps2 relative to stream 1; eps1 plays no part.  The
+    super-diagonal alternates (1 - tau) - eps2, tau + eps2: bit for bit
+    R's plus E2's, without forming either.  Admissibility is left to the
+    caller; a 1-D array eps2 gives one matrix per entry.
     """
-    return _stencil(2 * frame.n, _noise_diagonals(frame.tau, eps2))
+    eps2 = _real("eps2", eps2, batch=True)
+    return _noise_covariance(_frame(frame, eps2.size), eps2)
 
 
-def _noise_diagonals(tau: float, eps2) -> tuple:
-    """RhatN's diagonals as _stencil takes them."""
+def _noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
+    """build_noise_covariance, its arguments already checked."""
     e2 = np.asarray(eps2, dtype=float)
-    first, second = (1.0 - tau) - e2, tau + e2
-    return ((0, 1.0, 1.0), (1, first, second), (-1, second, first))
+    first, second = (1.0 - frame.tau) - e2, frame.tau + e2
+    return _stencil(2 * frame.n, ((0, 1.0, 1.0), (1, first, second),
+                                  (-1, second, first)))
 
 
 def build_error_matrices(
@@ -289,31 +330,35 @@ def build_error_matrices(
     RhatN = R + E2 (noise covariance, from build_noise_covariance).  E1
     follows the general unit-step stencil, valid for every sign of eps1
     and eps1 + eps2; E2 is the symmetric pattern whose super-diagonal
-    alternates -eps2, +eps2 from (row 0, col 1).
-    A batched err gives batched matrices, one per point of the flattened
-    batch; every point is checked for admissibility first.
+    alternates -eps2, +eps2 from (row 0, col 1).  A batched err gives
+    one matrix per point of the flattened batch.
     """
-    err.check_admissible(frame)
-    e1, e2 = err.arrays()
+    e1, e2 = _config("err", err, TimingError).arrays()
+    err.check_admissible(_frame(frame, e1.size))
     if e1.ndim > 1:
         e1, e2 = e1.ravel(), e2.ravel()
+    return _error_matrices(frame, e1, e2)
+
+
+def _error_matrices(frame: FrameConfig, e1, e2) -> tuple:
+    """build_error_matrices at admissible offsets e1, e2 (float arrays of
+    one shape, 0-d or 1-D) of a checked frame."""
     n2 = 2 * frame.n
     return (_stencil(n2, _unit_step_diagonals(e1, e1 + e2)),
             _stencil(n2, ((1, -e2, e2), (-1, e2, -e2))),
-            _mixing(frame, e1, e2), build_noise_covariance(frame, e2))
+            _mixing(frame, e1, e2), _noise_covariance(frame, e2))
 
 
 def _mixing(frame: FrameConfig, eps1, eps2,
             out: np.ndarray | None = None) -> BandedMatrix:
-    """Rhat = R + E1 at offsets eps1, eps2 (scalars or equal-shape 1-D
-    arrays), written to the front of out when given; admissibility is
-    left to the caller.
-
-    One stencil whose diagonals are R's plus E1's, each summed as the
-    band sum pads it (R's entry + E1's; 0.0 + E1's where R has none): bit
-    for bit build_correlation(frame) + E1, without forming either.
+    """Rhat = R + E1 at admissible offsets eps1, eps2 (scalars or
+    equal-shape 1-D arrays), written to the front of out when given: one
+    stencil whose diagonals are R's plus E1's, each summed as the band
+    sum pads it (0.0 + E1's where R has none), so bit for bit
+    build_correlation(frame) + E1, without forming either.
     """
-    r = {k: (even, odd) for k, even, odd in _noise_diagonals(frame.tau, 0.0)}
+    tau = frame.tau
+    r = {0: (1.0, 1.0), 1: (1.0 - tau, tau), -1: (tau, 1.0 - tau)}
     diagonals = []
     for k, even, odd in _unit_step_diagonals(eps1, eps1 + eps2):
         r_even, r_odd = r.get(k, (0.0, 0.0))

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bands
-from .model import (DomainError, FrameConfig, LinkConfig, _require_number,
-                    build_correlation)
+from .model import (_GAIN, _MU_MIN, _TINY, DomainError, FrameConfig,
+                    LinkConfig, _config, _every, _frame, _length, _link,
+                    _noise_covariance, _real)
 
-_LN2 = math.log(2.0)
 # broadcast size from which closed_rate tests which powers underflow
 _CUT_POINTS = 256
 
@@ -67,9 +67,14 @@ def _char_roots(mu1, mu2, tau):
     return r1, r2, gap
 
 
-def _every(values) -> bool:
-    """values.all(), without a reduction's fixed cost on one value."""
-    return bool(values) if values.ndim == 0 else bool(values.all())
+def _together(names: str, *values) -> tuple:
+    """values, or DomainError naming them unless they broadcast together."""
+    try:
+        np.broadcast(*values)
+    except ValueError:
+        raise DomainError(f"{names} must broadcast together, got shapes "
+                          + ", ".join(str(np.shape(v)) for v in values)) from None
+    return values
 
 
 def _require_finite(value, what: str, **point) -> None:
@@ -91,10 +96,9 @@ def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
     symmetric positive definite and tridiagonal for every tau in [0, 1),
     so a banded Cholesky gives the log-determinant stably in O(n).
     """
-    link.require_positive_gains()
-    n = frame.n
-    dinv = np.tile([1.0 / link.mu1, 1.0 / link.mu2], n)
-    a = build_correlation(frame) + _bands.diagonal(dinv)
+    n = _frame(frame).n
+    dinv = np.tile([1.0 / _link(link).mu1, 1.0 / link.mu2], n)
+    a = _noise_covariance(frame, 0.0) + _bands.diagonal(dinv)
     logdet_gain = n * (math.log2(link.mu1) + math.log2(link.mu2))
     try:
         return logdet_gain + _bands.logdet2_sym_pd(a)
@@ -124,12 +128,9 @@ def _power(q, n):
 
     Where q < 2^(-1100/n), q^n < 2^-1100, far below half the least
     subnormal (2^-1075), so pow's result is exactly +0: those points
-    keep the +0 they start with and pow is not called there.  A NaN q
-    fails the comparison and still goes through pow; n <= 0 skips
-    nothing.  Only an array of float frame lengths over at least
-    _CUT_POINTS points is cut; on fewer the test costs more than the
-    slow pow calls it saves, and a scalar n keeps numpy's scalar-power
-    paths.
+    keep the +0 they start with and pow is not called there.  Only an
+    array of float frame lengths over at least _CUT_POINTS points is cut;
+    on fewer the test costs more than the slow pow calls it saves.
     """
     if n.ndim:
         shape = np.broadcast(q, n).shape
@@ -146,19 +147,24 @@ def closed_rate(mu1, mu2, n, tau):
     log domain; r1^n never materializes, so large frames cannot
     overflow.  tau = 0 reduces analytically to the synchronous rate
     log2(1 + mu1 + mu2) (r2 = 0 branch), which is returned exactly there.
-    The gains are the caller's to check (LinkConfig.require_positive_gains);
-    a point whose rate is not finite raises DomainError naming it.
+    A point whose rate is not finite raises DomainError naming it.
     Returns a float for one point, else an array of the broadcast shape.
 
-    An array of frame lengths is converted to float once, the value
-    numpy's int-to-float cast would give at every point of the
-    broadcast, and (r2 / r1)^n is skipped wherever it is sure to
-    underflow to +0 (see _power), so the bits are those of the plain
-    formula.
+    An array of frame lengths is converted to float once, and (r2 /
+    r1)^n is skipped wherever it is sure to underflow to +0 (_power), so
+    the bits are those of the plain formula.
     """
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is fast
-    mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
-    n_in = n = np.asarray(n)[()]
+    mu1, mu2 = (_real(k, v, _MU_MIN, rule=_GAIN, batch=True)[()]
+                for k, v in (("mu1", mu1), ("mu2", mu2)))
+    n = _length("frame length n", n, batch=True)[()]
+    tau = _real("tau", tau, 0.0, 1.0, "lie in [0, 1)", batch=True)[()]
+    return _closed_rate(*_together("mu1, mu2, n and tau", mu1, mu2, n, tau))
+
+
+def _closed_rate(mu1, mu2, n, tau):
+    """closed_rate at checked numpy arguments (n an int scalar or array)."""
+    n_in = n
     with np.errstate(all="ignore"):
         r1, r2, gap = _char_roots(mu1, mu2, tau)
         if n.ndim:
@@ -167,7 +173,7 @@ def closed_rate(mu1, mu2, n, tau):
         corr = np.log2((r1 - r2 * qn + tau * tau * (1.0 - qn)) / gap)
         lead = n * (np.log2(mu1) + np.log2(mu2) + np.log2(r1))
         rate = (lead + corr) / (n + tau)
-        if not _every(tau):  # some tau is 0 (NaN counts as nonzero)
+        if not _every(tau):  # some tau is 0
             rate = np.where(tau == 0.0, _sync_rate(mu1, mu2), rate)
     _require_finite(rate, "closed-form rate", mu1=mu1, mu2=mu2, n=n_in, tau=tau)
     return rate[()]
@@ -175,8 +181,13 @@ def closed_rate(mu1, mu2, n, tau):
 
 def throughput_closed(link: LinkConfig, frame: FrameConfig) -> float:
     """Closed-form route: closed_rate at one point."""
-    link.require_positive_gains()
-    return float(closed_rate(link.mu1, link.mu2, frame.n, frame.tau))
+    return _closed(_link(link), _config("frame", frame, FrameConfig))
+
+
+def _closed(link: LinkConfig, frame: FrameConfig) -> float:
+    """throughput_closed, its arguments already checked."""
+    return float(_closed_rate(np.float64(link.mu1), np.float64(link.mu2),
+                              np.int64(frame.n), np.float64(frame.tau)))
 
 
 def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> float:
@@ -191,16 +202,18 @@ def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> fl
     the step to (d_0, d_1) from (d_-1, d_0) = (0, 1) included: by 2^-+512
     if w = 512, else by frexp.  n and tau must pass FrameConfig's checks.
     """
-    frame = FrameConfig(n, tau)
-    n, tau = frame.n, frame.tau
-    _require_number("mu1", mu1)
-    _require_number("mu2", mu2)
-    if not (mu1 > 0.0 and mu2 > 0.0):
-        raise DomainError("recursion needs mu1, mu2 > 0")
+    frame = _frame(FrameConfig(n, tau))
+    mu1, mu2 = (_real(k, v, _TINY, rule="be finite and > 0")
+                for k, v in (("mu1", mu1), ("mu2", mu2)))
+    if not math.isfinite(1.0 / mu1 + 1.0 / mu2):
+        raise DomainError("recursion needs finite 1/mu1 and 1/mu2")
+    return _recursion_log2(mu1, mu2, frame.tau, frame.n)
+
+
+def _recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> float:
+    """determinant_recursion_log2, its arguments already checked."""
     a1 = 1.0 + 1.0 / mu1
     a2 = 1.0 + 1.0 / mu2
-    if not math.isfinite(a1 + a2):
-        raise DomainError("recursion needs finite 1/mu1 and 1/mu2")
     c_even = (1.0 - tau) ** 2
     c_odd = tau * tau
     w = min(512, 1021 - math.frexp(max(a1, a2))[1])
@@ -227,9 +240,13 @@ def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> fl
 
 def throughput_recursion(link: LinkConfig, frame: FrameConfig) -> float:
     """Recursion route: independent oracle for the other two."""
-    link.require_positive_gains()
+    return _recursion(_link(link), _frame(frame))
+
+
+def _recursion(link: LinkConfig, frame: FrameConfig) -> float:
+    """throughput_recursion, its arguments already checked."""
     n, tau = frame.n, frame.tau
-    ld = determinant_recursion_log2(link.mu1, link.mu2, tau, n)
+    ld = _recursion_log2(link.mu1, link.mu2, tau, n)
     return (n * (math.log2(link.mu1) + math.log2(link.mu2)) + ld) / (n + tau)
 
 
@@ -248,13 +265,14 @@ def throughput_asymptotic(mu1, mu2, tau):
     of mu1, mu2 and tau: a float for one point, else an array; a point
     whose limit is not finite raises DomainError naming it.
     """
-    mu1, mu2, tau = (np.asarray(v, dtype=float)[()] for v in (mu1, mu2, tau))
-    if not ((mu1 > 0.0) & (mu2 > 0.0)).all():
-        raise DomainError("asymptotic rate needs mu1, mu2 > 0")
-    inside = (0.0 <= tau) & (tau < 1.0)
-    if not inside.all():
-        raise DomainError("tau must lie in [0, 1), got "
-                          f"{np.extract(~inside, tau)[0]}")
+    mu1, mu2 = (_real(k, v, _TINY, rule="be finite and > 0", batch=True)[()]
+                for k, v in (("mu1", mu1), ("mu2", mu2)))
+    tau = _real("tau", tau, 0.0, 1.0, "lie in [0, 1)", batch=True)[()]
+    return _asymptotic(*_together("mu1, mu2 and tau", mu1, mu2, tau))
+
+
+def _asymptotic(mu1, mu2, tau):
+    """throughput_asymptotic at checked numpy arguments."""
     with np.errstate(all="ignore"):
         s = 1.0 + mu1 + mu2
         mg = mu1 * mu2 * 2.0 * tau * (1.0 - tau)
@@ -270,34 +288,34 @@ def throughput_asymptotic(mu1, mu2, tau):
     return rate[()]
 
 
+def _baseline_gains(who: str, mu1, mu2) -> tuple[float, float]:
+    """mu1 and mu2 as floats, which a baseline takes finite and >= 0."""
+    rule = f"be finite and >= 0: {who} needs finite mu1, mu2 >= 0"
+    return _real("mu1", mu1, 0.0, rule=rule), _real("mu2", mu2, 0.0, rule=rule)
+
+
 def throughput_noma(mu1: float, mu2: float) -> float:
     """Synchronous baseline with ideal interference cancellation."""
-    _require_number("mu1", mu1)
-    _require_number("mu2", mu2)
-    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
-        raise DomainError(f"noma needs finite mu1, mu2 >= 0, got {mu1}, {mu2}")
-    return float(_sync_rate(mu1, mu2))
+    rate = float(_sync_rate(*_baseline_gains("noma", mu1, mu2)))
+    return _real("noma's log2(1 + mu1 + mu2)", rate)  # mu1 + mu2 may overflow
 
 
 def throughput_oma(mu1: float, mu2: float) -> float:
     """Equal time-split TDMA at full per-user power."""
-    _require_number("mu1", mu1)
-    _require_number("mu2", mu2)
-    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
-        raise DomainError(f"oma needs finite mu1, mu2 >= 0, got {mu1}, {mu2}")
+    return _oma(*_baseline_gains("oma", mu1, mu2))
+
+
+def _oma(mu1: float, mu2: float) -> float:
     return 0.5 * math.log2(1.0 + mu1) + 0.5 * math.log2(1.0 + mu2)
 
 
 def throughput_report(link: LinkConfig, frame: FrameConfig) -> ThroughputReport:
     """Evaluate every throughput figure at one operating point."""
-    num = log2_det_no_error(link, frame)
+    num = log2_det_no_error(link, frame)  # checks link and frame
     mu1, mu2 = link.mu1, link.mu2
     return ThroughputReport(
-        anoma_matrix=num / (frame.n + frame.tau),
-        anoma_closed=throughput_closed(link, frame),
-        anoma_recursion=throughput_recursion(link, frame),
-        anoma_n_plus_1=num / (frame.n + 1),
-        noma=throughput_noma(mu1, mu2),
-        oma=throughput_oma(mu1, mu2),
-        asymptotic=throughput_asymptotic(mu1, mu2, frame.tau),
-    )
+        anoma_matrix=num / (frame.n + frame.tau), anoma_closed=_closed(link, frame),
+        anoma_recursion=_recursion(link, frame),
+        anoma_n_plus_1=num / (frame.n + 1), noma=float(_sync_rate(mu1, mu2)),
+        oma=_oma(mu1, mu2), asymptotic=_asymptotic(
+            np.float64(mu1), np.float64(mu2), np.float64(frame.tau)))

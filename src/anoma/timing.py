@@ -6,20 +6,13 @@ RhatN, so the achievable rate is
     R_e = log2 det(I + RhatN^-1 Rhat H H^H Rhat^T) / (n + tau)
 
 evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
-banded Cholesky factorizations (D = H H^H).  A batch of points is
-evaluated in blocks: both matrices are assembled on a frame of five
-slots and widened by one helper to 2n columns in LAPACK's lower storage,
-bit for bit the full-length assembly (every band is 2-periodic); RhatN,
-which depends on eps2 alone, is factored once per distinct eps2.  The
-loss Delta is R - R_e by definition, and only _exact_loss forms (R_e,
-Delta, gamma = Delta / R), after checking R > 0; the rearranged log-det
-expression for Delta, assembled from its own banded terms, is kept
-alongside as a cross-check.  To first order the loss is V-shaped
-in each error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace
-models give the slopes, and loss_breakdown reports both terms next to
-the exact loss.  Every kernel here is O(n) in the frame length.  Exact
-losses are always the primary quantity; the linear terms are
-diagnostics only.
+banded Cholesky factorizations (D = H H^H), a batch of points in blocks
+(_mistimed_rates).  The loss Delta is R - R_e by definition; the
+rearranged log-det expression for Delta, assembled from its own banded
+terms, is kept alongside as a cross-check.  To first order the loss is
+V-shaped in each error, c1 |eps1| (sync) and c2 |eps2| (coordination):
+diagnostics that loss_breakdown reports next to the exact loss.  Every
+kernel here is O(n) in the frame length.
 """
 
 from __future__ import annotations
@@ -30,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bands
-from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    _mixing, build_correlation, build_error_matrices,
-                    build_gain, build_noise_covariance)
+from .model import (DomainError, FrameConfig, LinkConfig, TimingError, _at,
+                    _config, _error_matrices, _frame, _gain, _link, _mixing,
+                    _noise_covariance)
 from .throughput import _not_positive_definite, throughput_matrix
 
 _LN2 = math.log(2.0)
@@ -41,7 +34,7 @@ _LN2 = math.log(2.0)
 # the sweep
 _BLOCK_ENTRIES = 8192
 # every band of the mistimed covariance is 2-periodic with bandwidth at
-# most 4: a frame of this many slots holds both edges and one period
+# most 3: a frame of this many slots holds both edges and one period
 _FRAME_SLOTS = 5
 
 
@@ -59,38 +52,29 @@ class LossBreakdown:
 
 
 def _hh(link: LinkConfig, n: int) -> np.ndarray:
-    """Real diagonal of D = H H^H: alternating mu1, mu2.
-
-    Formed as |h sqrt(p)|^2 from the gain diagonal, not from
-    LinkConfig.mu1/mu2 = p |h|^2: the two can differ in the last bit
-    (0.5000000000000001 against 0.5 at p = 0.5), and every mistimed
-    rate, loss and slope is computed with this one.
-    """
-    return np.abs(build_gain(link, n)) ** 2
+    """Real diagonal of D = H H^H: alternating mu1, mu2, formed as
+    |h sqrt(p)|^2, which can differ from LinkConfig.mu1 = p |h|^2 in the
+    last bit; every mistimed rate, loss and slope uses this one."""
+    return np.abs(_gain(link, n)) ** 2
 
 
 def throughput_with_error(link: LinkConfig, frame: FrameConfig,
                           err: TimingError) -> float | np.ndarray:
-    """Rate of the mistimed frame, bits per symbol interval.
-
-    A float for one point; for a batched err, an array of its shape,
-    evaluated block by block with one stacked banded Cholesky per block,
-    after one per distinct eps2 for the noise covariances.
-    Where both errors are zero the rate is throughput_matrix itself, bit
-    for bit.  Raises DomainError, naming the point, when a point is
-    inadmissible or its perturbed noise covariance is not positive
-    definite, which happens once tau + eps2 leaves the window where
-    neighboring integration windows overlap correctly.
+    """Rate of the mistimed frame, bits per symbol interval: a float for
+    one point, for a batched err an array of its shape.  Where both
+    errors are zero it is throughput_matrix itself, bit for bit.  Raises
+    DomainError, naming the point, when a point is inadmissible or its
+    noise covariance is not positive definite (tau + eps2 at 0 or 1).
     """
-    return _throughput_with_error(link, frame, err, None)
+    return _throughput_with_error(link, frame, _config("err", err, TimingError), None)
 
 
 def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
                            err: TimingError,
                            base: float | None) -> float | np.ndarray:
-    """throughput_with_error, with base = throughput_matrix(link, frame)
-    when the caller already holds it (None: computed here if needed)."""
-    link.require_positive_gains()
+    """throughput_with_error at a checked err, given base =
+    throughput_matrix(link, frame) or None: then link and frame are
+    checked here, by the rate where a point has both errors zero."""
     e1, e2 = err.arrays()
     out = np.empty(e1.shape)
     flat = out.reshape(-1)
@@ -98,27 +82,25 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
     zero = (e1 == 0.0) & (e2 == 0.0)
     if zero.any():
         flat[zero] = throughput_matrix(link, frame) if base is None else base
+    elif base is None:
+        _link(link)
+        _frame(frame)
+    err.check_admissible(frame)
     moving = ~zero
     if moving.any():
-        flat[moving] = _mistimed_rates(link, frame,
-                                       TimingError(e1[moving], e2[moving]))
+        flat[moving] = _mistimed_rates(link, frame, e1[moving], e2[moving])
     return float(out) if out.ndim == 0 else out
 
 
-def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
-                    err: TimingError) -> np.ndarray:
-    """R_e at a 1-D batch of points, both log-dets by _widened_logdets:
-    RhatN, which depends on eps2 alone, once per distinct eps2 in the
-    order of first occurrence, and RhatN + Rhat D Rhat^T per point.
-    The five-slot bands of each chunk are formed in one work array that
-    every chunk reuses; each step's widened band is a new array.
-
-    Errors name the batch's first failing point: every point is checked
-    for admissibility, then every noise covariance, then every mistimed
-    covariance.
+def _mistimed_rates(link: LinkConfig, frame: FrameConfig, e1: np.ndarray,
+                    e2: np.ndarray) -> np.ndarray:
+    """R_e at admissible offsets e1, e2 (1-D float arrays) of a checked
+    link and frame.  Both matrices are assembled on a frame of five slots,
+    every chunk's in one reused work array, and widened to 2n columns
+    (_widened_logdets), bit for bit the full-length assembly: RhatN once
+    per distinct eps2 in order of first occurrence, then RhatN + Rhat D
+    Rhat^T per point.  Errors name the batch's first failing point.
     """
-    err.check_admissible(frame)
-    e1, e2 = err.arrays()
     n, tau = frame.n, frame.tau
     small = frame if n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS, tau)
     step = max(1, _BLOCK_ENTRIES // (2 * n))
@@ -135,12 +117,12 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
     # two flat five-slot bands, reused by every chunk, so that no chunk
     # allocates (and faults in) one: the front holds Rhat, then the
     # lower storage; the back RhatN + Rhat D Rhat^T.  Every band here
-    # has at most 5 rows (bandwidth 4).
+    # has at most 5 rows.
     band = min(chunk, e1.size) * 5 * 2 * small.n
     front, back = np.empty((2, band))
     ld = np.empty(values.size)
     ld[order] = _widened_logdets(frame, _bands.lower_storage(
-        build_noise_covariance(small, values[order])), step, err,
+        _noise_covariance(small, values[order])), step, e1, e2,
         first[order], "noise covariance singular")
     ld = ld[inverse]
     del values, first, inverse, order  # not held through the chunks
@@ -149,22 +131,28 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig,
         part = slice(start, start + chunk)
         total = _bands.product(_mixing(small, e1[part], e2[part], front),
                                d, out=back)
-        _bands.add_into(total, _upper(build_noise_covariance(small, e2[part])))
+        # RhatN's upper band, all that lower_storage reads of it
+        _bands.add_into(total, _bands.BandedMatrix(
+            _noise_covariance(small, e2[part]).ab[..., :2, :], 0, 1))
+        # its diagonal 4 is exactly zero: row i's entries of Rhat at +-2
+        # are max(a, 0) and max(-a, 0) for one offset a, and rows i and
+        # i + 4 share it.  So it is factored at bandwidth 3
+        u = min(total.upper, 3)
+        total = _bands.BandedMatrix(total.ab[..., total.upper - u:, :], 0, u)
         ld[part] = _widened_logdets(
-            frame, _bands.lower_storage(total, front), step, err,
+            frame, _bands.lower_storage(total, front), step, e1, e2,
             range(start, e1.size),
             "mistimed covariance not positive definite") - ld[part]
     return ld / (n + tau)
 
 
 def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
-                     err: TimingError, points, what: str) -> np.ndarray:
+                     e1: np.ndarray, e2: np.ndarray, points,
+                     what: str) -> np.ndarray:
     """log2 det at full length 2n of each point of cols, a symmetric
     2-periodic band on min(n, 5) slots in _bands.lower_storage, widened
-    (_widen) and factored step points per call.
-
-    Point i of cols is point points[i] of err's batch; the first that is
-    not positive definite is named in a DomainError after what.
+    (_widen) and factored step points per call.  Point i of cols is point
+    points[i] of e1, e2, named after what if it is not positive definite.
     """
     ld = np.empty(len(cols))
     for start in range(0, len(cols), step):
@@ -172,7 +160,7 @@ def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
             ld[start:start + step] = _bands.logdet2_sym_pd(
                 _widen(frame.n, cols, start, step))
         except _bands.NotPositiveDefinite as exc:
-            point = err.point(points[start + exc.index])
+            point = _at(e1, e2, points[start + exc.index])
             raise DomainError(f"{what} at tau={frame.tau}, {point}") from None
     return ld
 
@@ -180,12 +168,9 @@ def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
 def _widen(n: int, cols: np.ndarray, start: int,
            count: int) -> _bands.BandedMatrix:
     """count points from start of cols at full length 2n, as a band given
-    by its lower rows for an in-place Cholesky.
-
-    Each band widened here is 2-periodic with bandwidth at most 4, so its
-    lower columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame:
-    repeating that slot widens each point, bit for bit the full assembly.
-    At n <= 5 it is a view of cols; else a new array.
+    by its lower rows for an in-place Cholesky.  Each band here is
+    2-periodic with bandwidth at most 3, so its lower columns 4 .. 2n - 5
+    repeat slot 2 of the five-slot frame.  At n <= 5 a view of cols.
     """
     u = cols.shape[-1] - 1
     if n <= _FRAME_SLOTS:
@@ -200,15 +185,10 @@ def _widen(n: int, cols: np.ndarray, start: int,
     return _bands.BandedMatrix(low.swapaxes(1, 2), u, 0)
 
 
-def _upper(a: _bands.BandedMatrix) -> _bands.BandedMatrix:
-    """The upper band of a, a view: all that lower_storage reads of a
-    symmetric band."""
-    return _bands.BandedMatrix(a.ab[..., :a.upper + 1, :], 0, a.upper)
-
-
 def throughput_loss(link: LinkConfig, frame: FrameConfig,
                     err: TimingError) -> float:
     """Exact throughput loss, by definition: R - R_e."""
+    _config("err", err, TimingError)
     base = throughput_matrix(link, frame)
     return base - _throughput_with_error(link, frame, err, base)
 
@@ -232,13 +212,13 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     reads R^T for R (R is symmetric bit for bit), and D R is I D R^T,
     entry (1.0 d[i]) R[j, i].  O(n) time and memory.
     """
-    link.require_positive_gains()
-    err.require_point("throughput_loss_display")
+    _config("err", err, TimingError).require_point("throughput_loss_display")
+    _link(link)
+    err.check_admissible(_frame(frame))
     n, tau = frame.n, frame.tau
-    e1m, e2m, rhat, rhat_n = build_error_matrices(frame, err)
-    r = build_correlation(frame)
+    e1m, e2m, rhat, rhat_n = _error_matrices(frame, *err.arrays())
+    r = _noise_covariance(frame, 0.0)
     d = _hh(link, n)
-
     try:
         ld_n = _bands.logdet2_sym_pd(rhat_n)
     except _bands.NotPositiveDefinite:
@@ -273,13 +253,14 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
     last two slots).  B changes sign with the error, so the slope for a
     negative error is -c.  O(n) time and memory.
 
-    D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
-    in the last bit, so the rate's factor is never reused for A.
+    D^-1 is 1/_hh here, not the no-error rate's 1/mu, so the rate's
+    factor is never reused for A.  link and frame are the caller's to
+    check.
     """
-    link.require_positive_gains()
     if frame.tau == 0.0:
         raise DomainError("sensitivity slopes need tau in (0, 1)")
-    a = build_correlation(frame) + _bands.diagonal(1.0 / _hh(link, frame.n))
+    a = (_noise_covariance(frame, 0.0)
+         + _bands.diagonal(1.0 / _hh(link, frame.n)))
     try:
         inv = _bands.inverse_bands_tridiagonal(a, 2)
     except _bands.NotPositiveDefinite:
@@ -291,36 +272,29 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
 
 
 def sync_loss_slope(link: LinkConfig, frame: FrameConfig) -> float:
-    """First-order sensitivity c1 of the loss to eps1 (bits/interval).
-
-    The loss is kinked at zero, c1 |eps1| to first order: c1 is the
-    slope for eps1 > 0 (positive at sane configs) and -c1 the slope for
-    eps1 < 0.
-    """
-    return _loss_slopes(link, frame)[0]
+    """First-order sensitivity c1 of the loss to eps1 (bits/interval):
+    the loss is c1 |eps1| to first order, kinked at zero."""
+    return _loss_slopes(_link(link), _frame(frame))[0]
 
 
 def coord_loss_slope(link: LinkConfig, frame: FrameConfig) -> float:
     """First-order sensitivity c2 of the loss to eps2 (bits/interval):
     the loss is c2 |eps2| to first order."""
-    return _loss_slopes(link, frame)[1]
+    return _loss_slopes(_link(link), _frame(frame))[1]
 
 
 def loss_ratio(link: LinkConfig, frame: FrameConfig,
                err: TimingError) -> float | np.ndarray:
-    """gamma = Delta / R, the fractional throughput loss.
-
-    A float for one point, an array for a batched err; exactly 0.0 where
-    both errors are zero.
-    """
+    """gamma = Delta / R, the fractional throughput loss: a float for one
+    point, an array for a batched err; exactly 0.0 where both are zero."""
+    _config("err", err, TimingError)
     return _exact_loss(link, frame, err, throughput_matrix(link, frame))[2]
 
 
 def _exact_loss(link: LinkConfig, frame: FrameConfig, err: TimingError,
                 base: float) -> tuple[float | np.ndarray, ...]:
-    """(R_e, Delta, gamma) at err, a point or a batch, given base =
-    throughput_matrix(link, frame), which is checked to be positive first
-    (the log-det route gives 0.0 or a negative residue at tiny gains)."""
+    """(R_e, Delta, gamma) at err given base = throughput_matrix(link,
+    frame), checked first to be positive (not so at tiny gains)."""
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is "
                           f"{base:.12g}, not positive (raise the gains)")
@@ -333,6 +307,7 @@ def loss_breakdown(link: LinkConfig, frame: FrameConfig,
                    err: TimingError) -> LossBreakdown:
     """Exact loss plus both linear diagnostics, c1 |eps1| and c2 |eps2|,
     at one operating point."""
+    _config("err", err, TimingError)
     return _loss_breakdown(link, frame, err, throughput_matrix(link, frame))
 
 
@@ -343,12 +318,7 @@ def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
     err.require_point("loss_breakdown")
     r_e, delta, gamma = _exact_loss(link, frame, err, base)
     c1, c2 = _loss_slopes(link, frame)
-    return LossBreakdown(
-        exact_throughput_with_error=r_e,
-        delta=delta,
-        delta_lin_sync=abs(err.eps1) * c1,
-        delta_lin_coord=abs(err.eps2) * c2,
-        c1=c1,
-        c2=c2,
-        gamma=gamma,
-    )
+    return LossBreakdown(exact_throughput_with_error=r_e, delta=delta,
+                         delta_lin_sync=abs(err.eps1) * c1,
+                         delta_lin_coord=abs(err.eps2) * c2,
+                         c1=c1, c2=c2, gamma=gamma)

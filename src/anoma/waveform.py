@@ -18,12 +18,7 @@ Noise comes in two flavors that cross-check each other:
 
 * a physics path that integrates white noise through both filter
   banks (noise_covariance_mc), used to validate the colored covariance
-  model by Monte Carlo.  The window edges split the frame into 2n + 2
-  cells whose integrated noise is exactly independent with variance
-  equal to the cell length.  The estimate reads the trials only through
-  the Gram matrix of the cell noise, which is drawn exactly in
-  distribution from its triangular Bartlett factor (Goodman, Ann. Math.
-  Statist. 1963), so time and memory do not grow with the trial count;
+  model by Monte Carlo, at a cost that does not grow with the trials;
 * a fast path that draws the interleaved noise vector directly from the
   noise covariance RhatN via a banded Cholesky factor (used by
   matched_filter_outputs when noise is requested).
@@ -35,15 +30,19 @@ per user and occupies n + tau symbol intervals.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _bands
-from .model import (DomainError, FrameConfig, LinkConfig, TimingError,
-                    _require_config, _require_number, _require_seed,
-                    build_error_matrices, build_gain, build_noise_covariance)
+from .model import (_N_MAX, _SYMBOL_BYTES, DomainError, FrameConfig,
+                    LinkConfig, TimingError, _config, _error_matrices, _frame,
+                    _gain, _length, _noise_covariance, _real, _require_bytes,
+                    _seed)
+
+# bytes per pair of the noise Monte Carlo's 2n + 2 cells: its Bartlett factor,
+# R W^T, the estimate and the deviation, each about one complex square array
+_CELL_PAIR_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,11 @@ class SymbolFrame:
     s2: np.ndarray
 
     def __post_init__(self) -> None:
-        s1 = np.asarray(self.s1, dtype=complex)
-        s2 = np.asarray(self.s2, dtype=complex)
-        if s1.ndim != 1 or s1.shape != s2.shape or len(s1) < 1:
+        for name in ("s1", "s2"):
+            object.__setattr__(self, name, _real(
+                name, getattr(self, name), batch=True, kind=complex))
+        if self.s1.ndim != 1 or self.s1.shape != self.s2.shape or not self.n:
             raise DomainError("s1 and s2 must be equal-length 1-D sequences")
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
 
     @property
     def n(self) -> int:
@@ -92,19 +90,19 @@ class NoiseCovarianceReport:
 def generate_symbols(n: int, constellation: str = "gaussian",
                      seed: int | None = None) -> SymbolFrame:
     """Deterministic unit-variance symbol frame (gaussian or qpsk)."""
-    _require_number("n", n, numbers.Integral)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    rng = _require_seed("seed", seed)
+    n = _length("n", n)
+    _require_bytes(f"n = {n}", _SYMBOL_BYTES * n)
+    if not (isinstance(constellation, str)
+            and constellation in ("qpsk", "gaussian")):
+        raise DomainError(f"unknown constellation {constellation!r}")
+    rng = _seed("seed", seed)
     if constellation == "qpsk":
         pts = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0))
         s1 = pts[rng.integers(0, 4, size=n)]
         s2 = pts[rng.integers(0, 4, size=n)]
-    elif constellation == "gaussian":
+    else:
         s1 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
         s2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    else:
-        raise DomainError(f"unknown constellation {constellation!r}")
     return SymbolFrame(s1, s2)
 
 
@@ -118,10 +116,17 @@ def draw_colored_noise(frame: FrameConfig, eps2: float,
     2n real then 2n imaginary standard normals from rng, colored by the
     banded Cholesky factor of RhatN."""
     point = TimingError(0.0, eps2)
-    point.check_admissible(frame)
     point.require_point("draw_colored_noise")
+    point.check_admissible(_frame(frame))
+    return _colored_noise(frame, point.eps2,
+                          _config("rng", rng, np.random.Generator))
+
+
+def _colored_noise(frame: FrameConfig, eps2: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """draw_colored_noise at checked arguments."""
     try:
-        factor = _bands.cholesky_upper(build_noise_covariance(frame, eps2))
+        factor = _bands.cholesky_upper(_noise_covariance(frame, eps2))
     except np.linalg.LinAlgError:
         raise DomainError(
             f"noise covariance singular at tau={frame.tau}, eps2={eps2}"
@@ -146,12 +151,8 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
     against pulse [d, d + 1] (user 1) or [d + tau, d + 1 + tau] (user 2);
     only d = -2..2 can overlap.
     """
-    err = TimingError() if err is None else err
-    err.check_admissible(frame)
-    err.require_point("the simulator")
-    if symbols.n != frame.n:
-        raise DomainError(
-            f"frame carries {frame.n} symbols but got {symbols.n}")
+    err = _simulator_args(symbols, link, frame, err)
+    rng = None if _config("noiseless", noiseless, bool) else _seed("rng", rng)
     n, tau = frame.n, frame.tau
     a1 = link.h1 * math.sqrt(link.p1) * symbols.s1
     a2 = link.h2 * math.sqrt(link.p2) * symbols.s2
@@ -172,7 +173,7 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
                       + _overlap(off2, 1 + off2, d, d + 1) * s1)
 
     if not noiseless:
-        noise = draw_colored_noise(frame, err.eps2, _require_seed("rng", rng))
+        noise = _colored_noise(frame, err.eps2, rng)
         y1 = y1 + noise[0::2]
         y2 = y2 + noise[1::2]
     return SampleVectors(y1, y2)
@@ -182,17 +183,27 @@ def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
                   err: TimingError | None = None) -> np.ndarray:
     """Interleaved noiseless outputs predicted by the banded linear model,
     Rhat (h * x), formed from Rhat's diagonals in O(n)."""
-    err = TimingError() if err is None else err
-    _, _, rhat, _ = build_error_matrices(frame, err)
-    if symbols.n != frame.n:
+    err = _simulator_args(symbols, link, frame, err)
+    rhat = _error_matrices(frame, *err.arrays())[2]
+    x = np.column_stack((symbols.s1, symbols.s2)).ravel()  # interleaved
+    return rhat.matvec(_gain(link, frame.n) * x)
+
+
+def _simulator_args(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
+                    err: TimingError | None) -> TimingError:
+    """err, or the zero error for None, after both simulators' checks."""
+    _config("link", link, LinkConfig)
+    if _config("symbols", symbols, SymbolFrame).n != _frame(frame).n:
         raise DomainError(
             f"frame carries {frame.n} symbols but got {symbols.n}")
-    x = np.column_stack((symbols.s1, symbols.s2)).ravel()  # interleaved
-    return rhat.matvec(build_gain(link, frame.n) * x)
+    err = TimingError() if err is None else _config("err", err, TimingError)
+    err.require_point("the simulator")
+    err.check_admissible(frame)
+    return err
 
 
 def _interval_weights(frame: FrameConfig, eps2: float) -> np.ndarray:
-    """Filter weights of the Monte Carlo's white-noise cells, ``(2n, 2n + 2)``.
+    """Square roots of the lengths of the Monte Carlo's white-noise cells.
 
     Stream-1 window i is [i, i + 1] and stream-2 window i is [i + s,
     i + 1 + s], s = tau + eps2 in (0, 1).  Their edges split [0, n + 1)
@@ -200,19 +211,12 @@ def _interval_weights(frame: FrameConfig, eps2: float) -> np.ndarray:
     one past every window).  White noise integrated over a cell of
     length L is a Gaussian of variance L, independent of the other
     cells, and window r (row r of the interleaved streams) covers
-    exactly cells r and r + 1, so W[r, r] and W[r, r + 1] are the square
-    roots of their lengths and W W^T is the window-overlap matrix RhatN.
+    exactly cells r and r + 1, weighing each by the root of its length.
     """
-    n2 = 2 * frame.n
     k = np.arange(frame.n + 1)
     edges = np.append(np.column_stack((k, k + frame.tau + eps2)).ravel(),
                       frame.n + 1.0)
-    root = np.sqrt(np.diff(edges))
-    w = np.zeros((n2, n2 + 2))
-    rows = np.arange(n2)
-    w[rows, rows] = root[:-2]
-    w[rows, rows + 1] = root[1:-1]
-    return w
+    return np.sqrt(np.diff(edges))
 
 
 def _gram_factor(rng: np.random.Generator, trials: int,
@@ -242,28 +246,27 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     Bartlett factor (_gram_factor; Goodman, Ann. Math. Statist. 1963;
     Odell & Feiveson, JASA 1966) in O(cells^2) whatever the trials.
     """
-    _require_config("frame", frame, FrameConfig)
-    _require_number("trials", trials, numbers.Integral)
-    if trials < 10_000:
-        raise DomainError("need at least 1e4 trials for a meaningful estimate")
-    _require_number("eps2", eps2)
+    _config("frame", frame, FrameConfig)
+    trials = _real("trials", trials, 10_000, _N_MAX + 1,
+                   f"be an int in [10000, {_N_MAX}]", kind=int)
+    eps2 = _real("eps2", eps2)
     if not (0.0 < frame.tau + eps2 < 1.0):
         raise DomainError(
             f"noise model needs tau + eps2 in (0, 1), got {frame.tau + eps2}")
-    w = _interval_weights(frame, eps2)
-    r = _gram_factor(_require_seed("seed", seed), trials, w.shape[1])
+    cells = 2 * frame.n + 2
+    _require_bytes(f"frame length n = {frame.n}", _CELL_PAIR_BYTES * cells * cells)
+    root = _interval_weights(frame, eps2)
+    r = _gram_factor(_seed("seed", seed), trials, cells)
     # R W^T from window r's two weights, on cells r and r + 1; the real
     # and the imaginary part of a cell each carry its length L as
     # variance, twice a complex cell's L: halved once at the end
-    rw = r[:, :-2] * w.diagonal() + r[:, 1:-1] * w.diagonal(1)
-    del r, w  # each array is freed once read, which bounds the peak
+    rw = r[:, :-2] * root[:-2] + r[:, 1:-1] * root[1:-1]
+    del r  # each array is freed once read, which bounds the peak
     cov = rw.T @ rw.conj()
     del rw
     cov *= 1.0 / (2.0 * trials)
 
-    expected = build_noise_covariance(frame, eps2).to_dense()
+    expected = _noise_covariance(frame, eps2).to_dense()
     dev = float(np.max(np.abs(cov - expected)))
-    stat_bound = 3.0 / math.sqrt(trials)
-    return NoiseCovarianceReport(
-        empirical=cov, max_abs_deviation=dev, stat_bound=stat_bound,
-    )
+    return NoiseCovarianceReport(empirical=cov, max_abs_deviation=dev,
+                                 stat_bound=3.0 / math.sqrt(trials))

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anoma import cli, validate
 from anoma.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from anoma.model import DomainError, FrameConfig, LinkConfig
+from anoma.model import MAX_BYTES, DomainError, FrameConfig, LinkConfig
 from anoma.throughput import throughput_closed
 
 # the gain pairs of each extreme class whose closed form is not finite
@@ -441,7 +441,8 @@ def test_frame_length_beyond_int64_is_usage_error(tmp_path, capsys, argv):
 
 # the child caps its own address space at 3 GiB, so no allocation of an
 # O(n) array can reach the machine's memory whatever the kernel's
-# overcommit policy; one BLAS thread keeps the cap above its buffers
+# overcommit policy; one BLAS thread keeps the cap above its buffers.
+# The byte budget refuses the frame before any such allocation
 OUT_OF_MEMORY_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
@@ -457,9 +458,11 @@ def test_frame_length_beyond_memory_is_usage_error():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: out of memory: ")
-    assert "frame length n" in proc.stderr
+    assert proc.stderr.startswith(
+        "error: frame length n = 1000000000000000 needs about ")
+    assert f"MAX_BYTES = {MAX_BYTES}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "out of memory" not in proc.stderr
 
 
 def test_whole_float_is_the_int_it_names(capsys):
@@ -603,3 +606,39 @@ def test_query_prints_one_line_or_exits_2(argv):
     assert code in (EXIT_OK, EXIT_USAGE)
     assert out.getvalue().count("\n") == (code == EXIT_OK)
     assert err.getvalue().startswith("error: ") == (code == EXIT_USAGE)
+
+
+# the bad values tests/test_inputs.py passes to the library, as --set
+# values: JSON, or a bare word that stays a string
+SET_VALUES = ["NaN", "Infinity", "-Infinity", "0", "0.0", "-1", "-0.5",
+              "1e300", "-1e300", "1e-300", "true", "false", '"x"', '""', "x",
+              "null", "[[1.0], [1.0, 2.0]]", "[[0.5]]", "[0.5, 1.0]", "[]",
+              str(10 ** 400), str(-10 ** 400), str(2 ** 62)]
+
+
+@st.composite
+def figure_sets(draw):
+    """A figure and --set tokens for one to three of its keys, each from
+    SET_VALUES, after the figure's FAST_OVERRIDES."""
+    figure = draw(st.sampled_from(sorted(cli.FIGURES)))
+    keys = draw(st.lists(st.sampled_from(sorted(cli.FIGURES[figure][1])),
+                         min_size=1, max_size=3, unique=True))
+    sets = [f"{k}={draw(st.sampled_from(SET_VALUES))}" for k in keys]
+    return figure, [tok for s in sets for tok in ("--set", s)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(figure_sets())
+@example(("rate_vs_n", ["--set", "n_max=1e300"]))
+@example(("loss_heatmap", ["--set", "eps_step=1e-300"]))
+@example(("tau_star_vs_n", ["--set", "n_values=[4611686018427387904]"]))
+def test_sweep_exits_0_2_or_3_without_a_traceback(figure_argv):
+    # an exception escaping main fails the test by itself
+    figure, argv = figure_argv
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["sweep", figure, *FAST_OVERRIDES[figure], *argv,
+                     "--out", os.devnull])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+    assert err.getvalue().startswith("error: ") == (code == EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()

@@ -193,7 +193,7 @@ class TestBatchedSearch:
                               n=n_arr, tau=tau)
             return rate
 
-        monkeypatch.setattr(D, "closed_rate", nan_at_one_point)
+        monkeypatch.setattr(D, "_closed_rate", nan_at_one_point)
         with pytest.raises(M.DomainError) as info:
             D.optimal_tau(LINK, N_LADDER)
         assert str(info.value).endswith(f"n={n}, tau={bad_tau!r}")
@@ -221,7 +221,7 @@ class TestBatchedSearch:
             seen.extend(tau_at[n_at == n].tolist())
             return closed_rate(mu1, mu2, n_arr, tau)
 
-        monkeypatch.setattr(D, "closed_rate", spy)
+        monkeypatch.setattr(D, "_closed_rate", spy)
         D.optimal_tau(LINK, N_LADDER)
         unread = sorted(set(seen) - set(asked) - set(taus.tolist()))
         assert unread
@@ -234,7 +234,7 @@ class TestBatchedSearch:
                 raise M.DomainError("closed-form rate is not finite")
             return np.where(hit, np.nan, rate)
 
-        monkeypatch.setattr(D, "closed_rate", bad_at_one_point)
+        monkeypatch.setattr(D, "_closed_rate", bad_at_one_point)
         got = D.optimal_tau(LINK, N_LADDER)
         assert np.array_equal(got, want)
 
@@ -248,7 +248,7 @@ class TestBatchedSearch:
             calls.append(args)
             return closed_rate(*args)
 
-        monkeypatch.setattr(D, "closed_rate", spy)
+        monkeypatch.setattr(D, "_closed_rate", spy)
         for mu1, mu2 in DEFAULT_SPEC["gains"]:
             calls.clear()
             D.optimal_tau(M.LinkConfig.from_gains(mu1, mu2), N_LADDER)
@@ -283,7 +283,7 @@ class TestBatchedSearch:
         def flat(mu1, mu2, n, tau):
             return np.ones(np.broadcast_shapes(np.shape(n), np.shape(tau)))
 
-        monkeypatch.setattr(D, "closed_rate", flat)
+        monkeypatch.setattr(D, "_closed_rate", flat)
         monkeypatch.setattr(D, "_GRID_ENTRIES", entries)
         assert np.all(D.optimal_tau(LINK, N_LADDER) == 0.0)
 

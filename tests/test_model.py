@@ -89,6 +89,14 @@ class TestLinkConfig:
                 f"{name} must be a number, got {value!r}")):
             M.LinkConfig(**link)
 
+    @pytest.mark.parametrize("fields,k", [
+        ({"h1": 1e300}, "1"), ({"p2": 1e300, "h2": 1e10}, "2"),
+        ({"p1": 1e300, "h1": 1e10j}, "1")])
+    def test_gain_past_the_float_range_rejected(self, fields, k):
+        with pytest.raises(M.DomainError, match=re.escape(
+                f"gain mu{k} = p{k} |h{k}|^2 must be finite")):
+            M.LinkConfig(**({"p1": 1.0, "p2": 1.0} | fields))
+
     @pytest.mark.parametrize("fields,gain", [
         ({"p1": 2}, 2.0), ({"p1": np.float64(2.0)}, 2.0),
         ({"p2": np.int64(2)}, 2.0), ({"p2": np.float32(2.0)}, 2.0),
@@ -144,6 +152,14 @@ class TestTimingError:
             M.TimingError(0.6, 0.0).check_admissible(frame)
         with pytest.raises(M.DomainError):
             M.TimingError(0.2, 0.4).check_admissible(frame)  # sum 0.6 > 1 - tau
+
+    def test_sync_error_a_symbol_early_rejected(self):
+        # eps1 in [tau - 2, tau - 1) with eps1 + eps2 = 0 admissible
+        for eps1 in (-0.7, -1.5):
+            with pytest.raises(M.DomainError, match=re.escape(
+                    f"eps1={eps1} outside [tau-1, tau] for tau=0.5")):
+                M.TimingError(eps1, -eps1).check_admissible(M.FrameConfig(4, 0.5))
+        M.TimingError(-0.5, 0.5).check_admissible(M.FrameConfig(4, 0.5))
 
     def test_batch_names_first_inadmissible_point(self):
         frame = M.FrameConfig(4, 0.5)

@@ -244,6 +244,13 @@ class TestClosedKernel:
         with pytest.raises(M.DomainError, match=r"got 1.5"):
             T.throughput_asymptotic(1.0, 1.0, np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("tau", [1.0, np.array([0.5, 1.0])])
+    def test_asymptote_refuses_tau_one(self, tau):
+        # tau = 1 is the synchronous frame shifted by a whole symbol
+        with pytest.raises(M.DomainError,
+                           match=re.escape("tau must lie in [0, 1), got 1.0")):
+            T.throughput_asymptotic(1.0, 1.0, tau)
+
 
 def closed_rate_plain(mu1, mu2, n, tau):
     """closed_rate as written before the underflow shortcut: the plain

@@ -199,7 +199,7 @@ class TestBatchedRate:
         eps = 0.005 * np.arange(-20, 21)
         err = M.TimingError(*(v.ravel() for v in np.meshgrid(eps, eps)))
         with mock.patch.object(_bands.BandedMatrix, "__post_init__", post_init):
-            TM._mistimed_rates(LINK, M.FrameConfig(20, 0.45), err)
+            TM._mistimed_rates(LINK, M.FrameConfig(20, 0.45), *err.arrays())
         assembled = [b for b in seen if b.batch_shape and not b.upper == 0 < b.lower]
         # Rhat, its gram, RhatN and its upper band per chunk, and the
         # distinct eps2's RhatN
@@ -328,7 +328,7 @@ def five_slot_storages(link, frame, err):
         return np.zeros(len(cols))
 
     with mock.patch.object(TM, "_widened_logdets", spy):
-        TM._mistimed_rates(link, frame, err)
+        TM._mistimed_rates(link, frame, *(v.ravel() for v in err.arrays()))
     assert len(seen) == 2
     return seen
 
@@ -380,8 +380,11 @@ class TestFiveSlotAssembly:
         link = M.LinkConfig.from_gains(*gains)
         noise, cols = five_slot_storages(link, frame, err)
         want = lower_rows(full_mistimed_band(link, frame, err))
-        u = min(4, 2 * n - 1)
-        assert want.shape == (len(e1), u + 1, 2 * n)
+        assert want.shape == (len(e1), min(4, 2 * n - 1) + 1, 2 * n)
+        # the sweep leaves out diagonal 4, which is exactly zero
+        u = min(3, 2 * n - 1)
+        assert not want[:, u + 1:].any()
+        want = want[:, :u + 1]
         want_noise = lower_rows(M.build_noise_covariance(
             frame, first_occurrences(e2)).ab[:, :2])
         # the whole batch, and a part not starting at the first point
@@ -409,7 +412,27 @@ class TestFiveSlotAssembly:
                 for b in range(4):
                     want, info = _bands._pbtrf(full[start + b], lower=0)
                     assert info == 0
-                    assert got[b].tobytes() == lower_rows(want).tobytes()
+                    # the full band's diagonal 4, zero, factors to zero
+                    want = lower_rows(want)
+                    assert not want[len(got[b]):].any()
+                    assert got[b].tobytes() == want[:len(got[b])].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 40])
+    def test_diagonal_four_is_zero_and_bandwidth_three_loses_no_bit(self, n):
+        # in every sign branch of (eps1, eps1 + eps2): row i's entries of
+        # Rhat at +-2 are max(a, 0) and max(-a, 0) for one offset a, which
+        # rows i and i + 4 share, so their product is zero
+        tau = 0.3
+        f1, f2 = 0.5 * np.array(SIGN_BRANCHES).T  # tau + eps2 inside (0, 1)
+        e1 = np.where(f1 > 0, f1 * tau, f1 * (1.0 - tau))
+        e2 = np.where(f2 > 0, f2 * (1.0 - tau), f2 * tau) - e1
+        upper = full_mistimed_band(LINK, M.FrameConfig(n, tau),
+                                   M.TimingError(e1, e2))
+        assert upper.shape[1] == 5 and not upper[:, 0].any()
+        for band in upper:
+            four = _bands.logdet2_sym_pd(_bands.BandedMatrix(band, 0, 4))
+            three = _bands.logdet2_sym_pd(_bands.BandedMatrix(band[1:], 0, 3))
+            assert np.float64(four).tobytes() == np.float64(three).tobytes()
 
 
 class TestNoiseLogdetClosedForm:
@@ -446,7 +469,8 @@ class TestNoiseLogdetClosedForm:
         full = _bands.logdet2_sym_pd(M.build_noise_covariance(frame, eps2))
         err = M.TimingError(0.0, np.array([eps2]))
         widened = TM._widened_logdets(
-            frame, five_slot_storages(LINK, frame, err)[0], 1, err, [0], "")
+            frame, five_slot_storages(LINK, frame, err)[0], 1, *err.arrays(),
+            [0], "")
         for got in (full, widened[0]):
             assert abs((got - want) / want) <= 1e-12
 
