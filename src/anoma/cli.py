@@ -5,8 +5,10 @@ Each figure returns its header and its whole columns, in header order,
 to one writer, which checks every cell before it opens the file and
 formats an integer column as %d and any other as %.12g.  Sweep grids are
 evaluated and written in axis order, so the output is byte-for-byte
-deterministic for a fixed spec.  Each figure evaluates its grid in as
-few batched calls as its routes allow.
+deterministic for a fixed spec.  The timing-error figures evaluate their
+whole grid in one batched call, and the closed-form figures
+(power_surface, rate_vs_gain, tau_star_vs_n) one closed_rate evaluation
+per grid or gain pair.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ EXIT_IO = 3
 
 # a CSV column this long formats each distinct value once (_cell_texts)
 _DISTINCT_MIN = 256
-# a sweep point's share of the arrays that evaluate it and of the strings
-# of its CSV row, with room to spare, against model.MAX_BYTES
-_POINT_BYTES = 1 << 10
+# a CSV cell's share of a sweep's peak memory, checked against
+# model.MAX_BYTES: its float, its text and its share of the row's line
+# and of the figure's arrays, which tracemalloc puts at 70 to 120 bytes
+_CELL_BYTES = 128
 
 
 class UsageError(Exception):
@@ -51,12 +54,15 @@ def _fmt(v) -> str:
 
 
 def _axis(params: dict, lo_key: str, hi_key: str, step_key: str,
-          dims: int = 1) -> np.ndarray:
+          columns: int, dims: int = 1) -> np.ndarray:
     """Inclusive grid over [lo, hi] with the given step, for a sweep over
-    dims such axes.  When step * k lands within 1e-9 |v| of each endpoint
-    v for a whole k, the grid is step * k, so symmetric ranges hit 0.0
-    exactly; otherwise it is anchored at lo and clamped to hi.  Either
-    way each point is a single product (or hi itself), never a sum.
+    dims such axes whose CSV has columns cells per row.
+
+    When step * k lands within 1e-9 |v| of each endpoint v for a whole k,
+    the grid is built as step * k, so symmetric ranges hit 0.0 exactly;
+    otherwise it is anchored at lo and clamped to hi, so it never leaves
+    [lo, hi].  Either way each point is a single product (or hi itself),
+    never an accumulated sum.
     """
     lo, hi, step = params[lo_key], params[hi_key], params[step_key]
     if step <= 0:
@@ -70,7 +76,7 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str,
                     for k, v in ((k0, lo), (k1, hi)))
         count = k1 - k0 + 1 if exact else int(math.floor((hi - lo) / step
                                                          + 1e-9)) + 1
-        n_bytes = _POINT_BYTES * math.prod([float(count)] * dims)
+        n_bytes = _CELL_BYTES * columns * math.prod([float(count)] * dims)
     except (OverflowError, ValueError):  # a count past the float range
         raise UsageError(f"{keys} span more grid points than an array can "
                          "index") from None
@@ -85,8 +91,9 @@ def _axis(params: dict, lo_key: str, hi_key: str, step_key: str,
 
 
 def _fig_rate_vs_gain(p: dict):
-    h1_grid = _axis(p, "h1_sq_min", "h1_sq_max", "h1_sq_step")
     h2_list = list(p["h2_sq_values"])
+    h1_grid = _axis(p, "h1_sq_min", "h1_sq_max", "h1_sq_step",
+                    columns=1 + 3 * len(h2_list))
     # each channel is the square root of its |h|^2
     for key, v in (("h1_sq_min", h1_grid[0]), ("h2_sq_values", min(h2_list))):
         _real(key, v, 0.0, rule="be >= 0")
@@ -117,7 +124,8 @@ def _fig_rate_vs_n(p: dict):
     taus = list(p["tau_values"])
     if p["n_points"] < 1 or p["n_min"] < 1 or p["n_max"] < p["n_min"]:
         raise UsageError("n_min/n_max/n_points must define a non-empty range")
-    _require_bytes(f"n_points = {p['n_points']}", _POINT_BYTES * p["n_points"])
+    _require_bytes(f"n_points = {p['n_points']}",
+                   _CELL_BYTES * p["n_points"] * (2 + 2 * len(taus)))
     _length("frame length n", p["n_max"])  # the log-spaced ladder is in floats
     # Python ints: FrameConfig checks each, where an int64 cast would wrap
     ns = [int(v) for v in np.unique(np.round(np.logspace(
@@ -134,7 +142,7 @@ def _fig_rate_vs_n(p: dict):
 
 
 def _fig_power_surface(p: dict):
-    pg = _axis(p, "p_min", "p_max", "p_step", dims=2)
+    pg = _axis(p, "p_min", "p_max", "p_step", columns=3, dims=2)
     frame = FrameConfig(p["n"], p["tau"])
     rate = design.verify_full_power(pg, pg, p["h1_sq"], p["h2_sq"],
                                     frame).throughput
@@ -155,7 +163,7 @@ def _fig_tau_star_vs_n(p: dict):
 
 
 def _fig_loss_heatmap(p: dict):
-    eps = _axis(p, "eps_min", "eps_max", "eps_step", dims=2)
+    eps = _axis(p, "eps_min", "eps_max", "eps_step", columns=3, dims=2)
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     frame = FrameConfig(p["n"], p["tau"])
     header = ["eps1", "eps2", "gamma"]
@@ -172,7 +180,7 @@ def _slices(eps: np.ndarray) -> TimingError:
 
 
 def _fig_loss_slices(p: dict):
-    eps = _axis(p, "eps_min", "eps_max", "eps_step")
+    eps = _axis(p, "eps_min", "eps_max", "eps_step", columns=5)
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     frame = FrameConfig(p["n"], p["tau"])
     base = throughput_matrix(link, frame)
@@ -185,7 +193,7 @@ def _fig_loss_slices(p: dict):
 
 
 def _fig_scheme_comparison(p: dict):
-    eps = _axis(p, "eps_min", "eps_max", "eps_step")
+    eps = _axis(p, "eps_min", "eps_max", "eps_step", columns=5)
     link = LinkConfig.from_gains(p["mu1"], p["mu2"])
     frame = FrameConfig(p["n"], p["tau"])
     noma = throughput_noma(link.mu1, link.mu2)
@@ -293,10 +301,11 @@ def _merge_params(defaults: dict, config_path: str | None,
 
 def _write_csv(path: str, header: list[str], columns: list) -> None:
     """Header, then row i holding entry i of each column (equal-length
-    1-D arrays or lists, in header order).  A non-finite cell raises
-    DomainError naming its row and column before the file is opened, so
-    no partial CSV is left.  An integer column prints as %d and any
-    other as %.12g, _fmt's two formats.
+    1-D arrays or lists, in header order).
+
+    A non-finite cell raises DomainError naming its row and column
+    before the file is opened, so no partial CSV is left.  An integer
+    column prints as %d and any other as %.12g, _fmt's two formats.
     """
     columns = [np.asarray(c) for c in columns]
     cells = np.column_stack(columns)
@@ -409,6 +418,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy raises its _ArrayMemoryError, a MemoryError, for an array
+        # that does not fit; the byte budget (model.MAX_BYTES) refuses
+        # what it foresees, and this catches what it does not
+        print(f"error: out of memory: {exc} (the arrays grow with the frame "
+              "length n and with the number of sweep points)", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

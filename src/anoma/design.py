@@ -232,7 +232,8 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
         # LinkConfig.mu1 or mu2 at every grid power, each one a gain
         mu.append(_real(f"{p_name} * {h_name}", p * abs(h) ** 2, _MU_MIN,
                         rule=_GAIN, batch=True))
-    _require_bytes("p1_values x p2_values", 8 * mu[0].size * mu[1].size)
+    # the closed form's temporaries: about seven float arrays of the grid
+    _require_bytes("p1_values x p2_values", 64 * mu[0].size * mu[1].size)
     grid = _closed_rate(mu[0][:, None], mu[1][None, :], np.int64(frame.n),
                         np.float64(frame.tau))
 
@@ -242,5 +243,7 @@ def verify_full_power(p1_values, p2_values, h1_sq: float, h2_sq: float,
                      for i, j in np.argwhere(~(grid[:, 1:] > grid[:, :-1]))])
 
     imax, jmax = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    return PowerSweepReport(throughput=grid, violations=violations, argmax=(
-        float(grids[0][imax]), float(grids[1][jmax])))
+    return PowerSweepReport(
+        throughput=grid, violations=violations,
+        argmax=(float(grids[0][imax]), float(grids[1][jmax])),
+    )

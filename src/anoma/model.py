@@ -33,11 +33,10 @@ class DomainError(ValueError):
 
 
 # the most memory one call may ask for: a request past it raises
-# DomainError before it is allocated.  An O(n) route is taken to need
-# _SYMBOL_BYTES per symbol (the widest, the display loss, with room to
-# spare); the recursion, O(n) in time only, is held to the same lengths
+# DomainError before it is allocated.  An O(n) route asks for the float
+# rows of 2n entries (16 n bytes each) that it holds at its peak, as
+# tracemalloc measures it (tests/test_inputs.py checks each route's count)
 MAX_BYTES = 1 << 30
-_SYMBOL_BYTES = 1 << 10
 # the largest frame length: every route indexes the frame with int64
 _N_MAX = int(np.iinfo(np.int64).max)
 # the least gain whose reciprocal is finite, and the least positive float
@@ -118,10 +117,11 @@ def _require_bytes(what: str, n_bytes) -> None:
                           f"MAX_BYTES = {MAX_BYTES}")
 
 
-def _frame(frame, points: int = 1) -> "FrameConfig":
-    """frame, a FrameConfig whose O(n) routes at points frames fit."""
+def _frame(frame, rows: int, points: int = 1) -> "FrameConfig":
+    """frame, a FrameConfig on which a route that holds rows float rows
+    of 2n entries for each of points frames fits in MAX_BYTES."""
     n = _config("frame", frame, FrameConfig).n
-    _require_bytes(f"frame length n = {n}", _SYMBOL_BYTES * n * max(points, 1))
+    _require_bytes(f"frame length n = {n}", 16 * rows * n * max(points, 1))
     return frame
 
 
@@ -197,10 +197,12 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class TimingError:
-    """Normalized synchronization (eps1) and coordination (eps2) offsets:
-    one point, or a batch when eps1 and eps2 are arrays (they broadcast
-    against each other), kept as numpy floats.  The timing-error
-    functions evaluate a batch in one call, returning its shape.
+    """Normalized synchronization (eps1) and coordination (eps2) offsets.
+
+    One point, or a batch of points when eps1 and eps2 are arrays (they
+    broadcast against each other), kept as numpy floats.  The
+    timing-error functions evaluate a batch in one call and return an
+    array of its shape.
     """
 
     eps1: float | np.ndarray = 0.0
@@ -225,8 +227,11 @@ class TimingError:
             raise DomainError(f"{who} takes one timing point, not an eps1, eps2 batch")
 
     def check_admissible(self, frame: FrameConfig) -> None:
-        """Both sampling banks must stay within one symbol of their target:
-        the error names the first point of a batch that fails."""
+        """Both sampling banks must stay within one symbol of their target.
+
+        Every point of a batch is checked; the error names the first one
+        that fails.
+        """
         tau = frame.tau
         e1, e2 = self.arrays()
         s = e1 + e2
@@ -270,14 +275,14 @@ def build_correlation(frame: FrameConfig) -> BandedMatrix:
     Unit diagonal; the first super-diagonal alternates 1-tau, tau starting
     from (row 0, col 1); symmetric.  It is RhatN at eps2 = 0, bit for bit.
     """
-    return _noise_covariance(_frame(frame), 0.0)
+    return _noise_covariance(_frame(frame, 3), 0.0)
 
 
 def build_gain(link: LinkConfig, n: int) -> np.ndarray:
     """Diagonal of the complex gain H, length 2n: even slots
     h1*sqrt(p1) (stream 1), odd slots h2*sqrt(p2) (stream 2)."""
     n = _length("n", n)
-    _require_bytes(f"n = {n}", _SYMBOL_BYTES * n)
+    _require_bytes(f"n = {n}", 32 * n)  # one complex row of 2n entries
     return _gain(_config("link", link, LinkConfig), n)
 
 
@@ -304,13 +309,16 @@ def _unit_step_diagonals(a_even, a_odd) -> tuple:
 
 def build_noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
     """RhatN = R + E2, the noise covariance when the stream-2 bank is
-    offset by eps2 relative to stream 1; eps1 plays no part.  The
-    super-diagonal alternates (1 - tau) - eps2, tau + eps2: bit for bit
-    R's plus E2's, without forming either.  Admissibility is left to the
-    caller; a 1-D array eps2 gives one matrix per entry.
+    offset by eps2 relative to stream 1.
+
+    The noise sees only the relative offset of the two banks, so eps1
+    plays no part and E1 is never formed.  The super-diagonal alternates
+    (1 - tau) - eps2, tau + eps2: bit for bit R's plus E2's, without
+    forming either.  Admissibility is left to the caller; a 1-D array
+    eps2 gives one matrix per entry.
     """
     eps2 = _real("eps2", eps2, batch=True)
-    return _noise_covariance(_frame(frame, eps2.size), eps2)
+    return _noise_covariance(_frame(frame, 3, eps2.size), eps2)
 
 
 def _noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
@@ -330,19 +338,20 @@ def build_error_matrices(
     RhatN = R + E2 (noise covariance, from build_noise_covariance).  E1
     follows the general unit-step stencil, valid for every sign of eps1
     and eps1 + eps2; E2 is the symmetric pattern whose super-diagonal
-    alternates -eps2, +eps2 from (row 0, col 1).  A batched err gives
-    one matrix per point of the flattened batch.
+    alternates -eps2, +eps2 from (row 0, col 1).
+    A batched err gives batched matrices, one per point of the flattened
+    batch; every point is checked for admissibility first.
     """
     e1, e2 = _config("err", err, TimingError).arrays()
-    err.check_admissible(_frame(frame, e1.size))
-    if e1.ndim > 1:
-        e1, e2 = e1.ravel(), e2.ravel()
+    err.check_admissible(_frame(frame, 16, e1.size))
     return _error_matrices(frame, e1, e2)
 
 
 def _error_matrices(frame: FrameConfig, e1, e2) -> tuple:
     """build_error_matrices at admissible offsets e1, e2 (float arrays of
-    one shape, 0-d or 1-D) of a checked frame."""
+    one shape) of a checked frame."""
+    if e1.ndim > 1:
+        e1, e2 = e1.ravel(), e2.ravel()
     n2 = 2 * frame.n
     return (_stencil(n2, _unit_step_diagonals(e1, e1 + e2)),
             _stencil(n2, ((1, -e2, e2), (-1, e2, -e2))),

@@ -96,7 +96,7 @@ def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
     symmetric positive definite and tridiagonal for every tau in [0, 1),
     so a banded Cholesky gives the log-determinant stably in O(n).
     """
-    n = _frame(frame).n
+    n = _frame(frame, 8).n
     dinv = np.tile([1.0 / _link(link).mu1, 1.0 / link.mu2], n)
     a = _noise_covariance(frame, 0.0) + _bands.diagonal(dinv)
     logdet_gain = n * (math.log2(link.mu1) + math.log2(link.mu2))
@@ -130,7 +130,8 @@ def _power(q, n):
     subnormal (2^-1075), so pow's result is exactly +0: those points
     keep the +0 they start with and pow is not called there.  Only an
     array of float frame lengths over at least _CUT_POINTS points is cut;
-    on fewer the test costs more than the slow pow calls it saves.
+    on fewer the test costs more than the slow pow calls it saves, and a
+    scalar n keeps numpy's scalar-power paths.
     """
     if n.ndim:
         shape = np.broadcast(q, n).shape
@@ -150,9 +151,11 @@ def closed_rate(mu1, mu2, n, tau):
     A point whose rate is not finite raises DomainError naming it.
     Returns a float for one point, else an array of the broadcast shape.
 
-    An array of frame lengths is converted to float once, and (r2 /
-    r1)^n is skipped wherever it is sure to underflow to +0 (_power), so
-    the bits are those of the plain formula.
+    An array of frame lengths is converted to float once, the value
+    numpy's int-to-float cast would give at every point of the
+    broadcast, and (r2 / r1)^n is skipped wherever it is sure to
+    underflow to +0 (see _power), so the bits are those of the plain
+    formula.
     """
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is fast
     mu1, mu2 = (_real(k, v, _MU_MIN, rule=_GAIN, batch=True)[()]
@@ -202,7 +205,7 @@ def determinant_recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> fl
     the step to (d_0, d_1) from (d_-1, d_0) = (0, 1) included: by 2^-+512
     if w = 512, else by frexp.  n and tau must pass FrameConfig's checks.
     """
-    frame = _frame(FrameConfig(n, tau))
+    frame = FrameConfig(n, tau)  # O(n) in time, O(1) in memory
     mu1, mu2 = (_real(k, v, _TINY, rule="be finite and > 0")
                 for k, v in (("mu1", mu1), ("mu2", mu2)))
     if not math.isfinite(1.0 / mu1 + 1.0 / mu2):
@@ -240,7 +243,7 @@ def _recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> float:
 
 def throughput_recursion(link: LinkConfig, frame: FrameConfig) -> float:
     """Recursion route: independent oracle for the other two."""
-    return _recursion(_link(link), _frame(frame))
+    return _recursion(_link(link), _config("frame", frame, FrameConfig))
 
 
 def _recursion(link: LinkConfig, frame: FrameConfig) -> float:
@@ -314,8 +317,12 @@ def throughput_report(link: LinkConfig, frame: FrameConfig) -> ThroughputReport:
     num = log2_det_no_error(link, frame)  # checks link and frame
     mu1, mu2 = link.mu1, link.mu2
     return ThroughputReport(
-        anoma_matrix=num / (frame.n + frame.tau), anoma_closed=_closed(link, frame),
+        anoma_matrix=num / (frame.n + frame.tau),
+        anoma_closed=_closed(link, frame),
         anoma_recursion=_recursion(link, frame),
-        anoma_n_plus_1=num / (frame.n + 1), noma=float(_sync_rate(mu1, mu2)),
-        oma=_oma(mu1, mu2), asymptotic=_asymptotic(
-            np.float64(mu1), np.float64(mu2), np.float64(frame.tau)))
+        anoma_n_plus_1=num / (frame.n + 1),
+        noma=float(_sync_rate(mu1, mu2)),
+        oma=_oma(mu1, mu2),
+        asymptotic=_asymptotic(np.float64(mu1), np.float64(mu2),
+                               np.float64(frame.tau)),
+    )

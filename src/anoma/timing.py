@@ -6,13 +6,20 @@ RhatN, so the achievable rate is
     R_e = log2 det(I + RhatN^-1 Rhat H H^H Rhat^T) / (n + tau)
 
 evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
-banded Cholesky factorizations (D = H H^H), a batch of points in blocks
-(_mistimed_rates).  The loss Delta is R - R_e by definition; the
-rearranged log-det expression for Delta, assembled from its own banded
-terms, is kept alongside as a cross-check.  To first order the loss is
-V-shaped in each error, c1 |eps1| (sync) and c2 |eps2| (coordination):
-diagnostics that loss_breakdown reports next to the exact loss.  Every
-kernel here is O(n) in the frame length.
+banded Cholesky factorizations (D = H H^H).  A batch of points is
+evaluated in blocks: both matrices are assembled on a frame of five
+slots and widened by one helper to 2n columns in LAPACK's lower storage,
+bit for bit the full-length assembly (every band is 2-periodic); RhatN,
+which depends on eps2 alone, is factored once per distinct eps2.  The
+loss Delta is R - R_e by definition, and only _exact_loss forms (R_e,
+Delta, gamma = Delta / R), after checking R > 0; the rearranged log-det
+expression for Delta, assembled from its own banded terms, is kept
+alongside as a cross-check.  To first order the loss is V-shaped
+in each error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace
+models give the slopes, and loss_breakdown reports both terms next to
+the exact loss.  Every kernel here is O(n) in the frame length.  Exact
+losses are always the primary quantity; the linear terms are
+diagnostics only.
 """
 
 from __future__ import annotations
@@ -52,19 +59,28 @@ class LossBreakdown:
 
 
 def _hh(link: LinkConfig, n: int) -> np.ndarray:
-    """Real diagonal of D = H H^H: alternating mu1, mu2, formed as
-    |h sqrt(p)|^2, which can differ from LinkConfig.mu1 = p |h|^2 in the
-    last bit; every mistimed rate, loss and slope uses this one."""
+    """Real diagonal of D = H H^H: alternating mu1, mu2.
+
+    Formed as |h sqrt(p)|^2 from the gain diagonal, not from
+    LinkConfig.mu1/mu2 = p |h|^2: the two can differ in the last bit
+    (0.5000000000000001 against 0.5 at p = 0.5), and every mistimed
+    rate, loss and slope is computed with this one.
+    """
     return np.abs(_gain(link, n)) ** 2
 
 
 def throughput_with_error(link: LinkConfig, frame: FrameConfig,
                           err: TimingError) -> float | np.ndarray:
-    """Rate of the mistimed frame, bits per symbol interval: a float for
-    one point, for a batched err an array of its shape.  Where both
-    errors are zero it is throughput_matrix itself, bit for bit.  Raises
-    DomainError, naming the point, when a point is inadmissible or its
-    noise covariance is not positive definite (tau + eps2 at 0 or 1).
+    """Rate of the mistimed frame, bits per symbol interval.
+
+    A float for one point; for a batched err, an array of its shape,
+    evaluated block by block with one stacked banded Cholesky per block,
+    after one per distinct eps2 for the noise covariances.
+    Where both errors are zero the rate is throughput_matrix itself, bit
+    for bit.  Raises DomainError, naming the point, when a point is
+    inadmissible or its perturbed noise covariance is not positive
+    definite, which happens once tau + eps2 leaves the window where
+    neighboring integration windows overlap correctly.
     """
     return _throughput_with_error(link, frame, _config("err", err, TimingError), None)
 
@@ -84,7 +100,7 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
         flat[zero] = throughput_matrix(link, frame) if base is None else base
     elif base is None:
         _link(link)
-        _frame(frame)
+        _frame(frame, 5)
     err.check_admissible(frame)
     moving = ~zero
     if moving.any():
@@ -168,9 +184,12 @@ def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
 def _widen(n: int, cols: np.ndarray, start: int,
            count: int) -> _bands.BandedMatrix:
     """count points from start of cols at full length 2n, as a band given
-    by its lower rows for an in-place Cholesky.  Each band here is
-    2-periodic with bandwidth at most 3, so its lower columns 4 .. 2n - 5
-    repeat slot 2 of the five-slot frame.  At n <= 5 a view of cols.
+    by its lower rows for an in-place Cholesky.
+
+    Each band widened here is 2-periodic with bandwidth at most 3, so its
+    lower columns 4 .. 2n - 5 repeat slot 2 of the five-slot frame:
+    repeating that slot widens each point, bit for bit the full assembly.
+    At n <= 5 it is a view of cols; else a new array.
     """
     u = cols.shape[-1] - 1
     if n <= _FRAME_SLOTS:
@@ -214,7 +233,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     """
     _config("err", err, TimingError).require_point("throughput_loss_display")
     _link(link)
-    err.check_admissible(_frame(frame))
+    err.check_admissible(_frame(frame, 58))
     n, tau = frame.n, frame.tau
     e1m, e2m, rhat, rhat_n = _error_matrices(frame, *err.arrays())
     r = _noise_covariance(frame, 0.0)
@@ -253,11 +272,11 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
     last two slots).  B changes sign with the error, so the slope for a
     negative error is -c.  O(n) time and memory.
 
-    D^-1 is 1/_hh here, not the no-error rate's 1/mu, so the rate's
-    factor is never reused for A.  link and frame are the caller's to
-    check.
+    D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
+    in the last bit, so the rate's factor is never reused for A.  link is
+    the caller's to check; frame is checked here against the byte budget.
     """
-    if frame.tau == 0.0:
+    if _frame(frame, 15).tau == 0.0:
         raise DomainError("sensitivity slopes need tau in (0, 1)")
     a = (_noise_covariance(frame, 0.0)
          + _bands.diagonal(1.0 / _hh(link, frame.n)))
@@ -272,29 +291,37 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
 
 
 def sync_loss_slope(link: LinkConfig, frame: FrameConfig) -> float:
-    """First-order sensitivity c1 of the loss to eps1 (bits/interval):
-    the loss is c1 |eps1| to first order, kinked at zero."""
-    return _loss_slopes(_link(link), _frame(frame))[0]
+    """First-order sensitivity c1 of the loss to eps1 (bits/interval).
+
+    The loss is kinked at zero, c1 |eps1| to first order: c1 is the
+    slope for eps1 > 0 (positive at sane configs) and -c1 the slope for
+    eps1 < 0.
+    """
+    return _loss_slopes(_link(link), frame)[0]
 
 
 def coord_loss_slope(link: LinkConfig, frame: FrameConfig) -> float:
     """First-order sensitivity c2 of the loss to eps2 (bits/interval):
     the loss is c2 |eps2| to first order."""
-    return _loss_slopes(_link(link), _frame(frame))[1]
+    return _loss_slopes(_link(link), frame)[1]
 
 
 def loss_ratio(link: LinkConfig, frame: FrameConfig,
                err: TimingError) -> float | np.ndarray:
-    """gamma = Delta / R, the fractional throughput loss: a float for one
-    point, an array for a batched err; exactly 0.0 where both are zero."""
+    """gamma = Delta / R, the fractional throughput loss.
+
+    A float for one point, an array for a batched err; exactly 0.0 where
+    both errors are zero.
+    """
     _config("err", err, TimingError)
     return _exact_loss(link, frame, err, throughput_matrix(link, frame))[2]
 
 
 def _exact_loss(link: LinkConfig, frame: FrameConfig, err: TimingError,
                 base: float) -> tuple[float | np.ndarray, ...]:
-    """(R_e, Delta, gamma) at err given base = throughput_matrix(link,
-    frame), checked first to be positive (not so at tiny gains)."""
+    """(R_e, Delta, gamma) at err, a point or a batch, given base =
+    throughput_matrix(link, frame), which is checked to be positive first
+    (the log-det route gives 0.0 or a negative residue at tiny gains)."""
     if base <= 0.0:
         raise DomainError("loss ratio undefined: no-error throughput is "
                           f"{base:.12g}, not positive (raise the gains)")
@@ -318,7 +345,12 @@ def _loss_breakdown(link: LinkConfig, frame: FrameConfig, err: TimingError,
     err.require_point("loss_breakdown")
     r_e, delta, gamma = _exact_loss(link, frame, err, base)
     c1, c2 = _loss_slopes(link, frame)
-    return LossBreakdown(exact_throughput_with_error=r_e, delta=delta,
-                         delta_lin_sync=abs(err.eps1) * c1,
-                         delta_lin_coord=abs(err.eps2) * c2,
-                         c1=c1, c2=c2, gamma=gamma)
+    return LossBreakdown(
+        exact_throughput_with_error=r_e,
+        delta=delta,
+        delta_lin_sync=abs(err.eps1) * c1,
+        delta_lin_coord=abs(err.eps2) * c2,
+        c1=c1,
+        c2=c2,
+        gamma=gamma,
+    )

@@ -18,7 +18,12 @@ Noise comes in two flavors that cross-check each other:
 
 * a physics path that integrates white noise through both filter
   banks (noise_covariance_mc), used to validate the colored covariance
-  model by Monte Carlo, at a cost that does not grow with the trials;
+  model by Monte Carlo.  The window edges split the frame into 2n + 2
+  cells whose integrated noise is exactly independent with variance
+  equal to the cell length.  The estimate reads the trials only through
+  the Gram matrix of the cell noise, which is drawn exactly in
+  distribution from its triangular Bartlett factor (Goodman, Ann. Math.
+  Statist. 1963), so time and memory do not grow with the trial count;
 * a fast path that draws the interleaved noise vector directly from the
   noise covariance RhatN via a banded Cholesky factor (used by
   matched_filter_outputs when noise is requested).
@@ -35,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bands
-from .model import (_N_MAX, _SYMBOL_BYTES, DomainError, FrameConfig,
-                    LinkConfig, TimingError, _config, _error_matrices, _frame,
-                    _gain, _length, _noise_covariance, _real, _require_bytes,
-                    _seed)
+from .model import (_N_MAX, DomainError, FrameConfig, LinkConfig,
+                    TimingError, _config, _error_matrices, _frame, _gain,
+                    _length, _noise_covariance, _real, _require_bytes, _seed)
 
 # bytes per pair of the noise Monte Carlo's 2n + 2 cells: its Bartlett factor,
 # R W^T, the estimate and the deviation, each about one complex square array
@@ -91,7 +95,8 @@ def generate_symbols(n: int, constellation: str = "gaussian",
                      seed: int | None = None) -> SymbolFrame:
     """Deterministic unit-variance symbol frame (gaussian or qpsk)."""
     n = _length("n", n)
-    _require_bytes(f"n = {n}", _SYMBOL_BYTES * n)
+    # its peak holds about five float rows of 2n entries
+    _require_bytes(f"n = {n}", 16 * 5 * n)
     if not (isinstance(constellation, str)
             and constellation in ("qpsk", "gaussian")):
         raise DomainError(f"unknown constellation {constellation!r}")
@@ -117,7 +122,7 @@ def draw_colored_noise(frame: FrameConfig, eps2: float,
     banded Cholesky factor of RhatN."""
     point = TimingError(0.0, eps2)
     point.require_point("draw_colored_noise")
-    point.check_admissible(_frame(frame))
+    point.check_admissible(_frame(frame, 12))
     return _colored_noise(frame, point.eps2,
                           _config("rng", rng, np.random.Generator))
 
@@ -151,8 +156,13 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
     against pulse [d, d + 1] (user 1) or [d + tau, d + 1 + tau] (user 2);
     only d = -2..2 can overlap.
     """
-    err = _simulator_args(symbols, link, frame, err)
-    rng = None if _config("noiseless", noiseless, bool) else _seed("rng", rng)
+    err = _simulator_args(symbols, link, frame, err, batch=False)
+    # a bool, numpy's too, or the int 0 or 1
+    if isinstance(noiseless, (bool, np.bool_)):
+        noiseless = int(noiseless)
+    noiseless = _real("noiseless", noiseless, 0, 2, "be a bool, 0 or 1",
+                      kind=int)
+    rng = None if noiseless else _seed("rng", rng)
     n, tau = frame.n, frame.tau
     a1 = link.h1 * math.sqrt(link.p1) * symbols.s1
     a2 = link.h2 * math.sqrt(link.p2) * symbols.s2
@@ -182,22 +192,26 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
 def model_outputs(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
                   err: TimingError | None = None) -> np.ndarray:
     """Interleaved noiseless outputs predicted by the banded linear model,
-    Rhat (h * x), formed from Rhat's diagonals in O(n)."""
-    err = _simulator_args(symbols, link, frame, err)
+    Rhat (h * x), formed from Rhat's diagonals in O(n); for a batched err,
+    one row per point of the flattened batch."""
+    err = _simulator_args(symbols, link, frame, err, batch=True)
     rhat = _error_matrices(frame, *err.arrays())[2]
     x = np.column_stack((symbols.s1, symbols.s2)).ravel()  # interleaved
     return rhat.matvec(_gain(link, frame.n) * x)
 
 
 def _simulator_args(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
-                    err: TimingError | None) -> TimingError:
-    """err, or the zero error for None, after both simulators' checks."""
+                    err: TimingError | None, batch: bool) -> TimingError:
+    """err, or the zero error for None, after both simulators' checks:
+    one point unless batch, and each point's frame within the budget."""
     _config("link", link, LinkConfig)
-    if _config("symbols", symbols, SymbolFrame).n != _frame(frame).n:
+    err = TimingError() if err is None else _config("err", err, TimingError)
+    if not batch:
+        err.require_point("the simulator")
+    points = err.arrays()[0].size
+    if _config("symbols", symbols, SymbolFrame).n != _frame(frame, 16, points).n:
         raise DomainError(
             f"frame carries {frame.n} symbols but got {symbols.n}")
-    err = TimingError() if err is None else _config("err", err, TimingError)
-    err.require_point("the simulator")
     err.check_admissible(frame)
     return err
 
@@ -268,5 +282,7 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
 
     expected = _noise_covariance(frame, eps2).to_dense()
     dev = float(np.max(np.abs(cov - expected)))
-    return NoiseCovarianceReport(empirical=cov, max_abs_deviation=dev,
-                                 stat_bound=3.0 / math.sqrt(trials))
+    stat_bound = 3.0 / math.sqrt(trials)
+    return NoiseCovarianceReport(
+        empirical=cov, max_abs_deviation=dev, stat_bound=stat_bound,
+    )

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -400,7 +401,7 @@ def test_anchored_grid_never_passes_hi(tmp_path):
     # (0.01 - 1e-12) / 0.005 is 2 less 2e-10 steps: inside the 1e-9-step
     # slack, so the third point lands on hi, not 1e-12 past it
     grid = cli._axis({"lo": 1e-12, "hi": 0.01, "step": 0.005},
-                     "lo", "hi", "step")
+                     "lo", "hi", "step", columns=1)
     assert len(grid) == 3
     assert np.all((grid >= 1e-12) & (grid <= 0.01)) and grid[-1] == 0.01
     out = tmp_path / "out.csv"
@@ -449,6 +450,62 @@ resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 from anoma.cli import main
 sys.exit(main(["query", "--set", "n=1e15"]))
 """
+
+
+# the sweeps that evaluate a grid in batched calls, at about 10,000
+# rows: rate_vs_gain and rate_vs_n, a log-det call per point, are
+# counted the same way but take seconds under tracemalloc
+BUDGET_SWEEPS = {
+    "power_surface": ["p_step=0.01"],
+    "loss_heatmap": ["eps_step=0.002"],
+    "loss_slices": ["eps_step=0.00002"],
+    "scheme_comparison": ["eps_step=0.00008"],
+}
+
+
+@pytest.mark.parametrize("figure", sorted(BUDGET_SWEEPS))
+def test_sweep_budget_is_the_measured_peak(tmp_path, monkeypatch, figure):
+    # what a sweep asks of MAX_BYTES for its grid covers the traced peak
+    # of the whole command, and is at most twice it
+    asked = []
+    monkeypatch.setattr(cli, "_require_bytes",
+                        lambda what, n_bytes: asked.append(n_bytes))
+    argv = ["sweep", figure, "--out", str(tmp_path / "x.csv")]
+    for entry in BUDGET_SWEEPS[figure]:
+        argv += ["--set", entry]
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= max(asked) <= 2 * peak, (peak, asked)
+
+
+def test_gain_sweep_budget_counts_every_h2_column(tmp_path, capsys):
+    # 950,001 h1 points fit at one cell each (122 MB), not at the ten
+    # cells of three h2 values (1.2 GB)
+    code = main(["sweep", "rate_vs_gain", "--set", "h1_sq_step=2e-6",
+                 "--set", "h2_sq_values=[0.5,1.0,2.0]",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: h1_sq_min, h1_sq_max and h1_sq_step span "
+                          "950001^1 grid points, which needs about 1.22e+09 ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_memory_error_past_the_budget_is_usage_error(monkeypatch, capsys):
+    # the budget is an estimate; an allocation it did not foresee still
+    # ends in exit 2, not a traceback
+    def allocate(link, frame):
+        raise MemoryError("Unable to allocate 46.0 TiB")
+
+    monkeypatch.setattr(cli, "throughput_report", allocate)
+    assert main(["query"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: out of memory: Unable to allocate 46.0 TiB")
 
 
 def test_frame_length_beyond_memory_is_usage_error():

@@ -246,6 +246,26 @@ class TestMatchedFilterOutputs:
         assert not np.allclose(a.y1, W.matched_filter_outputs(
             sym, UNIT_LINK, frame).y1)
 
+    @pytest.mark.parametrize("flag,noisy", [(True, False), (np.bool_(True), False),
+                                            (1, False), (0, True),
+                                            (np.bool_(False), True)])
+    def test_noiseless_takes_a_bool_or_0_or_1(self, flag, noisy):
+        sym = W.generate_symbols(4, seed=2)
+        frame = M.FrameConfig(4, 0.5)
+        got = W.matched_filter_outputs(sym, UNIT_LINK, frame, noiseless=flag,
+                                       rng=7).y1
+        noisy_y1 = W.matched_filter_outputs(sym, UNIT_LINK, frame,
+                                            noiseless=False, rng=7).y1
+        clean_y1 = W.matched_filter_outputs(sym, UNIT_LINK, frame).y1
+        assert np.array_equal(got, noisy_y1 if noisy else clean_y1)
+
+    @pytest.mark.parametrize("flag", [0.0, 1.0, 2, -1, "yes", None])
+    def test_noiseless_rejects_what_is_not_a_bool(self, flag):
+        sym = W.generate_symbols(4, seed=2)
+        with pytest.raises(M.DomainError, match="^noiseless must be "):
+            W.matched_filter_outputs(sym, UNIT_LINK, M.FrameConfig(4, 0.5),
+                                     noiseless=flag)
+
 
 class TestEntryPointArguments:
     def test_simulator_frame_must_be_a_frame_config(self):
@@ -288,6 +308,16 @@ class TestModelOutputs:
         dense = rhat @ (M.build_gain(link, 7) * x)
         got = W.model_outputs(sym, link, frame, err)
         assert np.max(np.abs(got - dense)) <= 1e-14
+
+    def test_batched_err_gives_one_row_per_flattened_point(self):
+        sym = W.generate_symbols(6, seed=4)
+        frame = M.FrameConfig(6, 0.5)
+        eps1 = np.array([[0.01, 0.02], [0.0, -0.01]])
+        got = W.model_outputs(sym, UNIT_LINK, frame, M.TimingError(eps1, 0.03))
+        assert got.shape == (4, 12)
+        for row, e1 in zip(got, eps1.ravel()):
+            assert np.array_equal(row, W.model_outputs(
+                sym, UNIT_LINK, frame, M.TimingError(e1, 0.03)))
 
     @pytest.mark.parametrize("symbols", [1, 3, 5])
     def test_frame_length_mismatch_rejected(self, symbols):
