@@ -187,8 +187,8 @@ def test_budget_is_the_measured_peak(name, monkeypatch):
 
 
 def test_recursion_is_not_held_to_a_byte_budget():
-    # 2^21 symbols: 0.5 s of scalar steps and no array, past the frame
-    # lengths at which a flat 1 KiB per symbol would refuse it
+    # 2^21 symbols: 0.5 s of scalar steps and no array, so the recursion
+    # asks nothing of MAX_BYTES at any frame length
     n = 2 ** 21
     closed = anoma.throughput_closed(LINK, FrameConfig(n, 0.5))
     expected = closed * (n + 0.5) - n * math.log2(0.5)
