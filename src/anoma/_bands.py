@@ -67,6 +67,7 @@ oracles use, import ``scipy.linalg`` when first called.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -174,6 +175,12 @@ def _c_array(shape: tuple[int, ...], zero: bool,
     return a
 
 
+@functools.cache
+def _offsets(lower: int, upper: int) -> tuple[int, ...]:
+    """BandedMatrix.offsets of a band with these bandwidths."""
+    return tuple(sorted(range(-lower, upper + 1), key=lambda k: (abs(k), -k)))
+
+
 @dataclass(frozen=True)
 class BandedMatrix:
     """Square banded matrix, or a batch of them, in LAPACK band layout.
@@ -202,10 +209,9 @@ class BandedMatrix:
         return self.ab.shape[:-2]
 
     @property
-    def offsets(self) -> list[int]:
+    def offsets(self) -> tuple[int, ...]:
         """Diagonal offsets in summation order: 0, +1, -1, +2, -2, ..."""
-        return sorted(range(-self.lower, self.upper + 1),
-                      key=lambda k: (abs(k), -k))
+        return _offsets(self.lower, self.upper)
 
     def to_dense(self) -> np.ndarray:
         n = self.n

@@ -294,6 +294,12 @@ def _gain(link: LinkConfig, n: int) -> np.ndarray:
     return entries
 
 
+def _mu_diagonal(link: LinkConfig, n: int) -> np.ndarray:
+    """Real diagonal of D = H H^H, length 2n, from the link's gains: mu1
+    on the even slots, mu2 on the odd; every rate route's one D."""
+    return np.tile([link.mu1, link.mu2], n)
+
+
 def _unit_step_diagonals(a_even, a_odd) -> tuple:
     """The mistimed-sampling stencil's diagonals as _stencil takes them:
     E1 when stream-1 rows (even) are offset by a_even = eps1 and

@@ -7,7 +7,8 @@ prefactor unless stated otherwise.
 Routes, kept deliberately independent of each other:
 
 * matrix    -- log-det of the sampled linear model, via a banded
-               Cholesky factorization of D^-1 + R with D = H H^H;
+               Cholesky factorization of D^-1 + R with D = H H^H =
+               diag(mu1, mu2, mu1, ...);
 * closed    -- the characteristic-root closed form, evaluated in the
                log domain so any frame length is safe;
 * recursion -- the literal interleaved three-term determinant
@@ -24,7 +25,7 @@ import numpy as np
 from . import _bands
 from .model import (_GAIN, _MU_MIN, _TINY, DomainError, FrameConfig,
                     LinkConfig, _config, _every, _frame, _length, _link,
-                    _noise_covariance, _real)
+                    _mu_diagonal, _noise_covariance, _real)
 
 # broadcast size from which closed_rate tests which powers underflow
 _CUT_POINTS = 256
@@ -97,24 +98,26 @@ def log2_det_no_error(link: LinkConfig, frame: FrameConfig) -> float:
     so a banded Cholesky gives the log-determinant stably in O(n).
     """
     n = _frame(frame, 8).n
-    dinv = np.tile([1.0 / _link(link).mu1, 1.0 / link.mu2], n)
-    a = _noise_covariance(frame, 0.0) + _bands.diagonal(dinv)
-    logdet_gain = n * (math.log2(link.mu1) + math.log2(link.mu2))
+    ld = _factor_a(_link(link), frame, _bands.logdet2_sym_pd)
+    return n * (math.log2(link.mu1) + math.log2(link.mu2)) + ld
+
+
+def _factor_a(link: LinkConfig, frame: FrameConfig, kernel):
+    """kernel(A), A = D^-1 + R of a checked link and frame: the one
+    matrix the no-error rate and the loss slopes factor.  DomainError names
+    the point where its Cholesky fails in floating point; at tau = 0 its
+    2x2 blocks are [[1 + 1/mu1, 1], [1, 1 + 1/mu2]]."""
+    a = (_noise_covariance(frame, 0.0)
+         + _bands.diagonal(1.0 / _mu_diagonal(link, frame.n)))
     try:
-        return logdet_gain + _bands.logdet2_sym_pd(a)
+        return kernel(a)
     except _bands.NotPositiveDefinite:
-        raise _not_positive_definite(link, frame) from None
-
-
-def _not_positive_definite(link: LinkConfig, frame: FrameConfig) -> DomainError:
-    """The error for a D^-1 + R whose banded Cholesky fails in floating
-    point: at tau = 0 its 2x2 blocks are [[1 + 1/mu1, 1], [1, 1 + 1/mu2]]."""
-    return DomainError(
-        f"D^-1 + R is not positive definite in floating point at "
-        f"mu1={link.mu1}, mu2={link.mu2}, n={frame.n}, tau={frame.tau}: "
-        f"near tau = 0 its second Cholesky pivot (1 + 1/mu2) - 1/(1 + 1/mu1) "
-        f"cancels once 1/mu is below machine epsilon; lower the gains or "
-        f"raise tau")
+        raise DomainError(
+            f"D^-1 + R is not positive definite in floating point at "
+            f"mu1={link.mu1}, mu2={link.mu2}, n={frame.n}, tau={frame.tau}: "
+            f"near tau = 0 its second Cholesky pivot (1 + 1/mu2) - 1/(1 + 1/mu1) "
+            f"cancels once 1/mu is below machine epsilon; lower the gains or "
+            f"raise tau") from None
 
 
 def throughput_matrix(link: LinkConfig, frame: FrameConfig) -> float:
@@ -237,7 +240,8 @@ def _recursion_log2(mu1: float, mu2: float, tau: float, n: int) -> float:
             d_prev, d_curr = math.ldexp(d_prev, -e), math.ldexp(d_curr, -e)
             shift += e
     if d_curr <= 0.0:
-        raise DomainError("determinant recursion left the positive cone")
+        raise DomainError(f"determinant recursion left the positive cone "
+                          f"at mu1={mu1}, mu2={mu2}, n={n}, tau={tau}")
     return math.log2(d_curr) + shift
 
 

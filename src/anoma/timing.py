@@ -6,36 +6,34 @@ RhatN, so the achievable rate is
     R_e = log2 det(I + RhatN^-1 Rhat H H^H Rhat^T) / (n + tau)
 
 evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
-banded Cholesky factorizations (D = H H^H).  A batch of points is
-evaluated in blocks: both matrices are assembled on a frame of five
+banded Cholesky factorizations; D = H H^H = diag(mu1, mu2, mu1, ...)
+comes from the link's gains, as in the no-error rate.  A batch of points
+is evaluated in blocks: both matrices are assembled on a frame of five
 slots and widened by one helper to 2n columns in LAPACK's lower storage,
 bit for bit the full-length assembly (every band is 2-periodic); RhatN,
 which depends on eps2 alone, is factored once per distinct eps2.  The
 loss Delta is R - R_e by definition, and only _exact_loss forms (R_e,
 Delta, gamma = Delta / R), after checking R > 0; the rearranged log-det
 expression for Delta, assembled from its own banded terms, is kept
-alongside as a cross-check.  To first order the loss is V-shaped
-in each error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace
-models give the slopes, and loss_breakdown reports both terms next to
-the exact loss.  Every kernel here is O(n) in the frame length.  Exact
-losses are always the primary quantity; the linear terms are
-diagnostics only.
+alongside as a cross-check.  To first order the loss is V-shaped in each
+error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace models
+give the slopes, and loss_breakdown reports both terms next to the exact
+loss.  Every kernel here is O(n) in the frame length.  Exact losses are
+always the primary quantity; the linear terms are diagnostics only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError, _at,
-                    _config, _error_matrices, _frame, _gain, _link, _mixing,
-                    _noise_covariance)
-from .throughput import _not_positive_definite, throughput_matrix
+                    _config, _error_matrices, _frame, _link, _mixing,
+                    _mu_diagonal, _noise_covariance)
+from .throughput import _factor_a, throughput_matrix
 
-_LN2 = math.log(2.0)
 # a batch of mistimed points is factored in blocks of about this many
 # band entries per diagonal, so peak memory stays flat however large
 # the sweep
@@ -56,17 +54,6 @@ class LossBreakdown:
     c1: float
     c2: float
     gamma: float
-
-
-def _hh(link: LinkConfig, n: int) -> np.ndarray:
-    """Real diagonal of D = H H^H: alternating mu1, mu2.
-
-    Formed as |h sqrt(p)|^2 from the gain diagonal, not from
-    LinkConfig.mu1/mu2 = p |h|^2: the two can differ in the last bit
-    (0.5000000000000001 against 0.5 at p = 0.5), and every mistimed
-    rate, loss and slope is computed with this one.
-    """
-    return np.abs(_gain(link, n)) ** 2
 
 
 def throughput_with_error(link: LinkConfig, frame: FrameConfig,
@@ -142,7 +129,7 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig, e1: np.ndarray,
         first[order], "noise covariance singular")
     ld = ld[inverse]
     del values, first, inverse, order  # not held through the chunks
-    d = _hh(link, small.n)  # all the five-slot frame reads
+    d = _mu_diagonal(link, small.n)  # all the five-slot frame reads
     for start in range(0, e1.size, chunk):
         part = slice(start, start + chunk)
         total = _bands.product(_mixing(small, e1[part], e2[part], front),
@@ -237,7 +224,7 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     n, tau = frame.n, frame.tau
     e1m, e2m, rhat, rhat_n = _error_matrices(frame, *err.arrays())
     r = _noise_covariance(frame, 0.0)
-    d = _hh(link, n)
+    d = _mu_diagonal(link, n)
     try:
         ld_n = _bands.logdet2_sym_pd(rhat_n)
     except _bands.NotPositiveDefinite:
@@ -250,12 +237,15 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     eye = _bands.diagonal(np.ones(2 * n))
     sign_a, ld_a = _bands.slogdet2_general(eye + _bands.product(eye, d, r))
     if sign_m <= 0.0 or sign_a <= 0.0:
-        raise DomainError("loss determinant left the positive cone")
+        raise DomainError(
+            f"loss determinant left the positive cone at mu1={link.mu1}, "
+            f"mu2={link.mu2}, n={n}, tau={tau}, eps1={err.eps1}, eps2={err.eps2}")
     return -(ld_m - ld_n - ld_a) / (n + tau)
 
 
 def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
-    """(c1, c2), both from one factorization of A = D^-1 + R.
+    """(c1, c2), both from one factorization of A = D^-1 + R, the matrix
+    that the no-error rate factors (_factor_a), bit for bit.
 
     Each slope is -Tr[(I + D R)^-1 (D Z^T + R^-1 (Z - Z3) D R)] / ((n +
     tau) ln 2), Z the derivative of E1 along the error and Z3 that of the
@@ -270,21 +260,14 @@ def _loss_slopes(link: LinkConfig, frame: FrameConfig) -> tuple[float, float]:
 
     over every i for c1 and over odd i for c2 (inv[2] is zero in its
     last two slots).  B changes sign with the error, so the slope for a
-    negative error is -c.  O(n) time and memory.
-
-    D^-1 is 1/_hh here and 1/mu in the no-error rate; the two can differ
-    in the last bit, so the rate's factor is never reused for A.  link is
-    the caller's to check; frame is checked here against the byte budget.
+    negative error is -c.  O(n) time and memory.  link is the caller's
+    to check; frame is checked here against the byte budget.
     """
     if _frame(frame, 15).tau == 0.0:
         raise DomainError("sensitivity slopes need tau in (0, 1)")
-    a = (_noise_covariance(frame, 0.0)
-         + _bands.diagonal(1.0 / _hh(link, frame.n)))
-    try:
-        inv = _bands.inverse_bands_tridiagonal(a, 2)
-    except _bands.NotPositiveDefinite:
-        raise _not_positive_definite(link, frame) from None
-    scale = (frame.n + frame.tau) * _LN2
+    inv = _factor_a(link, frame,
+                    lambda a: _bands.inverse_bands_tridiagonal(a, 2))
+    scale = (frame.n + frame.tau) * _bands._LN2
     c1 = 2.0 * float(np.sum(inv[0]) - np.sum(inv[2])) / scale
     c2 = 2.0 * float(np.sum(inv[0, 1::2]) - np.sum(inv[2, 1::2])) / scale
     return c1, c2

@@ -500,10 +500,22 @@ def test_product_sums_over_offsets_in_order_0_plus1_minus1():
     ones = np.ones(3)
     a = banded(3, {0: ones, 1: ones, -1: ones})
     b = banded(3, {0: np.full(3, -1e16), 1: np.full(3, 1e16), -1: ones})
-    assert a.offsets == [0, 1, -1]
+    assert a.offsets == (0, 1, -1)
     c = _bands.product(a, ones, b)
     assert c.ab[c.upper, 1] == 1.0
     assert c.to_dense()[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("lower", range(5))
+@pytest.mark.parametrize("upper", range(5))
+def test_offsets_alternate_outward_once_per_bandwidth_pair(lower, upper):
+    want = [0]
+    for k in range(1, max(lower, upper) + 1):
+        want += [k] * (k <= upper) + [-k] * (k <= lower)
+    a, b = (_bands.BandedMatrix(np.zeros((lower + upper + 1, n)), lower, upper)
+            for n in (3, 6))
+    assert a.offsets == tuple(want)
+    assert a.offsets is b.offsets  # formed once for the pair, not per call
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])

@@ -560,8 +560,8 @@ DEFAULT_CSV_SHA256 = {
     "rate_vs_n": "c4faed87059e1169c7dd63bfd5fb584f6c081b3a7095aa8c5a1b8c712a6c5c78",
     "power_surface": "8e9a9883071e9a6673d6aabc29dc863e3773723159d2ccb91ae1d30de4cb49d8",
     "tau_star_vs_n": "1f9bf6dac5c54e010acc211da0f965bbd944af2057c7ea9f8c46e81926af0c26",
-    "loss_heatmap": "31a2eff778e98e3ed6c170c8d785bb7b54ce781a9cc380e77e620ffcaa0488f5",
-    "loss_slices": "c2187ada6a1ae2d012c2a6cc1d1ba6e11eba0d7ad7b7bd44dad6ba6344f64b7e",
+    "loss_heatmap": "8a0494c84337f4d6a111c5fe0e878114e4a0730d28fb412300f0a94f9c780a75",
+    "loss_slices": "95e942c3b8bb2b4cb091f0f09877872132186979553ea860b7afddb1495ca61b",
     "scheme_comparison": "3b33c3f241c0e55d796f94c584ee8ca87fb2016f9ccdcf3492d99da81df0f4cb",
 }
 
@@ -599,9 +599,9 @@ QUERY_LINES = {
         "anoma_matrix=1.44961583479 anoma_closed=1.44961583479 "
         "anoma_recursion=1.44961583479 anoma_n_plus_1=1.44672623512 "
         "noma=1.32192809489 oma=0.792481250361 asymptotic=1.45140072728 "
-        "exact_throughput_with_error=1.38560974359 delta=0.064006091196 "
+        "exact_throughput_with_error=1.38560974359 delta=0.0640060911962 "
         "delta_lin_sync=0.0757078864801 delta_lin_coord=0.0504719243201 "
-        "c1=2.523596216 c2=1.0094384864 gamma=0.0441538300424\n"),
+        "c1=2.523596216 c2=1.0094384864 gamma=0.0441538300425\n"),
 }
 
 

@@ -370,6 +370,13 @@ class TestRecursion:
         r1, r2 = char_roots(1.0, 1.0, 0.5)
         assert math.isclose(r1 + r2 + 0.25, 3.75, rel_tol=1e-14)
 
+    def test_leaving_the_positive_cone_names_the_point(self):
+        message = ("determinant recursion left the positive cone at "
+                   "mu1=1e+300, mu2=1e+300, n=1, tau=1e-300")
+        with pytest.raises(M.DomainError, match=re.escape(message)):
+            T.throughput_recursion(M.LinkConfig(1e300, 1e300),
+                                   M.FrameConfig(1, 1e-300))
+
     def test_matches_dense_lu(self):
         r = M.build_correlation(M.FrameConfig(3, 0.3)).to_dense()
         dinv = np.diag([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])

@@ -1,5 +1,6 @@
 """Timing-error throughput, losses, and linear sensitivity models."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -311,7 +312,7 @@ class TestBatchedRate:
 def full_mistimed_band(link, frame, err):
     """Upper band of RhatN + Rhat D Rhat^T assembled at full length 2n."""
     _, _, rhat, rhat_n = M.build_error_matrices(frame, err)
-    d = TM._hh(link, frame.n)
+    d = M._mu_diagonal(link, frame.n)
     total = rhat_n + _bands.product(rhat, d)
     return total.ab[:, :total.upper + 1]
 
@@ -491,6 +492,14 @@ class TestLoss:
         d_def = TM.throughput_loss(LINK, FRAME, err)
         d_disp = TM.throughput_loss_display(LINK, FRAME, err)
         assert math.isclose(d_def, d_disp, rel_tol=1e-9)
+
+    def test_display_route_names_the_point_that_leaves_the_positive_cone(self):
+        message = ("loss determinant left the positive cone at mu1=1e+308, "
+                   "mu2=1e-292, n=1000, tau=0.5, eps1=0.01, eps2=-0.02")
+        with pytest.raises(M.DomainError, match=re.escape(message)):
+            TM.throughput_loss_display(M.LinkConfig(1e300, 1e-300, 1e4, 1e4),
+                                       M.FrameConfig(1000, 0.5),
+                                       M.TimingError(0.01, -0.02))
 
     def test_display_route_small_frame(self):
         frame = M.FrameConfig(3, 0.4)
@@ -770,7 +779,7 @@ def separately_factored_slope(link, frame, rows):
     own factorization of A = D^-1 + R, summed as the kernel sums it: the
     reference that the factorization shared by both slopes must equal
     bit for bit."""
-    a = M.build_correlation(frame) + _bands.diagonal(1.0 / TM._hh(link, frame.n))
+    a = M.build_correlation(frame) + _bands.diagonal(1.0 / M._mu_diagonal(link, frame.n))
     inv = _bands.inverse_bands_tridiagonal(a, 2)
     total = float(np.sum(inv[0, rows]) - np.sum(inv[2, rows]))
     return 2.0 * total / ((frame.n + frame.tau) * math.log(2.0))
@@ -790,7 +799,7 @@ def counting(monkeypatch, *names):
 class TestOneFactorizationPerPoint:
     """A query factors each distinct matrix once: the no-error D^-1 + R
     (throughput_report), RhatN and RhatN + Rhat D Rhat^T (the mistimed
-    rate), and A = diag(1/_hh) + R, whose one inverse band serves every
+    rate), and A = diag(1/mu) + R, whose one inverse band serves every
     slope branch.  The zero-error rate reuses the report's log-det."""
 
     @pytest.mark.parametrize("sets,cholesky,inverse", [
@@ -826,7 +835,8 @@ class TestOneFactorizationPerPoint:
         # the five-slot assembly reads D = H H^H on its own frame only,
         # once for the whole batch
         seen = []
-        monkeypatch.setattr(TM, "_hh", lambda link, n, _orig=TM._hh:
+        monkeypatch.setattr(TM, "_mu_diagonal",
+                            lambda link, n, _orig=TM._mu_diagonal:
                             seen.append(n) or _orig(link, n))
         err = M.TimingError(np.array([0.03, -0.01, 0.02]),
                             np.array([-0.05, 0.02, 0.01]))
@@ -863,6 +873,42 @@ class TestOneFactorizationPerPoint:
         link = M.LinkConfig.from_gains(1e300, 1e300)
         with pytest.raises(M.DomainError, match=r"mu1=.*mu2=.*n=10, tau=1e-20"):
             slope(link, M.FrameConfig(10, 1e-20))
+
+
+def route_bits(link):
+    """Each rate route's value at link, FRAME and two timing errors (one
+    point, one batch) as bytes, so that == compares bit for bit."""
+    err = M.TimingError(0.02, -0.01)
+    batch = M.TimingError(np.array([0.02, -0.03, 0.0]),
+                          np.array([-0.01, 0.02, 0.0]))
+    values = {f.__name__: f(link, FRAME) for f in (
+        T.throughput_matrix, T.throughput_closed, T.throughput_recursion,
+        T.throughput_report, TM.sync_loss_slope, TM.coord_loss_slope)}
+    for f in (TM.throughput_with_error, TM.throughput_loss,
+              TM.throughput_loss_display, TM.loss_ratio, TM.loss_breakdown):
+        values[f.__name__] = f(link, FRAME, err)
+    for f in (TM.throughput_with_error, TM.loss_ratio):
+        values[f.__name__ + " (batch)"] = f(link, FRAME, batch)
+    return {name: np.asarray(dataclasses.astuple(v) if dataclasses.is_dataclass(v)
+                             else v, dtype=float).tobytes()
+            for name, v in values.items()}
+
+
+class TestOneGainSource:
+    """Every route reads the link only through mu1 = p1 |h1|^2 and mu2, so
+    a link and LinkConfig.from_gains at the same gains give the same bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(mu=st.tuples(*[st.floats(0.01, 100.0)] * 2),
+           h=st.tuples(*[st.complex_numbers(min_magnitude=0.1,
+                                            max_magnitude=10.0)] * 2))
+    # |h2 sqrt(p2)|^2 is not mu2 here in the last bit
+    @example(mu=(1.0, 4.8426078515942566), h=(1.0, 0.64726896098382))
+    def test_equal_gains_give_equal_bits(self, mu, h):
+        p = [m / abs(complex(c)) ** 2 for m, c in zip(mu, h)]
+        link = M.LinkConfig(p[0], p[1], h[0], h[1])
+        assume((link.mu1, link.mu2) == mu)
+        assert route_bits(link) == route_bits(M.LinkConfig.from_gains(*mu))
 
 
 class TestNoErrorRateOncePerCall:
