@@ -335,6 +335,27 @@ def _noise_covariance(frame: FrameConfig, eps2) -> BandedMatrix:
                                   (-1, second, first)))
 
 
+def _noise_logdet2(frame: FrameConfig, e1, e2) -> np.ndarray:
+    """log2 det RhatN at offsets e1, e2 (float arrays of one shape) of a
+    checked frame, from s = tau + eps2 alone.  RhatN = W W^T, W the 2n x
+    (2n + 1) bidiagonal of square roots of the overlaps s and 1 - s, so by
+    Cauchy-Binet log2 det RhatN = n log2 s + (n - 1) log2(1 - s) + log2(n
+    + 1 - s), the middle term absent at n = 1.  RhatN is positive definite
+    where 0 < s < 1 and 0 < 1 - s < 1 (below s of about 2^-54, 1 - s
+    rounds to 1.0, as the built entry (1 - tau) - eps2 does), or at n = 1,
+    [[1, 1 - s], [1 - s, 1]], where |1 - s| < 1; elsewhere DomainError
+    names the first point.
+    """
+    n, s = frame.n, frame.tau + e2
+    t = 1.0 - s
+    ok = np.abs(t) < 1.0 if n == 1 else (0.0 < t) & (t < 1.0)
+    if not _every(ok):
+        raise DomainError(f"noise covariance singular at tau={frame.tau}, "
+                          f"{_at(e1, e2, int(np.argmax(~ok)))}")
+    ld = n * np.log2(s) + np.log2(n + 1 - s)
+    return ld if n == 1 else ld + (n - 1) * np.log2(t)
+
+
 def build_error_matrices(
     frame: FrameConfig, err: TimingError
 ) -> tuple[BandedMatrix, BandedMatrix, BandedMatrix, BandedMatrix]:

@@ -5,15 +5,15 @@ RhatN, so the achievable rate is
 
     R_e = log2 det(I + RhatN^-1 Rhat H H^H Rhat^T) / (n + tau)
 
-evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN) with
-banded Cholesky factorizations; D = H H^H = diag(mu1, mu2, mu1, ...)
-comes from the link's gains, as in the no-error rate.  A batch of points
-is evaluated in blocks: both matrices are assembled on a frame of five
-slots and widened by one helper to 2n columns in LAPACK's lower storage,
-bit for bit the full-length assembly (every band is 2-periodic); RhatN,
-which depends on eps2 alone, is factored once per distinct eps2.  The
-loss Delta is R - R_e by definition, and only _exact_loss forms (R_e,
-Delta, gamma = Delta / R), after checking R > 0; the rearranged log-det
+evaluated here as logdet(RhatN + Rhat D Rhat^T) - logdet(RhatN): the
+first by banded Cholesky, the second in closed form in tau + eps2
+(model._noise_logdet2); D = H H^H = diag(mu1, mu2, mu1, ...) comes from
+the link's gains, as in the no-error rate.  A batch of points is
+evaluated in blocks: RhatN + Rhat D Rhat^T is assembled on a frame of
+five slots and widened to 2n columns in LAPACK's lower storage, bit for
+bit the full-length assembly (every band is 2-periodic).  The loss
+Delta is R - R_e by definition, and only _exact_loss forms (R_e, Delta,
+gamma = Delta / R), after checking R > 0; the rearranged log-det
 expression for Delta, assembled from its own banded terms, is kept
 alongside as a cross-check.  To first order the loss is V-shaped in each
 error, c1 |eps1| (sync) and c2 |eps2| (coordination); the trace models
@@ -31,7 +31,7 @@ import numpy as np
 from . import _bands
 from .model import (DomainError, FrameConfig, LinkConfig, TimingError, _at,
                     _config, _error_matrices, _frame, _link, _mixing,
-                    _mu_diagonal, _noise_covariance)
+                    _mu_diagonal, _noise_covariance, _noise_logdet2)
 from .throughput import _factor_a, throughput_matrix
 
 # a batch of mistimed points is factored in blocks of about this many
@@ -61,8 +61,7 @@ def throughput_with_error(link: LinkConfig, frame: FrameConfig,
     """Rate of the mistimed frame, bits per symbol interval.
 
     A float for one point; for a batched err, an array of its shape,
-    evaluated block by block with one stacked banded Cholesky per block,
-    after one per distinct eps2 for the noise covariances.
+    evaluated block by block with one stacked banded Cholesky per block.
     Where both errors are zero the rate is throughput_matrix itself, bit
     for bit.  Raises DomainError, naming the point, when a point is
     inadmissible or its perturbed noise covariance is not positive
@@ -98,37 +97,24 @@ def _throughput_with_error(link: LinkConfig, frame: FrameConfig,
 def _mistimed_rates(link: LinkConfig, frame: FrameConfig, e1: np.ndarray,
                     e2: np.ndarray) -> np.ndarray:
     """R_e at admissible offsets e1, e2 (1-D float arrays) of a checked
-    link and frame.  Both matrices are assembled on a frame of five slots,
-    every chunk's in one reused work array, and widened to 2n columns
-    (_widened_logdets), bit for bit the full-length assembly: RhatN once
-    per distinct eps2 in order of first occurrence, then RhatN + Rhat D
-    Rhat^T per point.  Errors name the batch's first failing point.
-    """
+    link and frame: log2 det(RhatN + Rhat D Rhat^T), assembled on a frame
+    of five slots, every chunk's in one reused work array, and widened to
+    2n columns (_widened_logdets), bit for bit the full-length assembly,
+    less log2 det RhatN in closed form (_noise_logdet2).  Errors name the
+    batch's first failing point."""
     n, tau = frame.n, frame.tau
     small = frame if n <= _FRAME_SLOTS else FrameConfig(_FRAME_SLOTS, tau)
     step = max(1, _BLOCK_ENTRIES // (2 * n))
     # the five-slot frame is assembled for as many whole blocks at once
     # as fill a block's worth of its columns: memory stays flat in n too
     chunk = max(1, _BLOCK_ENTRIES // (2 * _FRAME_SLOTS * step)) * step
-    if e2.size > 1:
-        values, first, inverse = np.unique(e2, return_index=True,
-                                           return_inverse=True)
-        order = np.argsort(first)
-    else:  # one point: nothing to share; np.unique costs a tenth of a call
-        values, first = e2, np.zeros(1, dtype=np.intp)
-        inverse = order = first
     # two flat five-slot bands, reused by every chunk, so that no chunk
     # allocates (and faults in) one: the front holds Rhat, then the
     # lower storage; the back RhatN + Rhat D Rhat^T.  Every band here
     # has at most 5 rows.
     band = min(chunk, e1.size) * 5 * 2 * small.n
     front, back = np.empty((2, band))
-    ld = np.empty(values.size)
-    ld[order] = _widened_logdets(frame, _bands.lower_storage(
-        _noise_covariance(small, values[order])), step, e1, e2,
-        first[order], "noise covariance singular")
-    ld = ld[inverse]
-    del values, first, inverse, order  # not held through the chunks
+    ld = _noise_logdet2(frame, e1, e2)
     d = _mu_diagonal(link, small.n)  # all the five-slot frame reads
     for start in range(0, e1.size, chunk):
         part = slice(start, start + chunk)
@@ -142,20 +128,16 @@ def _mistimed_rates(link: LinkConfig, frame: FrameConfig, e1: np.ndarray,
         # i + 4 share it.  So it is factored at bandwidth 3
         u = min(total.upper, 3)
         total = _bands.BandedMatrix(total.ab[..., total.upper - u:, :], 0, u)
-        ld[part] = _widened_logdets(
-            frame, _bands.lower_storage(total, front), step, e1, e2,
-            range(start, e1.size),
-            "mistimed covariance not positive definite") - ld[part]
+        ld[part] = _widened_logdets(frame, _bands.lower_storage(total, front),
+                                    step, e1[part], e2[part]) - ld[part]
     return ld / (n + tau)
 
 
 def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
-                     e1: np.ndarray, e2: np.ndarray, points,
-                     what: str) -> np.ndarray:
-    """log2 det at full length 2n of each point of cols, a symmetric
-    2-periodic band on min(n, 5) slots in _bands.lower_storage, widened
-    (_widen) and factored step points per call.  Point i of cols is point
-    points[i] of e1, e2, named after what if it is not positive definite.
+                     e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """log2 det at full length 2n of each point of cols, RhatN + Rhat D
+    Rhat^T on min(n, 5) slots in _bands.lower_storage at offsets e1, e2,
+    widened (_widen) and factored step points per call.
     """
     ld = np.empty(len(cols))
     for start in range(0, len(cols), step):
@@ -163,8 +145,9 @@ def _widened_logdets(frame: FrameConfig, cols: np.ndarray, step: int,
             ld[start:start + step] = _bands.logdet2_sym_pd(
                 _widen(frame.n, cols, start, step))
         except _bands.NotPositiveDefinite as exc:
-            point = _at(e1, e2, points[start + exc.index])
-            raise DomainError(f"{what} at tau={frame.tau}, {point}") from None
+            raise DomainError(
+                "mistimed covariance not positive definite at "
+                f"tau={frame.tau}, {_at(e1, e2, start + exc.index)}") from None
     return ld
 
 
@@ -212,8 +195,8 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
         det M / (det RhatN det(I + D R)),
         M = RhatN + RhatN D R + RhatN D E1^T + (E1 - E2) D (R + E1^T),
 
-    where every factor is banded (M has bandwidth 4), so each log-det
-    is one banded factorization: Cholesky for RhatN, LU for M and
+    where every factor is banded (M has bandwidth 4): log det RhatN is
+    in closed form (model._noise_logdet2), and banded LU factors M and
     I + D R.  Every product is one _bands.product, A D B^T: RhatN D R
     reads R^T for R (R is symmetric bit for bit), and D R is I D R^T,
     entry (1.0 d[i]) R[j, i].  O(n) time and memory.
@@ -222,15 +205,10 @@ def throughput_loss_display(link: LinkConfig, frame: FrameConfig,
     _link(link)
     err.check_admissible(_frame(frame, 58))
     n, tau = frame.n, frame.tau
+    ld_n = float(_noise_logdet2(frame, *err.arrays()))
     e1m, e2m, rhat, rhat_n = _error_matrices(frame, *err.arrays())
     r = _noise_covariance(frame, 0.0)
     d = _mu_diagonal(link, n)
-    try:
-        ld_n = _bands.logdet2_sym_pd(rhat_n)
-    except _bands.NotPositiveDefinite:
-        raise DomainError(
-            f"noise covariance singular at tau={tau}, eps2={err.eps2}"
-        ) from None
     m = (rhat_n + _bands.product(rhat_n, d, r) + _bands.product(rhat_n, d, e1m)
          + _bands.product(e1m - e2m, d, rhat))
     sign_m, ld_m = _bands.slogdet2_general(m)

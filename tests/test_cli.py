@@ -560,7 +560,7 @@ DEFAULT_CSV_SHA256 = {
     "rate_vs_n": "c4faed87059e1169c7dd63bfd5fb584f6c081b3a7095aa8c5a1b8c712a6c5c78",
     "power_surface": "8e9a9883071e9a6673d6aabc29dc863e3773723159d2ccb91ae1d30de4cb49d8",
     "tau_star_vs_n": "1f9bf6dac5c54e010acc211da0f965bbd944af2057c7ea9f8c46e81926af0c26",
-    "loss_heatmap": "8a0494c84337f4d6a111c5fe0e878114e4a0730d28fb412300f0a94f9c780a75",
+    "loss_heatmap": "4e6310fb3d4e1ccdfd827f79ff935d83fe32f468c388dd59d8b07d969db25546",
     "loss_slices": "95e942c3b8bb2b4cb091f0f09877872132186979553ea860b7afddb1495ca61b",
     "scheme_comparison": "3b33c3f241c0e55d796f94c584ee8ca87fb2016f9ccdcf3492d99da81df0f4cb",
 }
@@ -585,9 +585,9 @@ QUERY_LINES = {
         "anoma_matrix=1.32192809489 anoma_closed=1.32192809489 "
         "anoma_recursion=1.32192809489 anoma_n_plus_1=1.3175363072 "
         "noma=1.32192809489 oma=0.792481250361 asymptotic=1.32192809489 "
-        "exact_throughput_with_error=1.32192809489 delta=2.99538172044e-13 "
+        "exact_throughput_with_error=1.32192809489 delta=1.53210777398e-13 "
         "delta_lin_sync=nan delta_lin_coord=nan c1=nan c2=nan "
-        "gamma=2.26591879848e-13\n"),
+        "gamma=1.15899478944e-13\n"),
     (): ("mu1=1 mu2=0.5 tau=0.5 n=10 eps1=0 eps2=0 anoma_matrix=1.39349260628 "
          "anoma_closed=1.39349260628 anoma_recursion=1.39349260628 "
          "anoma_n_plus_1=1.33015203326 noma=1.32192809489 oma=0.792481250361 "

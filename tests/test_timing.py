@@ -9,7 +9,8 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (assume, example, given, seed, settings,
+                        strategies as st)
 
 from anoma import _bands
 from anoma import cli
@@ -202,9 +203,9 @@ class TestBatchedRate:
         with mock.patch.object(_bands.BandedMatrix, "__post_init__", post_init):
             TM._mistimed_rates(LINK, M.FrameConfig(20, 0.45), *err.arrays())
         assembled = [b for b in seen if b.batch_shape and not b.upper == 0 < b.lower]
-        # Rhat, its gram, RhatN and its upper band per chunk, and the
-        # distinct eps2's RhatN
-        assert len(assembled) >= 4 * 3 + 1
+        # per chunk of three: Rhat, its gram, RhatN, its upper band, the
+        # sum and its bandwidth-3 view
+        assert len(assembled) >= 6 * 3
         for band in assembled:
             assert band.ab.strides[0] == band.ab.itemsize
 
@@ -238,7 +239,8 @@ class TestBatchedRate:
             TM.throughput_with_error(LINK, FRAME, M.TimingError(
                 0.0, np.array([0.3, 0.1, 0.3, -0.5, 0.5])))
 
-    def test_noise_covariance_factored_once_per_distinct_eps2(self, monkeypatch):
+    def test_only_the_mistimed_blocks_are_factored_after_the_no_error_rate(
+            self, monkeypatch):
         shapes = []
         monkeypatch.setattr(_bands, "cholesky_upper",
                             lambda a, _orig=_bands.cholesky_upper:
@@ -246,12 +248,11 @@ class TestBatchedRate:
         eps = 0.005 * np.arange(-20, 21)
         e1, e2 = np.meshgrid(eps, eps, indexing="ij")
         TM.loss_ratio(LINK, FRAME, M.TimingError(e1, e2))
-        # the no-error rate, RhatN at the 41 values of eps2, then the
-        # 1,680 mistimed points in blocks
+        # the no-error rate, then the 1,680 mistimed points in blocks:
+        # log2 det RhatN is in closed form, so no RhatN is factored
         block = TM._BLOCK_ENTRIES // (2 * FRAME.n)
-        assert shapes[:2] == [(), (41,)]
-        assert [s[0] for s in shapes[2:]] == [min(block, 1680 - start)
-                                              for start in range(0, 1680, block)]
+        assert shapes == [()] + [(min(block, 1680 - start),)
+                                 for start in range(0, 1680, block)]
 
     @pytest.mark.parametrize("n", [5, 32, 300])
     def test_peak_memory_of_the_default_grid(self, n):
@@ -301,9 +302,9 @@ class TestBatchedRate:
         eps = 0.005 * np.arange(-20, 21)
         TM.loss_ratio(LINK, M.FrameConfig(n, 0.5),
                       M.TimingError(*np.meshgrid(eps, eps, indexing="ij")))
-        # the no-error rate is factored first; every later factorization,
-        # the 41 noise covariances' too, is of a widened band
-        assert len(built) == len(factored) - 1 == len(factors) - 1 > 2
+        # the no-error rate is factored first; every later factorization
+        # is of a widened band, at least two blocks of the 1,680 points
+        assert len(built) == len(factored) - 1 == len(factors) - 1 >= 2
         for cov, lapack, factor in zip(built, factored[1:], factors[1:]):
             assert np.shares_memory(lapack, cov.ab)
             assert np.shares_memory(factor, cov.ab)
@@ -317,26 +318,23 @@ def full_mistimed_band(link, frame, err):
     return total.ab[:, :total.upper + 1]
 
 
-def five_slot_storages(link, frame, err):
-    """The five-slot lower storages _mistimed_rates hands to
-    _widened_logdets for a batch of one chunk, left unfactored: RhatN at
-    each distinct eps2 in the order of first occurrence, then RhatN +
-    Rhat D Rhat^T at every point."""
+def five_slot_storage(link, frame, err):
+    """The five-slot lower storage of RhatN + Rhat D Rhat^T at every
+    point that _mistimed_rates hands to _widened_logdets for a batch of
+    one chunk, left unfactored; RhatN's log-det is not taken, so a point
+    where it is singular is assembled too."""
     seen = []
 
     def spy(frame, cols, *args):
         seen.append(cols)
         return np.zeros(len(cols))
 
-    with mock.patch.object(TM, "_widened_logdets", spy):
+    with mock.patch.object(TM, "_widened_logdets", spy), \
+            mock.patch.object(TM, "_noise_logdet2",
+                              lambda frame, e1, e2: np.zeros(e1.size)):
         TM._mistimed_rates(link, frame, *(v.ravel() for v in err.arrays()))
-    assert len(seen) == 2
-    return seen
-
-
-def first_occurrences(values):
-    """The distinct entries of values in the order of first occurrence."""
-    return values[np.sort(np.unique(values, return_index=True)[1])]
+    assert len(seen) == 1
+    return seen[0]
 
 
 def lower_rows(upper):
@@ -379,21 +377,18 @@ class TestFiveSlotAssembly:
         except M.DomainError:
             assume(False)  # rounding carried eps1 + eps2 past a bound
         link = M.LinkConfig.from_gains(*gains)
-        noise, cols = five_slot_storages(link, frame, err)
+        cols = five_slot_storage(link, frame, err)
         want = lower_rows(full_mistimed_band(link, frame, err))
         assert want.shape == (len(e1), min(4, 2 * n - 1) + 1, 2 * n)
         # the sweep leaves out diagonal 4, which is exactly zero
         u = min(3, 2 * n - 1)
         assert not want[:, u + 1:].any()
         want = want[:, :u + 1]
-        want_noise = lower_rows(M.build_noise_covariance(
-            frame, first_occurrences(e2)).ab[:, :2])
         # the whole batch, and a part not starting at the first point
-        for low, full, bandwidth in ((cols, want, u), (noise, want_noise, 1)):
-            for start in (0, len(low) // 2):
-                got = TM._widen(n, low, start, len(low))
-                assert (got.lower, got.upper) == (bandwidth, 0)
-                assert np.array_equal(got.ab, full[start:])
+        for start in (0, len(cols) // 2):
+            got = TM._widen(n, cols, start, len(cols))
+            assert (got.lower, got.upper) == (u, 0)
+            assert np.array_equal(got.ab, want[start:])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 40])
     def test_widened_factor_is_the_upper_storage_factor(self, n):
@@ -401,22 +396,19 @@ class TestFiveSlotAssembly:
         # LAPACK's upper-storage factor of the full assembly, matrix by
         # matrix
         frame = M.FrameConfig(n, 0.4)
-        e1, e2 = TestBatchedRate.EPS1, TestBatchedRate.EPS2
-        err = M.TimingError(e1, e2)
-        # every eps2 is distinct: RhatN's storage is in batch order too
-        fulls = (M.build_noise_covariance(frame, e2).ab[:, :2],
-                 full_mistimed_band(LINK, frame, err))
+        err = M.TimingError(TestBatchedRate.EPS1, TestBatchedRate.EPS2)
+        full = full_mistimed_band(LINK, frame, err)
         for start in (0, 2):
             # at n <= 5 the band is a view of cols, factored in place
-            for cols, full in zip(five_slot_storages(LINK, frame, err), fulls):
-                got = _bands.cholesky_upper(TM._widen(n, cols, start, 4))
-                for b in range(4):
-                    want, info = _bands._pbtrf(full[start + b], lower=0)
-                    assert info == 0
-                    # the full band's diagonal 4, zero, factors to zero
-                    want = lower_rows(want)
-                    assert not want[len(got[b]):].any()
-                    assert got[b].tobytes() == want[:len(got[b])].tobytes()
+            cols = five_slot_storage(LINK, frame, err)
+            got = _bands.cholesky_upper(TM._widen(n, cols, start, 4))
+            for b in range(4):
+                want, info = _bands._pbtrf(full[start + b], lower=0)
+                assert info == 0
+                # the full band's diagonal 4, zero, factors to zero
+                want = lower_rows(want)
+                assert not want[len(got[b]):].any()
+                assert got[b].tobytes() == want[:len(got[b])].tobytes()
 
     @pytest.mark.parametrize("n", [3, 5, 6, 40])
     def test_diagonal_four_is_zero_and_bandwidth_three_loses_no_bit(self, n):
@@ -437,7 +429,8 @@ class TestFiveSlotAssembly:
 
 
 class TestNoiseLogdetClosedForm:
-    """log2 det RhatN against its closed form.
+    """The banded log2 det RhatN, whose factor the waveform simulator
+    colours its noise with, against its closed form.
 
     RhatN = W W^T, W the 2n x (2n + 1) bidiagonal of square roots of the
     window overlaps, so by Cauchy-Binet, with s = tau + eps2,
@@ -464,16 +457,100 @@ class TestNoiseLogdetClosedForm:
     @pytest.mark.parametrize("tau,eps2", [(0.5, -0.25), (0.5, 0.0),
                                           (0.75, -0.5), (0.25, 0.125),
                                           (0.625, 0.25), (0.5, 0.375)])
-    def test_full_and_widened_logdets(self, n, tau, eps2):
-        frame = M.FrameConfig(n, tau)
+    def test_banded_logdet(self, n, tau, eps2):
         want = self.closed_form(n, tau, eps2)
-        full = _bands.logdet2_sym_pd(M.build_noise_covariance(frame, eps2))
-        err = M.TimingError(0.0, np.array([eps2]))
-        widened = TM._widened_logdets(
-            frame, five_slot_storages(LINK, frame, err)[0], 1, *err.arrays(),
-            [0], "")
-        for got in (full, widened[0]):
-            assert abs((got - want) / want) <= 1e-12
+        got = _bands.logdet2_sym_pd(
+            M.build_noise_covariance(M.FrameConfig(n, tau), eps2))
+        assert abs((got - want) / want) <= 1e-12
+
+
+def noise_logdet_mp(n, s):
+    """log2 det RhatN at the float s = tau + eps2, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        middle = (n - 1) * mpmath.log(1 - s, 2) if n > 1 else 0
+        return n * mpmath.log(s, 2) + middle + mpmath.log(n + 1 - s, 2)
+
+
+def noise_covariance_is_pd(n, s):
+    """Where RhatN, built at the float s = tau + eps2, is positive
+    definite: s and 1 - s in (0, 1) (1 - s rounds to 1.0 below s of about
+    2^-54, as the built entry does), or |1 - s| < 1 at n = 1."""
+    return abs(1.0 - s) < 1.0 if n == 1 else 0.0 < s < 1.0 and 0.0 < 1.0 - s < 1.0
+
+
+# distances from an edge of the region: dyadic, and arbitrary
+EDGE_GAP = (st.integers(1, 53).map(lambda k: 2.0 ** -k)
+            | st.floats(2.0 ** -53, 0.5))
+
+
+class TestNoiseLogdetHelper:
+    """model._noise_logdet2, log2 det RhatN from s = tau + eps2 alone."""
+
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 100_000) | st.sampled_from([1, 2, 3]),
+           tau=st.floats(0.0, 1.0, exclude_max=True),
+           gap=EDGE_GAP,
+           edge=st.sampled_from([0.0, 1.0, 2.0]))
+    @example(n=1, tau=0.5, gap=0.25, edge=2.0)
+    @example(n=100_000, tau=0.5, gap=0.5, edge=0.0)
+    def test_matches_mpmath_at_the_same_s(self, n, tau, gap, edge):
+        # eps2 a gap inside the region from one of its edges, s = 0, s = 1
+        # or, at n = 1, s = 2
+        eps2 = (edge + gap if edge == 0.0 else edge - gap) - tau
+        s = tau + eps2  # as the helper forms it
+        assume(noise_covariance_is_pd(n, s))
+        got = M._noise_logdet2(M.FrameConfig(n, tau), np.array([0.0]),
+                               np.array([eps2]))
+        want = noise_logdet_mp(n, s)
+        assert abs(got[0] - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("n,tau,eps2,want", [
+        # the banded route gives -468.0, -520.0 and -104.0 here
+        (10, 0.5, 0.4999999999999999, -473.67807190511264),
+        (10, 0.5, -0.4999999999999999, -526.5405683813627),
+        (3, 0.0, 0.9999999999999999, -104.41503749927884),
+    ])
+    def test_near_edge_points(self, n, tau, eps2, want):
+        got = M._noise_logdet2(M.FrameConfig(n, tau), np.array(0.0),
+                               np.array(eps2))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    # tau, n, (eps1, eps2): s = 1, s = 0, s < 0, s >= 1 at n = 2, s
+    # about 1.4e-17, where 1 - s and the built entry (1 - tau) - eps2
+    # round to 1.0, and at n = 1 the ends s = 0 and s = 2
+    SINGULAR = [(0.5, 10, (0.0, 0.5)), (0.5, 10, (0.0, -0.5)),
+                (0.5, 10, (0.4, -0.6)), (0.5, 2, (-0.4, 0.7)),
+                (0.08193495922766658, 3,
+                 (0.04451223753865696, -0.08193495922766657)),
+                (0.5, 1, (0.0, -0.5)), (0.0, 1, (-1.0, 2.0))]
+
+    @pytest.mark.parametrize("tau,n,point", SINGULAR)
+    @pytest.mark.parametrize("route", ["point", "batch", "display"])
+    def test_singular_region_raises_on_every_route(self, tau, n, point, route):
+        frame = M.FrameConfig(n, tau)
+        message = re.escape(f"noise covariance singular at tau={tau}, "
+                            f"(eps1, eps2) = {point}")
+        if route == "batch":  # behind an admissible point
+            err = M.TimingError(np.array([0.0, point[0]]),
+                                np.array([0.01, point[1]]))
+        else:
+            err = M.TimingError(*point)
+        call = (TM.throughput_loss_display if route == "display"
+                else TM.throughput_with_error)
+        with pytest.raises(M.DomainError, match=message):
+            call(LINK, frame, err)
+
+    def test_one_slot_frame_is_regular_past_s_of_one(self):
+        # at n = 1, RhatN = [[1, 1 - s], [1 - s, 1]] has det s (2 - s)
+        frame, err = M.FrameConfig(1, 0.5), M.TimingError(-0.4, 0.7)
+        for call in (TM.throughput_with_error, TM.throughput_loss_display):
+            assert math.isfinite(call(LINK, frame, err))
+        assert math.isclose(
+            M._noise_logdet2(frame, *err.arrays()),
+            _bands.logdet2_sym_pd(M.build_noise_covariance(frame, 0.7)),
+            rel_tol=1e-14)
 
 
 class TestLoss:
@@ -798,12 +875,13 @@ def counting(monkeypatch, *names):
 
 class TestOneFactorizationPerPoint:
     """A query factors each distinct matrix once: the no-error D^-1 + R
-    (throughput_report), RhatN and RhatN + Rhat D Rhat^T (the mistimed
-    rate), and A = diag(1/mu) + R, whose one inverse band serves every
-    slope branch.  The zero-error rate reuses the report's log-det."""
+    (throughput_report), RhatN + Rhat D Rhat^T (the mistimed rate, whose
+    log det RhatN is in closed form), and A = diag(1/mu) + R, whose one
+    inverse band serves every slope branch.  The zero-error rate reuses
+    the report's log-det."""
 
     @pytest.mark.parametrize("sets,cholesky,inverse", [
-        (["n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"], 4, 1),
+        (["n=300", "tau=0.4", "eps1=0.03", "eps2=-0.05"], 3, 1),
         ([], 2, 1),
         (["tau=0"], 1, 0),
     ])
