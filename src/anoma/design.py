@@ -4,11 +4,11 @@ The transmit powers are provably best at their ceilings, so the power
 sweep is a verification tool: it scans a (p1, p2) grid and reports any
 finite-difference monotonicity violation.  The best normalized mismatch
 tau* has no finite-frame closed form; it is located by an exhaustive
-grid scan over [0, 1) followed by a golden-section refinement inside the
-winning cell.  The grid optimum is the guarantee; refinement only ever
-improves on it.  Both passes evaluate the closed form for a whole ladder
-of frame lengths at once, and the refinement evaluates every point its
-next _LOOKAHEAD steps could ask for in one call.
+grid scan over [0, 1) followed by a zoom: rescans of ever finer grids
+around the winner.  The grid optimum is the guarantee; the zoom only
+ever improves on it.  Both passes take the same step, the first maximum
+of the closed form over a grid for a whole ladder of frame lengths at
+once (_first_max).
 """
 
 from __future__ import annotations
@@ -23,19 +23,18 @@ from .model import (_GAIN, _MU_MIN, _TINY, DomainError, FrameConfig,
                     _require_bytes)
 from .throughput import _closed_rate
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section refinement stops once its bracket is this narrow
+# the zoom's last round is over a bracket at most this wide
 _REFINE_TOL = 1e-6
-# grid points per closed-form evaluation of the tau scan: the default
+# grid points per closed-form evaluation of the tau search: the default
 # scan (10 frame lengths, 1,000 taus) is one evaluation, and a fine
-# grid_resolution cannot make the temporaries outgrow a few MB
+# grid_resolution or a long ladder cannot make the temporaries outgrow
+# a few MB
 _GRID_ENTRIES = 1 << 16
-# golden-section steps per objective call in the refinement: a round
-# evaluates 2^4 - 1 = 15 points per frame length, so the default
-# ladder's 16 steps take 4 calls; depth 3 (6 calls) and depth 5 (still
-# 4 calls, on 31-point trees) measured slower (README, "tau* search
-# cost")
-_LOOKAHEAD = 4
+# spacings per zoom round: the next bracket is two spacings wide, 16
+# times narrower, so the default search takes 4 rounds, the last at a
+# spacing of about 1.5e-8, the sqrt(eps) to which comparing values can
+# place a maximum
+_ZOOM_STEPS = 32
 # grid_resolution lies in (0, 0.01], that is in [_TINY, _RES_END)
 _RES_END = float(np.nextafter(0.01, 1.0))
 
@@ -49,109 +48,26 @@ class PowerSweepReport:
     argmax: tuple[float, float]
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Golden-section maximum of f on [lo, hi], every row in lockstep.
+def _first_max(f, rows, taus, tau_star, achieved):
+    """Move each row's tau_star and achieved, in place, to the first
+    maximum of f over its row of taus wherever that beats achieved
+    strictly.
 
-    f(rows, x) evaluates row ``rows[i]``'s objective at ``x[i]``.  A row
-    stays open while its bracket is wider than tol, and each open row
-    makes exactly the comparisons and updates of a one-row search, so
-    its result does not depend on the other rows.  Returns the bracket
-    midpoints and f there.
-
-    The brackets and the values at their interior points are kept as
-    lists of Python floats, whose + - * and comparisons round exactly as
-    numpy float64's do.  Both first interior points are evaluated in one
-    call, and then each round takes up to _LOOKAHEAD steps of every open
-    row for one call of f (see _golden_round).  A round whose call
-    raises DomainError is replayed one step per call, so the error
-    raised is that of the first step whose own points f rejects, and a
-    point that only a branch not taken would have asked for is never
-    named.
+    f(rows, taus) evaluates row ``rows[i]``'s objective at taus[i] (taus
+    holds one row per entry of rows, or one row shared by all).  The
+    taus are taken in column blocks of at most max(_GRID_ENTRIES, rows)
+    points, one call of f each, and a later block must beat the best so
+    far strictly, so the smallest tau wins a tie.
     """
-    m = len(lo)
-    a, b = lo.tolist(), hi.tolist()
-    c = [bi - (bi - ai) * _INV_PHI for ai, bi in zip(a, b)]
-    d = [ai + (bi - ai) * _INV_PHI for ai, bi in zip(a, b)]
-    rows = np.arange(m)
-    f0 = f(np.concatenate((rows, rows)), np.array(c + d)).tolist()
-    state = (a, b, c, d, f0[:m], f0[m:])
-    live = [i for i in range(m) if b[i] - a[i] > tol]
-    while live:
-        try:
-            live = _golden_round(f, state, live, tol, _LOOKAHEAD)
-        except DomainError:
-            for _ in range(_LOOKAHEAD):
-                if live:
-                    live = _golden_round(f, state, live, tol, 1)
-    x = np.array([0.5 * (ai + bi) for ai, bi in zip(a, b)])
-    return x, f(rows, x)
-
-
-def _golden_round(f, state, live, tol, k):
-    """Up to k golden-section steps of every row in live, for one call
-    of f; returns the rows still open.
-
-    A row's next step is known from its fc > fd, and each later step
-    turns on how the value at the previous step's point compares with
-    the value it is set against.  So the points a row's next k steps
-    can ask for form a binary tree of 2^k - 1 points (see _subtree),
-    each computed with the same float expressions as the step, and f
-    evaluates every row's tree in one call.  The walk then takes each
-    row's real branch at every step, so the values it consumes, and
-    every comparison and bracket, are those of a search that asks f
-    for one point per step.  A row that closes inside the round leaves
-    the rest of its tree unread.  Nothing in state changes before f
-    returns.
-    """
-    a, b, c, d, fc, fd = state
-    x = []
-    for i in live:
-        ai, bi, ci, di = a[i], b[i], c[i], d[i]
-        if fc[i] > fd[i]:
-            # the maximum lies in [a, d]; d takes c's place
-            ai, bi, ci, di = ai, di, di - (di - ai) * _INV_PHI, ci
-            x.append(ci)
-        else:
-            # it lies in [c, b]; c takes d's place
-            ai, bi, ci, di = ci, bi, di, ci + (bi - ci) * _INV_PHI
-            x.append(di)
-        if k > 1:
-            _subtree(x, ai, bi, ci, di, k - 1)
-    size = (1 << k) - 1
-    values = f(np.array(live).repeat(size), np.array(x)).tolist()
-    for row, i in enumerate(live):
-        pos = row * size
-        ai, bi, ci, di, fci, fdi = a[i], b[i], c[i], d[i], fc[i], fd[i]
-        for h in range(k - 1, -1, -1):
-            if fci > fdi:
-                ai, bi, ci, di = ai, di, di - (di - ai) * _INV_PHI, ci
-                fci, fdi = values[pos], fci
-            else:
-                ai, bi, ci, di = ci, bi, di, ci + (bi - ci) * _INV_PHI
-                fci, fdi = fdi, values[pos]
-            if not bi - ai > tol:
-                break
-            # the next step's fc > fd point follows this one, and its
-            # fc <= fd point follows that point's 2^h - 2 descendants
-            pos += 1 if fci > fdi else 1 << h
-        a[i], b[i], c[i], d[i], fc[i], fd[i] = ai, bi, ci, di, fci, fdi
-    return [i for i in live if b[i] - a[i] > tol]
-
-
-def _subtree(x, a, b, c, d, h):
-    """Append to x, in preorder, the 2^(h+1) - 2 points that the next
-    h >= 1 golden-section steps from bracket [a, b] with interior points
-    c < d can ask for: the fc > fd step's point and the points after it,
-    then the fc <= fd step's point and the points after that."""
-    cg = d - (d - a) * _INV_PHI
-    dl = c + (b - c) * _INV_PHI
-    if h == 1:
-        x += cg, dl
-    else:
-        x.append(cg)
-        _subtree(x, a, d, cg, c, h - 1)
-        x.append(dl)
-        _subtree(x, c, b, d, dl, h - 1)
+    width = max(1, _GRID_ENTRIES // max(1, len(rows)))
+    for start in range(0, taus.shape[1], width):
+        block = taus[:, start:start + width]
+        values = f(rows[:, None], block)
+        cols = np.argmax(values, axis=1)
+        top = np.max(values, axis=1)
+        beats = top > achieved
+        tau_star[beats] = np.broadcast_to(block, values.shape)[beats, cols[beats]]
+        achieved[beats] = top[beats]
 
 
 def optimal_tau(link: LinkConfig, n,
@@ -161,11 +77,16 @@ def optimal_tau(link: LinkConfig, n,
 
     Scans tau = 0, res, 2*res, ... < 1 exhaustively, for all frame
     lengths at once (one closed-form evaluation per _GRID_ENTRIES grid
-    points), then runs a golden-section pass one grid cell around each
-    row's winner, all rows in lockstep (the objective is empirically
-    unimodal there; the grid winner is kept if refinement does not beat
-    it).  Ties break toward the smallest tau.  The rate achieved there
-    is closed_rate(link.mu1, link.mu2, n, tau*), bit for bit.
+    points), then zooms in on each row's winner: a round rescans
+    _ZOOM_STEPS + 1 evenly spaced points across the row's bracket, first
+    [tau* - res, tau* + res] inside [0, 1 - _REFINE_TOL], then the
+    winner plus or minus one spacing, and a row stops after the round
+    whose bracket was at most _REFINE_TOL wide (the objective is
+    empirically unimodal there).  A point replaces tau* only if its
+    rate is strictly higher, so the grid optimum is never beaten by a
+    worse one, and ties break toward the smallest tau.  The rate
+    achieved there is closed_rate(link.mu1, link.mu2, n, tau*), bit for
+    bit.
     """
     res = _real("grid_resolution", grid_resolution, _TINY, _RES_END,
                 "lie in (0, 0.01]")
@@ -184,29 +105,23 @@ def optimal_tau(link: LinkConfig, n,
         # NaN can steer the search
         return _closed_rate(mu1, mu2, ns[rows], tau)
 
-    taus = np.arange(0.0, 1.0, res)
     rows = np.arange(len(ns))
-    # the grid is scanned in column blocks of at most _GRID_ENTRIES
-    # points, one evaluation each; a later block must beat the best so
-    # far strictly, so the first maximum wins: smallest tau on ties
-    best = np.zeros(len(ns), dtype=int)
-    achieved = np.full(len(ns), -np.inf)
-    width = max(1, _GRID_ENTRIES // max(1, len(ns)))
-    for start in range(0, len(taus), width):
-        values = objective(rows[:, None], taus[start:start + width])
-        cols = np.argmax(values, axis=1)
-        top = values[rows, cols]
-        beats = top > achieved
-        best[beats], achieved[beats] = start + cols[beats], top[beats]
-    tau_star = taus[best]
-
+    tau_star, achieved = np.zeros(len(ns)), np.full(len(ns), -np.inf)
+    _first_max(objective, rows, np.arange(0.0, 1.0, res)[None, :],
+               tau_star, achieved)
     lo = np.maximum(0.0, tau_star - res)
     hi = np.minimum(1.0 - _REFINE_TOL, tau_star + res)
-    refine = rows[hi > lo]
-    x, fx = _golden_max(lambda r, t: objective(refine[r], t),
-                        lo[refine], hi[refine], _REFINE_TOL)
-    better = fx > achieved[refine]
-    tau_star[refine[better]] = x[better]
+    keep = hi > lo
+    live, lo, hi = rows[keep], lo[keep], hi[keep]
+    while live.size:
+        step = (hi - lo) / _ZOOM_STEPS
+        grid = lo[:, None] + step[:, None] * np.arange(_ZOOM_STEPS + 1)
+        x, fx = tau_star[live], achieved[live]
+        _first_max(objective, live, grid, x, fx)
+        tau_star[live], achieved[live] = x, fx
+        keep = hi - lo > _REFINE_TOL
+        live, lo, hi = (live[keep], np.maximum(lo, x - step)[keep],
+                        np.minimum(hi, x + step)[keep])
     return float(tau_star[0]) if entries.ndim == 0 else tau_star
 
 

@@ -559,18 +559,18 @@ DEFAULT_CSV_SHA256 = {
     "rate_vs_gain": "b5d0b18cb2be7d49c59cc2bb562a5ad6e2df175c3612d626ba29afdf8d1e3f05",
     "rate_vs_n": "c4faed87059e1169c7dd63bfd5fb584f6c081b3a7095aa8c5a1b8c712a6c5c78",
     "power_surface": "8e9a9883071e9a6673d6aabc29dc863e3773723159d2ccb91ae1d30de4cb49d8",
-    "tau_star_vs_n": "1f9bf6dac5c54e010acc211da0f965bbd944af2057c7ea9f8c46e81926af0c26",
+    "tau_star_vs_n": "080aefc0c123e52453d6922536dc3e3b9ef0b54e06051c16a39a405432eca8e0",
     "loss_heatmap": "4e6310fb3d4e1ccdfd827f79ff935d83fe32f468c388dd59d8b07d969db25546",
     "loss_slices": "95e942c3b8bb2b4cb091f0f09877872132186979553ea860b7afddb1495ca61b",
     "scheme_comparison": "3b33c3f241c0e55d796f94c584ee8ca87fb2016f9ccdcf3492d99da81df0f4cb",
 }
 
 # sha256 of one non-default tau_star_vs_n sweep: a gain at 1e300, rows
-# clipped at tau = 0, and golden searches of 18 and 20 steps (res 5e-3)
+# clipped at tau = 0, and zooms of five rounds (res 5e-3)
 TAU_STAR_SETS = ("gains=[[1.0, 0.5], [1e300, 0.03], [0.02, 30.0]]",
                  "n_values=[1, 2, 3, 7, 40, 1000, 100000]",
                  "grid_resolution=5e-3")
-TAU_STAR_SHA256 = "ae5d120fc141efe2a2370ee4c3585ffe360d156cca6700e407b65be7e6696b49"
+TAU_STAR_SHA256 = "88caa56f474770429469947ef9c8634f2e297e24c8c699938542698d193798fb"
 
 QUERY_LINES = {
     ("tau=0",): (
