@@ -464,8 +464,3 @@ def solve_general(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     from scipy.linalg import solve_banded
     return solve_banded((a.lower, a.upper), a.ab, b)
 
-
-def colored_factor_apply(chol_upper: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """U^T w along the last axis of w, U a banded upper Cholesky factor
-    as cholesky_upper returns it: for white w, U^T w has covariance U^T U."""
-    return BandedMatrix(chol_upper, chol_upper.shape[0] - 1, 0).matvec(w)

@@ -14,19 +14,17 @@ matrices, so it stays an independent check of them), and builds each
 stream with five shifted slice-adds: O(n) time, and rounding that does
 not grow with the slot index.
 
-Noise comes in two flavors that cross-check each other:
-
-* a physics path that integrates white noise through both filter
-  banks (noise_covariance_mc), used to validate the colored covariance
-  model by Monte Carlo.  The window edges split the frame into 2n + 2
-  cells whose integrated noise is exactly independent with variance
-  equal to the cell length.  The estimate reads the trials only through
-  the Gram matrix of the cell noise, which is drawn exactly in
-  distribution from its triangular Bartlett factor (Goodman, Ann. Math.
-  Statist. 1963), so time and memory do not grow with the trial count;
-* a fast path that draws the interleaved noise vector directly from the
-  noise covariance RhatN via a banded Cholesky factor (used by
-  matched_filter_outputs when noise is requested).
+Noise has one model: the window edges split the frame into 2n + 1
+cells whose integrated white noise is independent, with variance the
+cell length, and window r (row r of the interleaved streams) covers
+cells r and r + 1.  So the noise vector is W g, W the 2n x (2n + 1)
+bidiagonal of the roots of the cell lengths and g white, and RhatN =
+W W^T.  draw_colored_noise (and matched_filter_outputs with noise) forms
+W g in O(n), factoring nothing.  noise_covariance_mc validates RhatN by
+Monte Carlo, reading the trials only through the Gram matrix of the cell
+noise, drawn exactly in distribution from its triangular Bartlett factor
+(Goodman, Ann. Math. Statist. 1963), so time and memory do not grow with
+the trial count.
 
 Symbols outside the frame are zero: a frame carries exactly n symbols
 per user and occupies n + tau symbol intervals.
@@ -39,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bands
 from .model import (_N_MAX, DomainError, FrameConfig, LinkConfig,
                     TimingError, _config, _error_matrices, _frame, _gain,
-                    _length, _noise_covariance, _real, _require_bytes, _seed)
+                    _length, _noise_covariance, _noise_overlaps, _real,
+                    _require_bytes, _seed)
 
-# bytes per pair of the noise Monte Carlo's 2n + 2 cells: its Bartlett factor,
+# bytes per pair of the noise Monte Carlo's 2n + 1 cells: its Bartlett factor,
 # R W^T, the estimate and the deviation, each about one complex square array
 _CELL_PAIR_BYTES = 64
 
@@ -117,28 +115,27 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
 
 def draw_colored_noise(frame: FrameConfig, eps2: float,
                        rng: np.random.Generator) -> np.ndarray:
-    """Interleaved 2n noise vector with the model covariance (fast path):
-    2n real then 2n imaginary standard normals from rng, colored by the
-    banded Cholesky factor of RhatN."""
+    """Interleaved 2n noise vector with the model covariance RhatN: W g,
+    g of 2n + 1 complex normals, their 2n + 1 real then 2n + 1 imaginary
+    parts standard normals from rng (see the module docstring)."""
     point = TimingError(0.0, eps2)
     point.require_point("draw_colored_noise")
-    point.check_admissible(_frame(frame, 12))
-    return _colored_noise(frame, point.eps2,
+    return _colored_noise(_frame(frame, 9), *point.arrays(),
                           _config("rng", rng, np.random.Generator))
 
 
-def _colored_noise(frame: FrameConfig, eps2: float,
+def _colored_noise(frame: FrameConfig, e1, e2,
                    rng: np.random.Generator) -> np.ndarray:
-    """draw_colored_noise at checked arguments."""
-    try:
-        factor = _bands.cholesky_upper(_noise_covariance(frame, eps2))
-    except np.linalg.LinAlgError:
-        raise DomainError(
-            f"noise covariance singular at tau={frame.tau}, eps2={eps2}"
-        ) from None
-    z = rng.standard_normal((2, 2 * frame.n))
-    w = (z[0] + 1j * z[1]) / math.sqrt(2.0)
-    return _bands.colored_factor_apply(factor, w)
+    """draw_colored_noise at checked arguments; a point outside the
+    noise domain raises DomainError naming (e1, e2)."""
+    w = _interval_weights(frame, e1, e2)
+    z = rng.standard_normal((2, len(w)))
+    g = z[0] + 1j * z[1]
+    del z  # each array is freed once read, which bounds the peak
+    g /= math.sqrt(2.0)
+    out = g[:-1] * w[:-1]
+    out += g[1:] * w[1:]
+    return out
 
 
 def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
@@ -183,7 +180,7 @@ def matched_filter_outputs(symbols: SymbolFrame, link: LinkConfig,
                       + _overlap(off2, 1 + off2, d, d + 1) * s1)
 
     if not noiseless:
-        noise = _colored_noise(frame, err.eps2, rng)
+        noise = _colored_noise(frame, *err.arrays(), rng)
         y1 = y1 + noise[0::2]
         y2 = y2 + noise[1::2]
     return SampleVectors(y1, y2)
@@ -216,21 +213,16 @@ def _simulator_args(symbols: SymbolFrame, link: LinkConfig, frame: FrameConfig,
     return err
 
 
-def _interval_weights(frame: FrameConfig, eps2: float) -> np.ndarray:
-    """Square roots of the lengths of the Monte Carlo's white-noise cells.
-
-    Stream-1 window i is [i, i + 1] and stream-2 window i is [i + s,
-    i + 1 + s], s = tau + eps2 in (0, 1).  Their edges split [0, n + 1)
-    into the 2n + 2 cells [k, k + s), [k + s, k + 1), k = 0..n (the last
-    one past every window).  White noise integrated over a cell of
-    length L is a Gaussian of variance L, independent of the other
-    cells, and window r (row r of the interleaved streams) covers
-    exactly cells r and r + 1, weighing each by the root of its length.
-    """
-    k = np.arange(frame.n + 1)
-    edges = np.append(np.column_stack((k, k + frame.tau + eps2)).ravel(),
-                      frame.n + 1.0)
-    return np.sqrt(np.diff(edges))
+def _interval_weights(frame: FrameConfig, e1, e2) -> np.ndarray:
+    """W's weights, the roots of the 2n + 1 cell lengths s, 1 - s, ..., s
+    (s = tau + eps2 from model._noise_overlaps, each length formed once)
+    at the offsets e1, e2 of one point.  Stream-1 window i is [i, i + 1]
+    and stream-2 window i is [i + s, i + 1 + s]; their edges split
+    [0, n + s) into [k, k + s), [k + s, k + 1), k < n, and [n, n + s)."""
+    s, t = _noise_overlaps(frame, e1, e2)
+    root = np.empty(2 * frame.n + 1)
+    root[0::2], root[1::2] = math.sqrt(s), math.sqrt(t)
+    return root
 
 
 def _gram_factor(rng: np.random.Generator, trials: int,
@@ -263,18 +255,15 @@ def noise_covariance_mc(frame: FrameConfig, eps2: float = 0.0,
     _config("frame", frame, FrameConfig)
     trials = _real("trials", trials, 10_000, _N_MAX + 1,
                    f"be an int in [10000, {_N_MAX}]", kind=int)
-    eps2 = _real("eps2", eps2)
-    if not (0.0 < frame.tau + eps2 < 1.0):
-        raise DomainError(
-            f"noise model needs tau + eps2 in (0, 1), got {frame.tau + eps2}")
-    cells = 2 * frame.n + 2
+    eps2 = np.float64(_real("eps2", eps2))
+    cells = 2 * frame.n + 1
     _require_bytes(f"frame length n = {frame.n}", _CELL_PAIR_BYTES * cells * cells)
-    root = _interval_weights(frame, eps2)
+    root = _interval_weights(frame, np.float64(0.0), eps2)
     r = _gram_factor(_seed("seed", seed), trials, cells)
     # R W^T from window r's two weights, on cells r and r + 1; the real
     # and the imaginary part of a cell each carry its length L as
     # variance, twice a complex cell's L: halved once at the end
-    rw = r[:, :-2] * root[:-2] + r[:, 1:-1] * root[1:-1]
+    rw = r[:, :-1] * root[:-1] + r[:, 1:] * root[1:]
     del r  # each array is freed once read, which bounds the peak
     cov = rw.T @ rw.conj()
     del rw

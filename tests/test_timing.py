@@ -17,6 +17,7 @@ from anoma import cli
 from anoma import model as M
 from anoma import timing as TM
 from anoma import throughput as T
+from anoma import waveform as W
 
 LINK = M.LinkConfig.from_gains(1.0, 0.5)
 FRAME = M.FrameConfig(10, 0.5)
@@ -468,15 +469,16 @@ def noise_logdet_mp(n, s):
     """log2 det RhatN at the float s = tau + eps2, in 40-digit mpmath."""
     with mpmath.workdps(40):
         s = mpmath.mpf(s)
-        middle = (n - 1) * mpmath.log(1 - s, 2) if n > 1 else 0
-        return n * mpmath.log(s, 2) + middle + mpmath.log(n + 1 - s, 2)
+        return (n * mpmath.log(s, 2) + (n - 1) * mpmath.log(1 - s, 2)
+                + mpmath.log(n + 1 - s, 2))
 
 
-def noise_covariance_is_pd(n, s):
-    """Where RhatN, built at the float s = tau + eps2, is positive
-    definite: s and 1 - s in (0, 1) (1 - s rounds to 1.0 below s of about
-    2^-54, as the built entry does), or |1 - s| < 1 at n = 1."""
-    return abs(1.0 - s) < 1.0 if n == 1 else 0.0 < s < 1.0 and 0.0 < 1.0 - s < 1.0
+def noise_covariance_is_pd(s):
+    """Where RhatN, built at the float s = tau + eps2, is the windows'
+    overlap matrix and positive definite, at every n: s and 1 - s in
+    (0, 1) (1 - s rounds to 1.0 below s of about 2^-54, as the built entry
+    does)."""
+    return 0.0 < s < 1.0 and 0.0 < 1.0 - s < 1.0
 
 
 # distances from an edge of the region: dyadic, and arbitrary
@@ -492,15 +494,14 @@ class TestNoiseLogdetHelper:
     @given(n=st.integers(1, 100_000) | st.sampled_from([1, 2, 3]),
            tau=st.floats(0.0, 1.0, exclude_max=True),
            gap=EDGE_GAP,
-           edge=st.sampled_from([0.0, 1.0, 2.0]))
-    @example(n=1, tau=0.5, gap=0.25, edge=2.0)
+           edge=st.sampled_from([0.0, 1.0]))
     @example(n=100_000, tau=0.5, gap=0.5, edge=0.0)
     def test_matches_mpmath_at_the_same_s(self, n, tau, gap, edge):
-        # eps2 a gap inside the region from one of its edges, s = 0, s = 1
-        # or, at n = 1, s = 2
+        # eps2 a gap inside the region from one of its edges, s = 0 or
+        # s = 1
         eps2 = (edge + gap if edge == 0.0 else edge - gap) - tau
         s = tau + eps2  # as the helper forms it
-        assume(noise_covariance_is_pd(n, s))
+        assume(noise_covariance_is_pd(s))
         got = M._noise_logdet2(M.FrameConfig(n, tau), np.array([0.0]),
                                np.array([eps2]))
         want = noise_logdet_mp(n, s)
@@ -519,12 +520,13 @@ class TestNoiseLogdetHelper:
 
     # tau, n, (eps1, eps2): s = 1, s = 0, s < 0, s >= 1 at n = 2, s
     # about 1.4e-17, where 1 - s and the built entry (1 - tau) - eps2
-    # round to 1.0, and at n = 1 the ends s = 0 and s = 2
+    # round to 1.0, and at n = 1 s = 0, s = 1.2 and s = 2
     SINGULAR = [(0.5, 10, (0.0, 0.5)), (0.5, 10, (0.0, -0.5)),
                 (0.5, 10, (0.4, -0.6)), (0.5, 2, (-0.4, 0.7)),
                 (0.08193495922766658, 3,
                  (0.04451223753865696, -0.08193495922766657)),
-                (0.5, 1, (0.0, -0.5)), (0.0, 1, (-1.0, 2.0))]
+                (0.5, 1, (0.0, -0.5)), (0.5, 1, (-0.4, 0.7)),
+                (0.0, 1, (-1.0, 2.0))]
 
     @pytest.mark.parametrize("tau,n,point", SINGULAR)
     @pytest.mark.parametrize("route", ["point", "batch", "display"])
@@ -542,15 +544,27 @@ class TestNoiseLogdetHelper:
         with pytest.raises(M.DomainError, match=message):
             call(LINK, frame, err)
 
-    def test_one_slot_frame_is_regular_past_s_of_one(self):
-        # at n = 1, RhatN = [[1, 1 - s], [1 - s, 1]] has det s (2 - s)
-        frame, err = M.FrameConfig(1, 0.5), M.TimingError(-0.4, 0.7)
-        for call in (TM.throughput_with_error, TM.throughput_loss_display):
-            assert math.isfinite(call(LINK, frame, err))
-        assert math.isclose(
-            M._noise_logdet2(frame, *err.arrays()),
-            _bands.logdet2_sym_pd(M.build_noise_covariance(frame, 0.7)),
-            rel_tol=1e-14)
+    def test_one_slot_frame_is_singular_past_s_of_one(self):
+        # at n = 1 and s = 1.2 the two windows are disjoint, so the
+        # stencil's RhatN[0, 1] = 1 - s = -0.2 is no overlap: every noise
+        # route refuses the point, the noisy simulator too
+        frame, point = M.FrameConfig(1, 0.5), (-0.4, 0.7)
+        message = re.escape("noise covariance singular at tau=0.5, "
+                            f"(eps1, eps2) = {point}")
+        batch = M.TimingError(np.array([0.0, point[0]]),
+                              np.array([0.01, point[1]]))
+        symbols = W.generate_symbols(1, seed=0)
+        calls = [lambda: TM.throughput_with_error(LINK, frame,
+                                                  M.TimingError(*point)),
+                 lambda: TM.throughput_with_error(LINK, frame, batch),
+                 lambda: TM.throughput_loss_display(LINK, frame,
+                                                    M.TimingError(*point)),
+                 lambda: W.matched_filter_outputs(
+                     symbols, LINK, frame, M.TimingError(*point),
+                     noiseless=False, rng=0)]
+        for call in calls:
+            with pytest.raises(M.DomainError, match=message):
+                call()
 
 
 class TestLoss:

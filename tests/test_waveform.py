@@ -6,9 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from anoma import _bands
 from anoma import model as M
 from anoma import waveform as W
 
@@ -19,15 +18,15 @@ _MC_BATCH_VALUES = 1 << 16
 
 
 def _weights(frame, eps2):
-    """The Monte Carlo's dense (2n, 2n + 2) filter weights W: window r
+    """The noise model's dense (2n, 2n + 1) filter weights W: window r
     weighs cells r and r + 1 by the square roots of their lengths
     (waveform._interval_weights), so W W^T is the window-overlap matrix
     RhatN."""
-    root = W._interval_weights(frame, eps2)
+    root = W._interval_weights(frame, np.array(0.0), np.array(eps2))
     rows = np.arange(2 * frame.n)
     w = np.zeros((len(rows), len(root)))
-    w[rows, rows] = root[:-2]
-    w[rows, rows + 1] = root[1:-1]
+    w[rows, rows] = root[:-1]
+    w[rows, rows + 1] = root[1:]
     return w
 
 
@@ -378,36 +377,44 @@ class TestNoiseCovariance:
         assert rep.stat_bound == 3.0 / math.sqrt(10_000)
 
     def test_invalid_total_offset_rejected(self):
-        with pytest.raises(M.DomainError):
+        with pytest.raises(M.DomainError, match=re.escape(
+                "noise covariance singular at tau=0.5, "
+                "(eps1, eps2) = (0.0, 0.6)")):
             W.noise_covariance_mc(M.FrameConfig(1, 0.5), eps2=0.6, trials=10_000)
 
-    def test_factorized_draw_matches_model_covariance(self):
-        # 20,000 draws by the factor route that draw_colored_noise takes
-        # one vector at a time (pinned below)
+    def test_draws_match_model_covariance(self):
+        # 20,000 public draws, one vector at a time
         frame = M.FrameConfig(2, 0.5)
         rhat_n = M.build_error_matrices(frame, M.TimingError(0.0, 0.05))[3]
-        z = np.random.default_rng(8).standard_normal((20_000, 2, 4))
-        w = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-        draws = _bands.colored_factor_apply(_bands.cholesky_upper(rhat_n), w)
+        rng = np.random.default_rng(8)
+        draws = np.array([W.draw_colored_noise(frame, 0.05, rng)
+                          for _ in range(20_000)])
         emp = draws.T @ draws.conj() / len(draws)
         assert np.max(np.abs(emp - rhat_n.to_dense())) <= 0.03
 
     @pytest.mark.parametrize("n,tau,eps2", [(1, 0.0, 0.2), (2, 0.5, 0.05),
                                             (300, 0.41, -0.02)])
-    def test_draw_is_the_factor_applied_to_white_noise(self, n, tau, eps2):
-        frame = M.FrameConfig(n, tau)
-        factor = _bands.cholesky_upper(M.build_noise_covariance(frame, eps2))
+    def test_draw_is_w_applied_to_white_noise(self, n, tau, eps2):
+        # W g from the cell lengths s, 1 - s, ..., s, window r on cells r
+        # and r + 1, against the draw bit for bit
+        frame, s = M.FrameConfig(n, tau), tau + eps2
+        root = np.sqrt(np.tile([s, 1.0 - s], n + 1)[:-1])
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(3):
-            # 2n real, then 2n imaginary normals per vector
-            z = ref.standard_normal((2, 2 * n))
-            want = _bands.colored_factor_apply(
-                factor, (z[0] + 1j * z[1]) / math.sqrt(2.0))
-            assert W.draw_colored_noise(frame, eps2, rng).tobytes() == want.tobytes()
+            # 2n + 1 real, then 2n + 1 imaginary normals per vector
+            z = ref.standard_normal((2, 2 * n + 1))
+            g = (z[0] + 1j * z[1]) / math.sqrt(2.0)
+            want = root[:-1] * g[:-1] + root[1:] * g[1:]
+            got = W.draw_colored_noise(frame, eps2, rng)
+            assert got.tobytes() == want.tobytes()
+            assert np.allclose(got, _weights(frame, eps2) @ g,
+                               rtol=0.0, atol=1e-14)
         assert rng.standard_normal() == ref.standard_normal()
 
     def test_draw_rejects_inadmissible_coordination_offset(self):
-        with pytest.raises(M.DomainError):
+        with pytest.raises(M.DomainError, match=re.escape(
+                "noise covariance singular at tau=0.5, "
+                "(eps1, eps2) = (0.0, 0.6)")):
             W.draw_colored_noise(M.FrameConfig(2, 0.5), 0.6,
                                  np.random.default_rng(0))
 
@@ -420,30 +427,38 @@ class TestNoiseCovariance:
 
 class TestIntervalMonteCarlo:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 50), st.floats(0.0, 0.99), st.floats(0.001, 0.999))
+    @given(st.integers(1, 10_000) | st.integers(1, 3),
+           st.floats(0.0, 1.0, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+           | st.sampled_from([2.0 ** -52, 0.5, 1.0 - 2.0 ** -52]))
     def test_gram_matrix_is_the_noise_covariance(self, n, tau, offset):
-        # windows at tau + eps2 = offset, on no sub-grid in general
+        # windows at tau + eps2 = offset, on no sub-grid in general, to
+        # within an ulp of either end of (0, 1)
         eps2 = offset - tau
+        s = tau + eps2
+        assume(0.0 < s < 1.0 and 0.0 < 1.0 - s < 1.0)
         frame = M.FrameConfig(n, tau)
-        w = _weights(frame, eps2)
-        expected = M.build_noise_covariance(frame, eps2).to_dense()
-        # each cell length is a difference of two window edges k + s,
-        # each rounded to within half a spacing of n + 1, and an entry
-        # of W W^T sums at most two lengths: at most 2 spacings apart
-        # from the exact value, plus a few ulps of 1 from the square
-        # roots and the model's own rounding
-        bound = 2 * np.spacing(float(n + 1)) + 4 * np.spacing(1.0)
-        assert np.max(np.abs(w @ w.T - expected)) <= bound
+        # the bands of W W^T from W's two weights per row, on cells r
+        # and r + 1: each length s or 1 - s is formed once, so the bands
+        # carry only the rounding of a square root and of the model's
+        # own entries
+        root = W._interval_weights(frame, np.array(0.0), np.array(eps2))
+        rhat_n = M.build_noise_covariance(frame, eps2)
+        assert rhat_n.upper == rhat_n.lower == 1
+        diag = root[:-1] * root[:-1] + root[1:] * root[1:]
+        upper = root[1:-1] * root[1:-1]
+        assert np.max(np.abs(diag - rhat_n.ab[1])) <= 1e-15
+        assert np.max(np.abs(upper - rhat_n.ab[0, 1:])) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 5, 200])
     @pytest.mark.parametrize("tau,eps2", [(0.5, 0.0), (0.5, 0.05), (0.3, -0.17)])
     def test_cell_count(self, n, tau, eps2):
         w = _weights(M.FrameConfig(n, tau), eps2)
-        assert w.shape == (2 * n, 2 * n + 2)
-        # window r covers cells r and r + 1 only; the last cell lies
-        # past every window
+        assert w.shape == (2 * n, 2 * n + 1)
+        # window r covers cells r and r + 1 only, and every cell lies
+        # under a window
         assert np.count_nonzero(w) == 4 * n
-        assert not w[:, -1].any()
+        assert w.any(axis=0).all()
 
     def test_peak_memory_at_n_200(self):
         # a few 400 x 400 complex arrays of 2.6 MB each (the Bartlett
